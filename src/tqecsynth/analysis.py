@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .geometry import CapShape, Coord, Defect, Geometry, Segment
+from .geometry import CapShape, Coord, Geometry, Segment
+from .spatial import RADIUS, SegmentIndex
 
 
 class AnalysisError(ValueError):
@@ -41,25 +42,18 @@ def code_distance(d_f: int, separation: int) -> int:
     return DistanceReport.from_params(d_f, separation).code_distance
 
 
-def _segment_gap(a: Segment, b: Segment) -> int:
-    gap = 0
-    for axis in ("i", "j", "t"):
-        (alo, ahi), (blo, bhi) = a.interval(axis), b.interval(axis)
-        gap += max(0, blo - ahi, alo - bhi)
-    return gap
-
-
-def _defect_gap_cells(a: Defect, b: Defect) -> int:
-    best = min(_segment_gap(sa, sb) for sa in a.segments for sb in b.segments)
-    return best // 2
-
-
 def min_code_distance(geometry: Geometry) -> DistanceReport:
     """Measure d_f and the closest same-kind defect gap of a geometry.
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only.
+    connected components only. Both steps query one t-sweep index over the
+    segment boxes (``spatial.SegmentIndex``): first every pair less than a
+    cell apart, whose defects are merged, then every pair within
+    ``spatial.RADIUS`` lattice units, from which the closest pair in
+    different components is taken. If no such pair lies that close, the
+    radius widens until one is found or it covers the whole geometry, so
+    the result equals a scan over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -74,24 +68,23 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
             k = parent[k]
         return k
 
-    gaps: dict[tuple[int, int], int] = {}
-    for idx, a in enumerate(defects):
-        for jdx in range(idx + 1, len(defects)):
-            b = defects[jdx]
-            if a.kind is not b.kind:
-                continue
-            gap = _defect_gap_cells(a, b)
-            gaps[(idx, jdx)] = gap
-            if gap == 0:
-                parent[find(idx)] = find(jdx)
+    index = SegmentIndex(defects)
+    owner = index.owner
+    for a, b, _ in index.pairs_within(1):
+        parent[find(owner[a])] = find(owner[b])
 
-    separation: int | None = None
-    for (idx, jdx), gap in gaps.items():
-        if find(idx) == find(jdx):
-            continue
-        if separation is None or gap < separation:
-            separation = gap
-    return DistanceReport.from_params(d_f, separation)
+    roots = {(d.kind, find(k)) for k, d in enumerate(defects)}
+    if len(roots) == len({kind for kind, _ in roots}):
+        return DistanceReport.from_params(d_f, None)   # one component per kind
+    root = [find(owner[k]) for k in range(len(owner))]
+    radius, span = RADIUS, index.span()
+    while True:
+        best = min((gap for a, b, gap in index.pairs_within(radius)
+                    if root[a] != root[b]), default=None)
+        if best is not None or radius >= span:
+            break
+        radius *= 4
+    return DistanceReport.from_params(d_f, None if best is None else best // 2)
 
 
 @dataclass(frozen=True)

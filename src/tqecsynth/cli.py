@@ -17,7 +17,7 @@ from .decompose import decompose_gates
 from .document import FORMATS, build_document, canonical_json, export
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, run_pipeline
-from .scheduling import BoxDim, DistillationExhausted, default_box_dims
+from .scheduling import BoxDim, DistillationExhausted, SchedulingError, default_box_dims
 from .sim import check_equivalence
 
 EXIT_OK = 0
@@ -101,10 +101,9 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = build_config(args)
     try:
-        result = run_pipeline(_read_source(args.source), config)
-    except (ParseError, PipelineError) as exc:
+        result = run_pipeline(_read_source(args.source), build_config(args))
+    except (ParseError, PipelineError, SchedulingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DistillationExhausted as exc:
@@ -177,10 +176,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    config = build_config(args)
     try:
-        result = run_pipeline(_read_source(args.source), config)
-    except (ParseError, PipelineError) as exc:
+        result = run_pipeline(_read_source(args.source), build_config(args))
+    except (ParseError, PipelineError, SchedulingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DistillationExhausted as exc:
@@ -192,10 +190,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    config = build_config(args)
     try:
-        result = run_pipeline(_read_source(args.source), config)
-    except (ParseError, PipelineError) as exc:
+        result = run_pipeline(_read_source(args.source), build_config(args))
+    except (ParseError, PipelineError, SchedulingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except DistillationExhausted as exc:

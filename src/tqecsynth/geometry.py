@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 from . import matrix as mx
 from .circuit import InitBasis
 from .matrix import MatrixRep
+from .spatial import SegmentIndex
 
 if TYPE_CHECKING:
     from .scheduling import BoxInstance
@@ -471,40 +472,37 @@ def linking_number(loop: Sequence[Segment], strand: Sequence[Segment]) -> int:
     return wn
 
 
-def _boxes_of(seg: Segment) -> tuple[tuple[int, int], ...]:
-    return tuple(seg.interval(ax) for ax in ("i", "j", "t"))
-
-
-def _intervals_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
-
-
 def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
-    """Same-kind segment pairs that touch anywhere except at legal shared joints."""
-    conflicts: list[tuple[Segment, Segment]] = []
-    indexed: list[tuple[int, Segment, set[Coord]]] = []
-    for di, defect in enumerate(geometry.defects + geometry.connections):
+    """Same-kind segment pairs that touch anywhere except at legal shared joints.
+
+    The touching pairs come from one t-sweep of ``spatial.SegmentIndex``
+    over the segment boxes. A pair from one defect is dropped when every
+    lattice point they share is a joint of that defect. Pairs are returned
+    in the order of the flattened segment list of ``defects`` then
+    ``connections``, earlier segment first.
+    """
+    defects = geometry.defects + geometry.connections
+    index = SegmentIndex(defects)
+    joints: list[set[Coord]] = []
+    for defect in defects:
         verts = defect.vertices()
-        joints = set(verts[1:-1])
+        joints.append(set(verts[1:-1]))
         if defect.closed:
-            joints.add(verts[0])
-        for seg in defect.segments:
-            indexed.append((di, seg, joints))
-    for idx, (da, sa, ja) in enumerate(indexed):
-        for db, sb, jb in indexed[idx + 1:]:
-            if sa.kind is not sb.kind:
+            joints[-1].add(verts[0])
+    conflicts: list[tuple[Segment, Segment]] = []
+    for a, b, _ in sorted(index.pairs_within(0)):
+        box_a, box_b = index.boxes[a], index.boxes[b]
+        owner = index.owner[a]
+        if owner == index.owner[b]:
+            lo = [max(box_a[k], box_b[k]) for k in (0, 2, 4)]
+            hi = [min(box_a[k], box_b[k]) for k in (1, 3, 5)]
+            meet = [
+                Coord(i, j, t)
+                for i in range(lo[0], hi[0] + 1)
+                for j in range(lo[1], hi[1] + 1)
+                for t in range(lo[2], hi[2] + 1)
+            ]
+            if all(p in joints[owner] for p in meet):
                 continue
-            boxes_a, boxes_b = _boxes_of(sa), _boxes_of(sb)
-            if not all(_intervals_overlap(a, b) for a, b in zip(boxes_a, boxes_b)):
-                continue
-            if da == db:
-                meet = [
-                    Coord(i, j, t)
-                    for i in range(max(boxes_a[0][0], boxes_b[0][0]), min(boxes_a[0][1], boxes_b[0][1]) + 1)
-                    for j in range(max(boxes_a[1][0], boxes_b[1][0]), min(boxes_a[1][1], boxes_b[1][1]) + 1)
-                    for t in range(max(boxes_a[2][0], boxes_b[2][0]), min(boxes_a[2][1], boxes_b[2][1]) + 1)
-                ]
-                if all(p in ja for p in meet):
-                    continue
-            conflicts.append((sa, sb))
+        conflicts.append((index.segments[a], index.segments[b]))
     return conflicts

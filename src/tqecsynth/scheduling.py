@@ -19,6 +19,10 @@ from .geometry import Coord, Pin, PinRole, Segment, SegmentKind
 
 RNG_ALGORITHM = "numpy-pcg64"
 
+# Largest spare count per box type that spare_count returns; beyond it the
+# schedule is too large to place, so it is an error rather than a layout.
+MAX_SPARES = 10_000
+
 
 class SchedulingError(ValueError):
     pass
@@ -261,7 +265,13 @@ def homogeneous_schedule(
 
 
 def spare_count(needed: int, success_rate: float, epsilon: float = 0.01) -> int:
-    """Smallest spare count n with P[Binomial(needed+n, rate) >= needed] >= 1 - eps."""
+    """Smallest spare count n with P[Binomial(needed+n, rate) >= needed] >= 1 - eps.
+
+    The tail grows by rate * P[Binomial(total, rate) = needed-1] as one box
+    is added; that pmf is carried in log space from one total to the next,
+    so no term overflows or sticks at zero. Raises SchedulingError when
+    more than ``MAX_SPARES`` spares would be needed.
+    """
     if needed < 0:
         raise SchedulingError("needed must be non-negative")
     if not 0.0 <= success_rate <= 1.0:
@@ -272,16 +282,19 @@ def spare_count(needed: int, success_rate: float, epsilon: float = 0.01) -> int:
         raise SchedulingError("zero success rate cannot serve any pin pair")
     if success_rate == 1.0:
         return 0
-    n = 0
-    while True:
-        total = needed + n
-        tail = sum(
-            math.comb(total, k) * success_rate ** k * (1 - success_rate) ** (total - k)
-            for k in range(needed, total + 1)
-        )
+    log_p, log_q = math.log(success_rate), math.log1p(-success_rate)
+    tail = success_rate ** needed
+    # log P[Binomial(needed, rate) = needed-1]
+    log_pmf = math.log(needed) + (needed - 1) * log_p + log_q
+    for n in range(MAX_SPARES + 1):
         if tail >= 1.0 - epsilon:
             return n
-        n += 1
+        total = needed + n
+        tail += math.exp(log_p + log_pmf)
+        log_pmf += math.log((total + 1) / (n + 2)) + log_q
+    raise SchedulingError(
+        f"more than {MAX_SPARES} spares needed for {needed} boxes at success rate "
+        f"{success_rate} and epsilon {epsilon}")
 
 
 @dataclass

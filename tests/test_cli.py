@@ -158,3 +158,29 @@ def test_slice_explicit_cells_too_small(src_file, capsys):
     rc, _, err = run_cli(capsys, "slice", path, "--cells", "1", "1", "1")
     assert rc == EXIT_PARSE
     assert "extent" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_spare_cap_exit_code(src_file, capsys, command):
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    rc, out, err = run_cli(capsys, command, path, "--success-rate", "0.0001")
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: more than") and "spares" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_box_dims_scheduling_error_exit_code(src_file, tmp_path, capsys, command):
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({"y": [6, 6, 10], "a": [6, 6, 10]}))
+    rc, _, err = run_cli(capsys, command, path, "--box-dims", str(dims))
+    assert rc == EXIT_PARSE
+    assert "wider" in err
+
+
+def test_invalid_config_value_exit_code(src_file, capsys):
+    path = src_file("p.tq", "qubits 1\np 0\n")
+    rc, _, err = run_cli(capsys, "synth", path, "--success-rate", "2")
+    assert rc == EXIT_PARSE
+    assert "success rate" in err

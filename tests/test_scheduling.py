@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,36 @@ def test_spare_count_matches_binomial_tail_oracle(needed, rate, eps):
     assert stats.binom.sf(needed - 1, needed + n, rate) >= 1 - eps
     if n:
         assert stats.binom.sf(needed - 1, needed + n - 1, rate) < 1 - eps
+
+
+def summed_tail_spare_count(needed: int, rate: float, eps: float) -> int:
+    """The binomial tail re-summed from the pmf at every spare count."""
+    n = 0
+    while True:
+        total = needed + n
+        tail = sum(math.comb(total, k) * rate ** k * (1 - rate) ** (total - k)
+                   for k in range(needed, total + 1))
+        if tail >= 1.0 - eps:
+            return n
+        n += 1
+
+
+# 8/28/34/56 are the Y and A counts of the benchmark workloads
+@pytest.mark.parametrize("needed", list(range(13)) + [20, 28, 34, 56, 100, 150, 200])
+@pytest.mark.parametrize("rate", [0.5, 0.8, 0.9, 0.99])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_spare_count_equals_summed_tail(needed, rate, eps):
+    assert spare_count(needed, rate, eps) == summed_tail_spare_count(needed, rate, eps)
+
+
+def test_spare_count_large_and_capped():
+    n = spare_count(2000, 0.9)
+    assert stats.binom.sf(1999, 2000 + n, 0.9) >= 0.99
+    assert stats.binom.sf(1999, 2000 + n - 1, 0.9) < 0.99
+    with pytest.raises(SchedulingError, match="spares needed"):
+        spare_count(1, 0.0001)
+    # 1 - 0.9999^6932 >= 0.5 > 1 - 0.9999^6931
+    assert spare_count(1, 0.0001, 0.5) == 6931
 
 
 def test_fill_config_high_to_low():
