@@ -8,30 +8,5 @@ simulation, pin routing, and distance/volume/slicing analysis.
 
 __version__ = "0.1.0"
 
-from .circuit import (                                        # noqa: F401
-    Circuit, Diagnostic, Gate, GateKind, InitBasis, MeasBasis, ParseError,
-    circuit, cnot, parse_circuit, toffoli, validate_circuit,
-)
-from .decompose import decompose_gates, toffoli_sequence      # noqa: F401
-from .icm import (                                            # noqa: F401
-    IcmConversion, PauliFrame, TeleportTemplate, TemplateInstance,
-    select_pattern, template_for, to_icm,
-)
-from .matrix import MatrixRep, from_matrix, to_matrix         # noqa: F401
-from .sim import check_equivalence, gate_matrix, simulate     # noqa: F401
-from .geometry import (                                       # noqa: F401
-    Coord, Defect, Geometry, GeometryError, Injection, IOPort, LayoutParams,
-    Pin, Segment, SegmentKind, cnot_braid_template, generate_geometry,
-    io_geometry, linking_number, validate_parity,
-)
-from .scheduling import (                                     # noqa: F401
-    BoxDim, BoxInstance, DistillationExhausted, Region, Schedule,
-    connect_pins, default_box_dims, homogeneous_schedule, schedule_boxes,
-    simulate_failures, spare_count,
-)
-from .analysis import (                                       # noqa: F401
-    DistanceReport, VolumeReport, bounding_box, code_distance,
-    execution_schedule, min_code_distance, slice_layers, volume_units,
-)
-from .pipeline import PipelineConfig, PipelineResult, SparePolicy, run_pipeline  # noqa: F401
-from .document import build_document, export                  # noqa: F401
+from .pipeline import PipelineConfig, SparePolicy, run_pipeline  # noqa: F401
+from .document import build_document                            # noqa: F401

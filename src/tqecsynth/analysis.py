@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .geometry import CapShape, Coord, Geometry, Segment
 from .spatial import RADIUS, SegmentIndex
@@ -172,12 +171,6 @@ class Layer:
             if (si, sj) == (i, j):
                 return basis
         return SiteBasis.X
-
-    def sites(self) -> Iterable[tuple[int, int, SiteBasis]]:
-        lookup = dict(self.marked)
-        for i in range(self.extent[0] + 1):
-            for j in range(self.extent[1] + 1):
-                yield i, j, lookup.get((i, j), SiteBasis.X)
 
 
 def _mark_box(marks: dict[tuple[int, int], SiteBasis], i_lo: int, i_hi: int,

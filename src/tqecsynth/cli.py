@@ -1,18 +1,23 @@
 """Command line front end: synth, verify, metrics, and slice subcommands.
 
-Exit codes: 0 success, 2 parse/validation error, 3 distillation exhaustion,
-4 verification failure.
+Exit codes: 0 success, 2 parse/validation error or unreadable input, 3
+distillation exhaustion, 4 verification failure. ``main`` maps every error
+to its exit code in one place.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from .analysis import AnalysisError, execution_schedule, lattice_cells_for, slice_layers
-from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
+from .circuit import (
+    Gate, GateKind, InitBasis, ParseError, circuit as make_circuit, parse_circuit,
+    validate_circuit,
+)
 from .decompose import decompose_gates
 from .document import FORMATS, build_document, canonical_json, export
 from .icm import to_icm
@@ -40,12 +45,23 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--box-dims", dest="box_dims", help="JSON file with box spans")
 
 
+_BOX_STATES = {s.value: s for s in (InitBasis.A, InitBasis.Y)}
+
+
 def _load_box_dims(path: str) -> dict[InitBasis, BoxDim]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise SchedulingError("box dims must be a JSON object of box type to spans")
     dims = {}
     for key, spans in raw.items():
-        state = InitBasis(key.lower())
+        state = _BOX_STATES.get(key.lower())
+        if state is None:
+            raise SchedulingError(f"unknown box type {key!r} in box dims (expected a or y)")
+        if not (isinstance(spans, list) and len(spans) == 3
+                and all(type(v) is int for v in spans)):
+            raise SchedulingError(
+                f"box dims for {key!r} must be three integer spans [i, j, t], got {spans!r}")
         dims[state] = BoxDim(state, *spans)
     return dims
 
@@ -55,6 +71,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise PipelineError("config file must hold a JSON object")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
@@ -93,45 +111,31 @@ def _read_source(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _emit(data: bytes, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.buffer.write(data)
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Binary handle for ``out``: the file, or stdout when unset or '-'."""
+    if not out or out == "-":
+        yield sys.stdout.buffer
     else:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as fh:
+            yield fh
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        result = run_pipeline(_read_source(args.source), build_config(args))
-    except (ParseError, PipelineError, SchedulingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DistillationExhausted as exc:
-        report = {"error": "distillation-exhausted", "detail": str(exc)}
-        sys.stdout.buffer.write(canonical_json(report))
-        return EXIT_SYNTH
+    result = run_pipeline(_read_source(args.source), build_config(args))
     formats = args.format or ["json"]
-    for idx, fmt in enumerate(formats):
-        data = export(result, fmt)
-        if args.out:
-            path = args.out if len(formats) == 1 else f"{args.out}.{fmt}"
-            _emit(data, path)
-        else:
-            _emit(data, None)
+    for fmt in formats:
+        path = args.out if not args.out or len(formats) == 1 else f"{args.out}.{fmt}"
+        with _output(path) as fh:
+            fh.write(export(result, fmt))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        from .circuit import parse_circuit, validate_circuit
-        circ = parse_circuit(_read_source(args.source))
-        diags = validate_circuit(circ)
-        if diags:
-            print(f"error: {diags[0].message}", file=sys.stderr)
-            return EXIT_PARSE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    circ = parse_circuit(_read_source(args.source))
+    diags = validate_circuit(circ)
+    if diags:
+        raise PipelineError(diags[0].message)
 
     conv = to_icm(decompose_gates(circ))
     tol = args.tolerance
@@ -176,57 +180,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    try:
-        result = run_pipeline(_read_source(args.source), build_config(args))
-    except (ParseError, PipelineError, SchedulingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DistillationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTH
-    doc = build_document(result)
-    sys.stdout.buffer.write(canonical_json(doc["reports"]))
+    result = run_pipeline(_read_source(args.source), build_config(args))
+    sys.stdout.buffer.write(canonical_json(build_document(result)["reports"]))
     return EXIT_OK
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    try:
-        result = run_pipeline(_read_source(args.source), build_config(args))
-    except (ParseError, PipelineError, SchedulingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DistillationExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SYNTH
-    if args.cells:
-        cells = tuple(args.cells)
-    else:
-        cells = lattice_cells_for(result.geometry)
-    try:
-        layers = slice_layers(result.geometry, cells)
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    result = run_pipeline(_read_source(args.source), build_config(args))
+    cells = tuple(args.cells) if args.cells else lattice_cells_for(result.geometry)
+    layers = slice_layers(result.geometry, cells)
     stream = execution_schedule(layers)
-    lines = []
-    for ins in stream:
-        record = {
-            "op": ins.op.value,
-            "layers": [
-                {
-                    "index": idx,
-                    "kind": layers[idx].kind.value,
-                    "t": layers[idx].t,
-                    "extent": list(layers[idx].extent),
-                    "default_basis": "x",
-                    "marked": [[i, j, basis.value]
-                               for (i, j), basis in layers[idx].marked],
-                }
-                for idx in ins.layers
-            ],
-        }
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    _emit(("\n".join(lines) + "\n").encode("ascii"), args.out)
+    with _output(args.out) as fh:
+        for ins in stream:
+            record = {
+                "op": ins.op.value,
+                "layers": [
+                    {
+                        "index": idx,
+                        "kind": layers[idx].kind.value,
+                        "t": layers[idx].t,
+                        "extent": list(layers[idx].extent),
+                        "default_basis": "x",
+                        "marked": [[i, j, basis.value]
+                                   for (i, j), basis in layers[idx].marked],
+                    }
+                    for idx in ins.layers
+                ],
+            }
+            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            fh.write(line.encode("ascii"))
     return EXIT_OK
 
 
@@ -260,7 +242,16 @@ def main(argv: list[str] | None = None) -> int:
     slice_cmd.set_defaults(func=cmd_slice)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ParseError, PipelineError, SchedulingError, AnalysisError, OSError,
+            json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except DistillationExhausted as exc:
+        report = {"error": "distillation-exhausted", "detail": str(exc)}
+        sys.stdout.buffer.write(canonical_json(report))
+        return EXIT_SYNTH
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .geometry import Coord, Geometry, Pin, Segment
 from .pipeline import PipelineConfig, PipelineResult
 from .scheduling import RNG_ALGORITHM, BoxInstance, Connection
 
-DOCUMENT_VERSION = 1
+DOCUMENT_VERSION = 2
 
 JSON_FORMAT = "json"
 OBJ_FORMAT = "obj"
@@ -74,7 +74,6 @@ def config_digest(config: PipelineConfig) -> str:
                      for k, d in sorted(config.box_dims.items(), key=lambda kv: kv[0].value)},
         "fill": asdict(config.fill),
         "cube_side": config.cube_side,
-        "spare_rows": config.spare_rows,
     }
     return hashlib.sha256(canonical_json(payload)).hexdigest()
 
@@ -112,7 +111,6 @@ def build_document(result: PipelineResult) -> dict:
             ],
         },
         "matrix": result.matrix.cells.tolist(),
-        "segments": [_segment(s) for s in geo.segments],
         "defects": [
             {
                 "kind": d.kind.value,

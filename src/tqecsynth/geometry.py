@@ -37,9 +37,6 @@ class Coord:
     j: int
     t: int
 
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Coord":
-        return Coord(self.i + di, self.j + dj, self.t + dt)
-
     def as_list(self) -> list[int]:
         return [self.i, self.j, self.t]
 
@@ -69,13 +66,6 @@ class Segment:
         lo, hi = getattr(self.a, axis), getattr(self.b, axis)
         return (lo, hi) if lo <= hi else (hi, lo)
 
-    def length_cells(self) -> int:
-        lo, hi = self.interval(self.axis)
-        return (hi - lo) // 2 + 1
-
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Segment":
-        return Segment(self.kind, self.a.shifted(di, dj, dt), self.b.shifted(di, dj, dt))
-
 
 @dataclass(frozen=True)
 class Defect:
@@ -102,15 +92,11 @@ class Defect:
         pts.extend(s.b for s in self.segments)
         return pts
 
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Defect":
-        return replace(self, segments=tuple(s.shifted(di, dj, dt) for s in self.segments))
-
 
 class PinRole(Enum):
     INJECTION = "injection"
     IO = "io"
     BOX_OUTPUT = "box_output"
-    GHOST = "ghost"
 
 
 @dataclass(frozen=True)
@@ -119,9 +105,6 @@ class Pin:
     kind: SegmentKind
     role: PinRole
     state: InitBasis | None = None  # A or Y for injection/box pins
-
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Pin":
-        return replace(self, coord=self.coord.shifted(di, dj, dt))
 
 
 @dataclass(frozen=True)
@@ -136,11 +119,6 @@ class Injection:
     state: InitBasis
     pins: tuple[Pin, Pin]
     qubit_row: int
-
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Injection":
-        return Injection(self.vertex.shifted(di, dj, dt), self.state,
-                         (self.pins[0].shifted(di, dj, dt), self.pins[1].shifted(di, dj, dt)),
-                         self.qubit_row)
 
 
 class PortRole(Enum):
@@ -198,10 +176,6 @@ class IOPort:
     pins: tuple[Pin, Pin]
     qubit_row: int
     template: PortTemplate
-
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "IOPort":
-        return replace(self, pins=(self.pins[0].shifted(di, dj, dt),
-                                   self.pins[1].shifted(di, dj, dt)))
 
 
 @dataclass(frozen=True)
@@ -271,19 +245,6 @@ class Geometry:
 
     def dual_defects(self) -> list[Defect]:
         return [d for d in self.defects if d.kind is SegmentKind.DUAL]
-
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "Geometry":
-        if di % 2 or dj % 2 or dt % 2:
-            raise GeometryError("geometry translation must preserve parity")
-        return Geometry(
-            defects=tuple(d.shifted(di, dj, dt) for d in self.defects),
-            pins=tuple(p.shifted(di, dj, dt) for p in self.pins),
-            injections=tuple(s.shifted(di, dj, dt) for s in self.injections),
-            ioports=tuple(p.shifted(di, dj, dt) for p in self.ioports),
-            layout=self.layout,
-            boxes=tuple(b.shifted(di, dj, dt) for b in self.boxes),
-            connections=tuple(c.shifted(di, dj, dt) for c in self.connections),
-        )
 
 
 _INPUT_BASIS = {

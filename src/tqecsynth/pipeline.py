@@ -48,8 +48,6 @@ class SparePolicy:
     def count(self, state: InitBasis, needed: int, success_rate: float) -> int:
         if self.kind == "explicit":
             return self.y_count if state is InitBasis.Y else self.a_count
-        if needed == 0:
-            return 0
         return spare_count(needed, success_rate, self.epsilon)
 
 
@@ -62,7 +60,6 @@ class PipelineConfig:
     box_dims: dict[InitBasis, BoxDim] = field(default_factory=default_box_dims)
     fill: FillConfig = field(default_factory=FillConfig)
     cube_side: int = 1
-    spare_rows: int | None = None    # spare-array row count; default near-square
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.success_rate <= 1.0:
@@ -95,10 +92,6 @@ class _SparePlan:
     row_len: int
     flank: str                       # "low" | "high"
 
-    @property
-    def rows(self) -> int:
-        return math.ceil(self.count / self.row_len) if self.count else 0
-
 
 def _spare_plans(matrix: MatrixRep, config: PipelineConfig) -> list[_SparePlan]:
     first_col = matrix.cells[:, 0]
@@ -106,11 +99,8 @@ def _spare_plans(matrix: MatrixRep, config: PipelineConfig) -> list[_SparePlan]:
     for state, code, flank in ((InitBasis.Y, INIT_Y, "low"), (InitBasis.A, INIT_A, "high")):
         needed = int((first_col == code).sum())
         count = config.spares.count(state, needed, config.success_rate) if needed else 0
-        if config.spare_rows:
-            row_len = math.ceil(count / config.spare_rows) if count else 0
-        else:
-            row_len = math.ceil(math.sqrt(count)) if count else 0
-        plans.append(_SparePlan(state, count, max(row_len, 1) if count else 0, flank))
+        row_len = math.ceil(math.sqrt(count)) if count else 0
+        plans.append(_SparePlan(state, count, row_len, flank))
     return plans
 
 

@@ -9,7 +9,7 @@ steer the packer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -109,14 +109,6 @@ class BoxInstance:
     def face_t(self) -> int:
         return self.extent("t")[1]
 
-    def shifted(self, di: int = 0, dj: int = 0, dt: int = 0) -> "BoxInstance":
-        return replace(
-            self,
-            origin=self.origin.shifted(di, dj, dt),
-            output_pins=(self.output_pins[0].shifted(di, dj, dt),
-                         self.output_pins[1].shifted(di, dj, dt)),
-        )
-
 
 class ScheduleKind(Enum):
     HETEROGENEOUS = "heterogeneous"
@@ -126,11 +118,9 @@ class ScheduleKind(Enum):
 
 @dataclass(frozen=True)
 class FillConfig:
-    """Packing configuration: first stacked coordinate and fill directions."""
+    """Packing configuration: the lowest i a box may start at."""
 
     start_i: int = 1
-    j_low_to_high: bool = True
-    i_low_to_high: bool = True
 
     def __post_init__(self) -> None:
         if self.start_i % 2 == 0:
@@ -141,46 +131,32 @@ class FillConfig:
 class Region:
     """Free-space bookkeeping for the (j, i) packing plane.
 
-    Occupied rectangles are closed cell-centre intervals; allocation scans
-    for the lowest (or highest, per fill direction) free i at a fixed j.
+    Occupied rectangles are closed cell-centre intervals; allocation takes
+    the lowest free i at a fixed j, starting from ``fill.start_i``.
     """
 
     fill: FillConfig = field(default_factory=FillConfig)
-    i_max: int | None = None
     occupied: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
 
     def allocate(self, j: int, jspan: int, ispan: int) -> int:
         j_iv = (j, j + 2 * (jspan - 1))
         i_len = 2 * (ispan - 1)
-        conflicts = sorted(iv for iv, jv in self.occupied
-                           if jv[0] <= j_iv[1] and j_iv[0] <= jv[1])
-        if self.fill.i_low_to_high:
-            candidates = [self.fill.start_i] + [iv[1] + 2 for iv in conflicts]
-        else:
-            if self.i_max is None:
-                raise SchedulingError("high-to-low i fill needs a bounded region")
-            candidates = [self.i_max - i_len] + [iv[0] - 2 - i_len for iv in conflicts]
-        for i_lo in sorted(set(candidates), reverse=not self.fill.i_low_to_high):
-            if i_lo < self.fill.start_i and self.fill.i_low_to_high:
-                continue
-            i_iv = (i_lo, i_lo + i_len)
-            if self.i_max is not None and i_iv[1] > self.i_max:
-                continue
-            if i_iv[0] < (self.fill.start_i if self.fill.i_low_to_high else 1):
-                continue
-            if not any(iv[0] <= i_iv[1] and i_iv[0] <= iv[1]
-                       and jv[0] <= j_iv[1] and j_iv[0] <= jv[1]
-                       for iv, jv in self.occupied):
-                self.occupied.append((i_iv, j_iv))
-                return i_lo
-        raise SchedulingError(f"region extent exhausted at j={j}")
+        conflicts = [iv for iv, jv in self.occupied
+                     if jv[0] <= j_iv[1] and j_iv[0] <= jv[1]]
+        start = self.fill.start_i
+        # Candidate starts are start_i and the slot just past each conflict;
+        # the highest one clears every conflict, so the scan always ends free.
+        for i_lo in sorted({start} | {iv[1] + 2 for iv in conflicts if iv[1] + 2 > start}):
+            if not any(iv[0] <= i_lo + i_len and i_lo <= iv[1] for iv in conflicts):
+                break
+        self.occupied.append(((i_lo, i_lo + i_len), j_iv))
+        return i_lo
 
 
 @dataclass
 class Schedule:
     kind: ScheduleKind
     boxes: list[BoxInstance]
-    fill: FillConfig = field(default_factory=FillConfig)
 
     def __post_init__(self) -> None:
         if self.kind is not ScheduleKind.HETEROGENEOUS:
@@ -218,12 +194,7 @@ def schedule_boxes(
     validate_dims(dims)
     region = region if region is not None else Region()
     face = face_t if face_t is not None else schedule_face_t(dims)
-    boxes = []
-    for pair in pin_pairs:
-        try:
-            boxes.append(_place_box(pair, dims, region, face))
-        except SchedulingError as exc:
-            raise SchedulingError(f"cannot place box for pair {pair.state.value}@j={pair.j}: {exc}") from exc
+    boxes = [_place_box(pair, dims, region, face) for pair in pin_pairs]
     states = {b.state for b in boxes}
     if states == {InitBasis.A}:
         kind = ScheduleKind.HOMOGENEOUS_A
@@ -231,15 +202,14 @@ def schedule_boxes(
         kind = ScheduleKind.HOMOGENEOUS_Y
     else:
         kind = ScheduleKind.HETEROGENEOUS
-    return Schedule(kind, boxes, region.fill)
+    return Schedule(kind, boxes)
 
 
-def ghost_pairs(n: int, state: InitBasis, sj: int, dims: dict[InitBasis, BoxDim],
-                offj: int = 0, low_to_high: bool = True) -> list[PinPairReq]:
+def ghost_pairs(n: int, state: InitBasis, sj: int,
+                dims: dict[InitBasis, BoxDim]) -> list[PinPairReq]:
     """Ghost pin pairs a box pitch apart so scheduled boxes land in one row."""
     pitch = 2 * dims[state].jspan
-    indices = range(n) if low_to_high else range(n - 1, -1, -1)
-    return [PinPairReq(state, sj + idx * pitch + offj, ghost=True) for idx in indices]
+    return [PinPairReq(state, sj + idx * pitch, ghost=True) for idx in range(n)]
 
 
 def homogeneous_schedule(
@@ -247,7 +217,6 @@ def homogeneous_schedule(
     state: InitBasis,
     sj: int,
     dims: dict[InitBasis, BoxDim],
-    offj: int = 0,
     region: Region | None = None,
     face_t: int | None = None,
 ) -> Schedule:
@@ -256,12 +225,10 @@ def homogeneous_schedule(
     Calling this repeatedly with identical coordinates against the same
     region stacks further rows along i, producing an array.
     """
-    fill = region.fill if region is not None else FillConfig()
-    pairs = ghost_pairs(n, state, sj, dims, offj, fill.j_low_to_high)
-    sched = schedule_boxes(pairs, dims, region, face_t)
+    sched = schedule_boxes(ghost_pairs(n, state, sj, dims), dims, region, face_t)
     kind = (ScheduleKind.HOMOGENEOUS_A if state is InitBasis.A
             else ScheduleKind.HOMOGENEOUS_Y)
-    return Schedule(kind, sched.boxes, fill)
+    return Schedule(kind, sched.boxes)
 
 
 def spare_count(needed: int, success_rate: float, epsilon: float = 0.01) -> int:

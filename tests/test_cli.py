@@ -48,12 +48,16 @@ def test_synth_parse_error_exit_code(src_file, capsys):
     assert "unknown statement" in err
 
 
-def test_synth_exhaustion_exit_code(src_file, capsys):
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_synth_exhaustion_exit_code(src_file, capsys, command):
     path = src_file("p.tq", "qubits 1\np 0\n")
-    rc, out, _ = run_cli(capsys, "synth", path, "--success-rate", "0.0",
-                         "--spares-y", "0")
+    rc, out, err = run_cli(capsys, command, path, "--success-rate", "0.0",
+                           "--spares-y", "0")
     assert rc == EXIT_SYNTH
-    assert "distillation-exhausted" in out
+    report = json.loads(out)
+    assert report["error"] == "distillation-exhausted"
+    assert "unserved pin pairs: y@j=" in report["detail"]
+    assert err == ""
 
 
 def test_synth_spare_flags(src_file, capsys):
@@ -184,3 +188,58 @@ def test_invalid_config_value_exit_code(src_file, capsys):
     rc, _, err = run_cli(capsys, "synth", path, "--success-rate", "2")
     assert rc == EXIT_PARSE
     assert "success rate" in err
+
+
+BAD_INPUTS = {
+    "missing-source": ["missing.tq"],
+    "non-utf8-source": ["latin1.tq"],
+    "missing-box-dims": ["p.tq", "--box-dims", "missing.json"],
+    "missing-config": ["p.tq", "--config", "missing.json"],
+    "malformed-config": ["p.tq", "--config", "bad.json"],
+    "unknown-box-dims-key": ["p.tq", "--box-dims", "dims_q.json"],
+    "two-span-box-dims": ["p.tq", "--box-dims", "dims_short.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_bad_input_files_exit_code(tmp_path, monkeypatch, capsys, command, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.tq").write_text("qubits 1\np 0\n")
+    (tmp_path / "latin1.tq").write_bytes(b"qubits 1\n# caf\xe9\n")
+    (tmp_path / "bad.json").write_text('{"seed": 1,')
+    (tmp_path / "dims_q.json").write_text(json.dumps({"q": [1, 1, 1]}))
+    (tmp_path / "dims_short.json").write_text(json.dumps({"y": [1, 1]}))
+    rc, out, err = run_cli(capsys, command, *BAD_INPUTS[case])
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_missing_source_exit_code(tmp_path, capsys):
+    rc, out, err = run_cli(capsys, "verify", str(tmp_path / "missing.tq"))
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_box_dims_errors_name_the_entry(src_file, tmp_path, capsys):
+    path = src_file("p.tq", "qubits 1\np 0\n")
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({"q": [1, 1, 1]}))
+    _, _, err = run_cli(capsys, "synth", path, "--box-dims", str(dims))
+    assert "'q'" in err
+    dims.write_text(json.dumps({"y": [1, 1]}))
+    _, _, err = run_cli(capsys, "synth", path, "--box-dims", str(dims))
+    assert "'y'" in err and "three" in err
+
+
+def test_slice_out_file_matches_stdout(src_file, tmp_path, capsys):
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    rc, out, _ = run_cli(capsys, "slice", path)
+    assert rc == EXIT_OK
+    target = tmp_path / "layers.jsonl"
+    rc, _, _ = run_cli(capsys, "slice", path, "--out", str(target))
+    assert rc == EXIT_OK
+    assert target.read_text() == out
+    assert out.endswith("}\n") and "\n\n" not in out

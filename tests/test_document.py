@@ -21,9 +21,20 @@ def test_document_schema_core_sections():
     for key in ("version", "metadata", "layout", "icm", "matrix", "defects",
                 "pins", "injections", "ioports", "boxes", "connections", "reports"):
         assert key in doc
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["metadata"]["rng"] == "numpy-pcg64"
     assert len(doc["metadata"]["config_sha256"]) == 64
+
+
+def test_document_top_level_keys_are_the_readme_list():
+    doc = build_document(run_pipeline(T_SRC))
+    assert doc["version"] == 2
+    # the README's "Geometry document" key list; segments live only in
+    # defects[] and connections[]
+    assert sorted(doc) == sorted([
+        "version", "metadata", "layout", "icm", "matrix", "defects", "pins",
+        "injections", "ioports", "boxes", "connections", "reports",
+    ])
 
 
 def test_document_connection_integrity():

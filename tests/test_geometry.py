@@ -235,15 +235,6 @@ def test_toffoli_scale_structure():
                 assert linking_number(loop, strand) == want
 
 
-def test_geometry_translation_preserves_parity():
-    geo = geometry_for("qubits 2\ncnot 0 1\n")
-    moved = geo.shifted(2, 4, 6)
-    assert validate_parity(moved) == []
-    assert moved.defects[0].segments[0].a == geo.defects[0].segments[0].a.shifted(2, 4, 6)
-    with pytest.raises(GeometryError):
-        geo.shifted(1, 0, 0)   # odd shifts break the sublattice parity
-
-
 @settings(max_examples=60, deadline=None)
 @given(icm_circuits(max_qubits=6, max_cnots=10))
 def test_parity_clean_on_random_geometries(circ):

@@ -12,7 +12,7 @@ from tqecsynth.geometry import Coord, Pin, PinRole, SegmentKind, generate_geomet
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
 from tqecsynth.scheduling import (
-    Assignment, BoxDim, BoxStatus, DistillationExhausted, FillConfig,
+    Assignment, BoxDim, BoxStatus, DistillationExhausted,
     PinPairReq, Region, ScheduleKind, SchedulingError, connect_pins,
     default_box_dims, ghost_pairs, homogeneous_schedule, route_pins,
     schedule_boxes, simulate_failures, spare_count, validate_dims,
@@ -81,13 +81,11 @@ def test_box_pins_on_circuit_face_share_j():
     assert hi.coord.i == box.extent("i")[1]
 
 
-def test_region_extent_exhausted():
-    region = Region(i_max=9)
-    pairs = [real_pair(InitBasis.Y, 7), real_pair(InitBasis.Y, 7),
-             real_pair(InitBasis.Y, 7)]
-    with pytest.raises(SchedulingError) as err:
-        schedule_boxes(pairs, DIMS, region)
-    assert "exhausted" in str(err.value)
+def test_region_takes_lowest_free_gap():
+    region = Region(occupied=[((1, 7), (1, 7)), ((17, 23), (1, 7))])
+    assert region.allocate(1, 4, 4) == 9       # the gap between the two boxes
+    assert region.allocate(1, 4, 4) == 25      # the gap is now full
+    assert region.allocate(9, 4, 4) == 1       # disjoint j starts at start_i
 
 
 def test_dims_invariant_a_wider_than_y():
@@ -263,11 +261,3 @@ def test_spare_count_large_and_capped():
         spare_count(1, 0.0001)
     # 1 - 0.9999^6932 >= 0.5 > 1 - 0.9999^6931
     assert spare_count(1, 0.0001, 0.5) == 6931
-
-
-def test_fill_config_high_to_low():
-    region = Region(fill=FillConfig(start_i=1, i_low_to_high=False), i_max=33)
-    sched = schedule_boxes([real_pair(InitBasis.Y, 7), real_pair(InitBasis.Y, 7)],
-                           DIMS, region)
-    iv = [b.origin.i for b in sched.boxes]
-    assert iv[0] > iv[1]  # fills from the top down
