@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .geometry import CapShape, Coord, Geometry, Segment
+from .geometry import CapShape, Coord, Geometry
 from .spatial import RADIUS, SegmentIndex
 
 
@@ -173,22 +173,6 @@ class Layer:
         return SiteBasis.X
 
 
-def _mark_box(marks: dict[tuple[int, int], SiteBasis], i_lo: int, i_hi: int,
-              j_lo: int, j_hi: int, basis: SiteBasis, extent: tuple[int, int]) -> None:
-    for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1):
-        for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1):
-            marks[(i, j)] = basis
-
-
-def _segment_cross_section(seg: Segment, t: int) -> tuple[int, int, int, int] | None:
-    t_lo, t_hi = seg.interval("t")
-    if not t_lo - 1 <= t <= t_hi + 1:
-        return None
-    i_lo, i_hi = seg.interval("i")
-    j_lo, j_hi = seg.interval("j")
-    return i_lo - 1, i_hi + 1, j_lo - 1, j_hi + 1
-
-
 def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
     """Slice a geometry into alternating primal (odd t) and dual (even t) layers.
 
@@ -196,58 +180,71 @@ def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> lis
     cover the geometry. Sites inside a defect cross-section measure Z,
     injection vertices are marked injected, and configurable IO boundary
     cells stay unmeasured.
+
+    Every mark is a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``:
+    segment cross-sections, then port caps, then each injection's pins and
+    its vertex. Each layer is built from the stamps that cross it, in that
+    order, so a later stamp overwrites an earlier one on shared sites.
     """
     ci, cj, ct = lattice_cells
     if min(ci, cj, ct) < 1:
         raise AnalysisError("lattice extent must be positive")
     extent = (2 * ci, 2 * cj)
     t_max = 2 * ct
-    try:
+    segments = geometry.segments
+    if segments or geometry.pins or geometry.injections or geometry.boxes:
         bbox = bounding_box(geometry)
         if bbox.hi.i > extent[0] or bbox.hi.j > extent[1] or bbox.hi.t > t_max \
                 or min(bbox.lo.as_list()) < 0:
             raise AnalysisError("lattice extent smaller than the geometry bounding box")
-    except AnalysisError as exc:
-        if "empty" not in str(exc):
-            raise
+
+    Z = SiteBasis.Z
+    stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = []
+    for seg in segments:
+        (i_lo, i_hi), (j_lo, j_hi), (t_lo, t_hi) = (seg.interval(ax) for ax in "ijt")
+        stamps.append((t_lo - 1, t_hi + 1, i_lo - 1, i_hi + 1, j_lo - 1, j_hi + 1, Z))
+    for port in geometry.ioports:
+        pin_a, pin_b = port.pins
+        t, j = pin_a.coord.t, pin_a.coord.j
+        i_lo, i_hi = sorted((pin_a.coord.i, pin_b.coord.i))
+        shape = port.template.shape
+        if shape is CapShape.CONFIG:
+            for i in (pin_a.coord.i, pin_b.coord.i):
+                stamps.append((t - 1, t + 1, i - 1, i + 1, j - 1, j + 1, SiteBasis.IO))
+        elif shape is CapShape.SOLID:
+            stamps.append((t - 1, t + 1, i_lo - 1, i_hi + 1, j - 1, j + 1, Z))
+        else:  # SPLIT: bridging segment split at a shared mid vertex
+            mid = (i_lo + i_hi) // 2
+            mid -= mid % 2
+            stamps.append((t - 1, t + 1, i_lo - 1, mid - 1, j - 1, j + 1, Z))
+            stamps.append((t - 1, t + 1, mid + 1, i_hi + 1, j - 1, j + 1, Z))
+    for inj in geometry.injections:
+        t = inj.pins[0].coord.t
+        for pin in inj.pins:
+            i, j = pin.coord.i, pin.coord.j
+            stamps.append((t - 1, t + 1, i - 1, i + 1, j - 1, j + 1, Z))
+        v = inj.vertex
+        stamps.append((v.t, v.t, v.i, v.i, v.j, v.j, SiteBasis.INJECTED))
+
+    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order;
+    # each stamp's clipped rectangle is listed once and shared by its layers.
+    width = extent[1] + 1
+    site: dict[int, tuple[int, int]] = {}
+    buckets: list[list[tuple[list[int], SiteBasis]]] = [[] for _ in range(t_max)]
+    for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in stamps:
+        keys = [i * width + j for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1)
+                for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1)]
+        site.update((k, divmod(k, width)) for k in keys)
+        for t in range(max(t_lo, 1), min(t_hi, t_max - 1) + 1):
+            buckets[t].append((keys, basis))
 
     layers: list[Layer] = []
     for t in range(1, t_max):
-        kind = LayerKind.PRIMAL if t % 2 else LayerKind.DUAL
-        marks: dict[tuple[int, int], SiteBasis] = {}
-        for seg in geometry.segments:
-            box = _segment_cross_section(seg, t)
-            if box is not None:
-                _mark_box(marks, *box, SiteBasis.Z, extent)
-        for port in geometry.ioports:
-            pin_a, pin_b = port.pins
-            face_t = pin_a.coord.t
-            if not face_t - 1 <= t <= face_t + 1:
-                continue
-            j = pin_a.coord.j
-            i_lo = min(pin_a.coord.i, pin_b.coord.i)
-            i_hi = max(pin_a.coord.i, pin_b.coord.i)
-            shape = port.template.shape
-            if shape is CapShape.CONFIG:
-                for pin in (pin_a, pin_b):
-                    _mark_box(marks, pin.coord.i - 1, pin.coord.i + 1,
-                              j - 1, j + 1, SiteBasis.IO, extent)
-            elif shape is CapShape.SOLID:
-                _mark_box(marks, i_lo - 1, i_hi + 1, j - 1, j + 1, SiteBasis.Z, extent)
-            else:  # SPLIT: bridging segment split at a shared mid vertex
-                mid = (i_lo + i_hi) // 2
-                mid -= mid % 2
-                _mark_box(marks, i_lo - 1, mid - 1, j - 1, j + 1, SiteBasis.Z, extent)
-                _mark_box(marks, mid + 1, i_hi + 1, j - 1, j + 1, SiteBasis.Z, extent)
-        for inj in geometry.injections:
-            pin_a, pin_b = inj.pins
-            if abs(t - pin_a.coord.t) <= 1:
-                for pin in inj.pins:
-                    _mark_box(marks, pin.coord.i - 1, pin.coord.i + 1,
-                              pin.coord.j - 1, pin.coord.j + 1, SiteBasis.Z, extent)
-            if t == inj.vertex.t:
-                marks[(inj.vertex.i, inj.vertex.j)] = SiteBasis.INJECTED
-        layers.append(Layer(t, kind, extent, tuple(sorted(marks.items()))))
+        marks: dict[int, SiteBasis] = {}
+        for keys, basis in buckets[t]:
+            marks.update(dict.fromkeys(keys, basis))
+        marked = tuple([(site[k], marks[k]) for k in sorted(marks)])
+        layers.append(Layer(t, LayerKind.PRIMAL if t % 2 else LayerKind.DUAL, extent, marked))
     return layers
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -49,6 +50,8 @@ _BOX_STATES = {s.value: s for s in (InitBasis.A, InitBasis.Y)}
 
 
 def _load_box_dims(path: str) -> dict[InitBasis, BoxDim]:
+    if "\0" in path:
+        raise SchedulingError(f"box dims path {path!r} holds a NUL character")
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -66,6 +69,18 @@ def _load_box_dims(path: str) -> dict[InitBasis, BoxDim]:
     return dims
 
 
+# Config-file keys, with the JSON types their flags accept.
+_CONFIG_TYPES = {
+    "success_rate": ("a number", (int, float)),
+    "spare_epsilon": ("a number", (int, float)),
+    "seed": ("an integer", (int,)),
+    "spares_y": ("an integer", (int,)),
+    "spares_a": ("an integer", (int,)),
+    "distance": ("an integer", (int,)),
+    "box_dims": ("a path string", (str,)),
+}
+
+
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     file_cfg: dict = {}
     if args.config:
@@ -73,17 +88,25 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise PipelineError("config file must hold a JSON object")
+        for key, value in file_cfg.items():
+            if key not in _CONFIG_TYPES:
+                raise PipelineError(f"unknown config key {key!r}")
+            what, types = _CONFIG_TYPES[key]
+            if type(value) not in types:
+                raise PipelineError(f"config key {key!r} must be {what}, got {value!r}")
 
     def pick(flag_value, key, default):
         if flag_value is not None:
             return flag_value
         return file_cfg.get(key, default)
 
-    seed = args.seed
+    seed = pick(args.seed, "seed", None)
     if seed is None:
-        seed = file_cfg.get("seed")
-    if seed is None:
-        seed = int(os.environ.get("TQEC_SEED", "0"))
+        env_seed = os.environ.get("TQEC_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise PipelineError(f"TQEC_SEED must be an integer, got {env_seed!r}") from None
 
     spares_y = pick(args.spares_y, "spares_y", None)
     spares_a = pick(args.spares_a, "spares_a", None)
@@ -96,7 +119,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     box_dims = default_box_dims()
     dims_path = pick(args.box_dims, "box_dims", None)
     if dims_path:
-        box_dims = _load_box_dims(dims_path)
+        box_dims.update(_load_box_dims(dims_path))
 
     return PipelineConfig(
         success_rate=pick(args.success_rate, "success_rate", 1.0),
@@ -132,6 +155,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise PipelineError("seed must be a non-negative integer")
     circ = parse_circuit(_read_source(args.source))
     diags = validate_circuit(circ)
     if diags:
@@ -189,26 +214,22 @@ def cmd_slice(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     cells = tuple(args.cells) if args.cells else lattice_cells_for(result.geometry)
     layers = slice_layers(result.geometry, cells)
-    stream = execution_schedule(layers)
+
+    # An instruction names the layers around its step only; three cached
+    # encodings cover every reuse, so each layer is encoded exactly once.
+    @functools.lru_cache(maxsize=3)
+    def encoded(idx: int) -> bytes:
+        layer = layers[idx]
+        obj = {"index": idx, "kind": layer.kind.value, "t": layer.t,
+               "extent": list(layer.extent), "default_basis": "x",
+               "marked": [[i, j, basis.value] for (i, j), basis in layer.marked]}
+        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+
     with _output(args.out) as fh:
-        for ins in stream:
-            record = {
-                "op": ins.op.value,
-                "layers": [
-                    {
-                        "index": idx,
-                        "kind": layers[idx].kind.value,
-                        "t": layers[idx].t,
-                        "extent": list(layers[idx].extent),
-                        "default_basis": "x",
-                        "marked": [[i, j, basis.value]
-                                   for (i, j), basis in layers[idx].marked],
-                    }
-                    for idx in ins.layers
-                ],
-            }
-            line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            fh.write(line.encode("ascii"))
+        for ins in execution_schedule(layers):
+            # the bytes json.dumps gives {"layers": [...], "op": ...} with sorted keys
+            fh.write(b'{"layers":[' + b",".join(map(encoded, ins.layers))
+                     + b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n')
     return EXIT_OK
 
 

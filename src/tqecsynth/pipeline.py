@@ -20,8 +20,8 @@ from .geometry import (
 from .icm import IcmConversion, to_icm
 from .matrix import INIT_A, INIT_Y, MatrixRep, to_matrix
 from .scheduling import (
-    Assignment, BoxDim, BoxInstance, Connection, FailureReport, FillConfig,
-    PinPairReq, Region, Schedule, connect_pins, default_box_dims,
+    MAX_SPARES, Assignment, BoxDim, BoxInstance, Connection, FailureReport,
+    FillConfig, PinPairReq, Region, Schedule, connect_pins, default_box_dims,
     homogeneous_schedule, schedule_boxes, simulate_failures, spare_count,
 )
 
@@ -44,6 +44,10 @@ class SparePolicy:
             raise PipelineError(f"unknown spare policy {self.kind!r}")
         if min(self.y_count, self.a_count) < 0:
             raise PipelineError("explicit spare counts must be non-negative")
+        if max(self.y_count, self.a_count) > MAX_SPARES:
+            raise PipelineError(f"explicit spare counts must not exceed {MAX_SPARES}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise PipelineError("spare epsilon must lie in [0, 1]")
 
     def count(self, state: InitBasis, needed: int, success_rate: float) -> int:
         if self.kind == "explicit":
@@ -64,6 +68,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.success_rate <= 1.0:
             raise PipelineError("success rate must lie in [0, 1]")
+        if type(self.seed) is not int or self.seed < 0:
+            raise PipelineError("seed must be a non-negative integer")
         if self.cube_side < 1:
             raise PipelineError("cube side must be at least 1")
 

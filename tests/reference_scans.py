@@ -1,13 +1,15 @@
-"""Brute-force reference scans over every segment pair.
+"""Brute-force reference scans over every segment pair or every layer.
 
 These are the all-pairs versions of ``analysis.min_code_distance`` and
-``geometry.segment_overlaps``; the tests compare the indexed versions with
-them.
+``geometry.segment_overlaps``, and the per-layer rescan version of
+``analysis.slice_layers``; the tests compare the indexed versions with them.
 """
 from __future__ import annotations
 
-from tqecsynth.analysis import AnalysisError, DistanceReport
-from tqecsynth.geometry import Coord, Defect, Geometry, Segment
+from tqecsynth.analysis import (
+    AnalysisError, DistanceReport, Layer, LayerKind, SiteBasis, bounding_box,
+)
+from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
 
 
 def segment_gap(a: Segment, b: Segment) -> int:
@@ -92,3 +94,75 @@ def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
                     continue
             conflicts.append((sa, sb))
     return conflicts
+
+
+def _mark_box(marks: dict[tuple[int, int], SiteBasis], i_lo: int, i_hi: int,
+              j_lo: int, j_hi: int, basis: SiteBasis, extent: tuple[int, int]) -> None:
+    for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1):
+        for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1):
+            marks[(i, j)] = basis
+
+
+def _segment_cross_section(seg: Segment, t: int) -> tuple[int, int, int, int] | None:
+    t_lo, t_hi = seg.interval("t")
+    if not t_lo - 1 <= t <= t_hi + 1:
+        return None
+    i_lo, i_hi = seg.interval("i")
+    j_lo, j_hi = seg.interval("j")
+    return i_lo - 1, i_hi + 1, j_lo - 1, j_hi + 1
+
+
+def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
+    """Rescan every segment, port and injection for every layer."""
+    ci, cj, ct = lattice_cells
+    if min(ci, cj, ct) < 1:
+        raise AnalysisError("lattice extent must be positive")
+    extent = (2 * ci, 2 * cj)
+    t_max = 2 * ct
+    try:
+        bbox = bounding_box(geometry)
+        if bbox.hi.i > extent[0] or bbox.hi.j > extent[1] or bbox.hi.t > t_max \
+                or min(bbox.lo.as_list()) < 0:
+            raise AnalysisError("lattice extent smaller than the geometry bounding box")
+    except AnalysisError as exc:
+        if "empty" not in str(exc):
+            raise
+
+    layers: list[Layer] = []
+    for t in range(1, t_max):
+        kind = LayerKind.PRIMAL if t % 2 else LayerKind.DUAL
+        marks: dict[tuple[int, int], SiteBasis] = {}
+        for seg in geometry.segments:
+            box = _segment_cross_section(seg, t)
+            if box is not None:
+                _mark_box(marks, *box, SiteBasis.Z, extent)
+        for port in geometry.ioports:
+            pin_a, pin_b = port.pins
+            face_t = pin_a.coord.t
+            if not face_t - 1 <= t <= face_t + 1:
+                continue
+            j = pin_a.coord.j
+            i_lo = min(pin_a.coord.i, pin_b.coord.i)
+            i_hi = max(pin_a.coord.i, pin_b.coord.i)
+            shape = port.template.shape
+            if shape is CapShape.CONFIG:
+                for pin in (pin_a, pin_b):
+                    _mark_box(marks, pin.coord.i - 1, pin.coord.i + 1,
+                              j - 1, j + 1, SiteBasis.IO, extent)
+            elif shape is CapShape.SOLID:
+                _mark_box(marks, i_lo - 1, i_hi + 1, j - 1, j + 1, SiteBasis.Z, extent)
+            else:  # SPLIT: bridging segment split at a shared mid vertex
+                mid = (i_lo + i_hi) // 2
+                mid -= mid % 2
+                _mark_box(marks, i_lo - 1, mid - 1, j - 1, j + 1, SiteBasis.Z, extent)
+                _mark_box(marks, mid + 1, i_hi + 1, j - 1, j + 1, SiteBasis.Z, extent)
+        for inj in geometry.injections:
+            pin_a, pin_b = inj.pins
+            if abs(t - pin_a.coord.t) <= 1:
+                for pin in inj.pins:
+                    _mark_box(marks, pin.coord.i - 1, pin.coord.i + 1,
+                              pin.coord.j - 1, pin.coord.j + 1, SiteBasis.Z, extent)
+            if t == inj.vertex.t:
+                marks[(inj.vertex.i, inj.vertex.j)] = SiteBasis.INJECTED
+        layers.append(Layer(t, kind, extent, tuple(sorted(marks.items()))))
+    return layers

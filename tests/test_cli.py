@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTH, EXIT_VERIFY, main
+
+CIRCUITS = Path(__file__).parent.parent / "circuits"
 
 
 @pytest.fixture()
@@ -198,6 +203,26 @@ BAD_INPUTS = {
     "malformed-config": ["p.tq", "--config", "bad.json"],
     "unknown-box-dims-key": ["p.tq", "--box-dims", "dims_q.json"],
     "two-span-box-dims": ["p.tq", "--box-dims", "dims_short.json"],
+    "config-string-success-rate": ["p.tq", "--config", "cfg_rate.json"],
+    "config-string-spares-y": ["p.tq", "--config", "cfg_spares.json"],
+    "config-string-seed": ["p.tq", "--config", "cfg_seed.json"],
+    "config-int-box-dims": ["p.tq", "--config", "cfg_dims.json"],
+    "config-bool-distance": ["p.tq", "--config", "cfg_distance.json"],
+    "config-negative-seed": ["p.tq", "--config", "cfg_negative_seed.json"],
+    "config-unknown-key": ["p.tq", "--config", "cfg_unknown.json"],
+    "negative-seed-flag": ["p.tq", "--seed", "-1"],
+    "explicit-spares-over-cap": ["p.tq", "--spares-y", "10001"],
+    "epsilon-above-one": ["p.tq", "--spare-epsilon", "2"],
+}
+
+CONFIG_FILES = {
+    "cfg_rate.json": {"success_rate": "x"},
+    "cfg_spares.json": {"spares_y": "3"},
+    "cfg_seed.json": {"seed": "1"},
+    "cfg_dims.json": {"box_dims": 5},
+    "cfg_distance.json": {"distance": True},
+    "cfg_negative_seed.json": {"seed": -1},
+    "cfg_unknown.json": {"sed": 1},
 }
 
 
@@ -210,6 +235,8 @@ def test_bad_input_files_exit_code(tmp_path, monkeypatch, capsys, command, case)
     (tmp_path / "bad.json").write_text('{"seed": 1,')
     (tmp_path / "dims_q.json").write_text(json.dumps({"q": [1, 1, 1]}))
     (tmp_path / "dims_short.json").write_text(json.dumps({"y": [1, 1]}))
+    for name, cfg in CONFIG_FILES.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
     rc, out, err = run_cli(capsys, command, *BAD_INPUTS[case])
     assert rc == EXIT_PARSE
     assert out == ""
@@ -243,3 +270,114 @@ def test_slice_out_file_matches_stdout(src_file, tmp_path, capsys):
     assert rc == EXIT_OK
     assert target.read_text() == out
     assert out.endswith("}\n") and "\n\n" not in out
+
+
+def test_config_type_errors_name_the_key(src_file, tmp_path, capsys):
+    path = src_file("p.tq", "qubits 1\np 0\n")
+    cfg = tmp_path / "cfg.json"
+    for bad, words in (({"success_rate": "x"}, ("'success_rate'", "number")),
+                       ({"spares_a": 1.5}, ("'spares_a'", "integer")),
+                       ({"box_dims": ["d.json"]}, ("'box_dims'", "string")),
+                       ({"success-rate": 0.5}, ("unknown", "'success-rate'"))):
+        cfg.write_text(json.dumps(bad))
+        rc, _, err = run_cli(capsys, "synth", path, "--config", str(cfg))
+        assert rc == EXIT_PARSE
+        assert err.count("\n") == 1 and all(w in err for w in words), err
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+def test_bad_env_seed_exit_code(src_file, capsys, monkeypatch, command, value):
+    path = src_file("p.tq", "qubits 1\np 0\n")
+    monkeypatch.setenv("TQEC_SEED", value)
+    rc, out, err = run_cli(capsys, command, path)
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err.lower()
+
+
+def test_verify_negative_seed_exit_code(src_file, capsys):
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    rc, out, err = run_cli(capsys, "verify", path, "--seed", "-1")
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer\n"
+
+
+@pytest.mark.parametrize("entry", [{"a": [8, 8, 12]}, {"y": [4, 4, 8]}])
+def test_partial_box_dims_file_keeps_other_defaults(tmp_path, capsys, entry):
+    path = str(CIRCUITS / "t_gate.tq")
+    rc, want, _ = run_cli(capsys, "synth", path)
+    assert rc == EXIT_OK
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps(entry))
+    rc, got, err = run_cli(capsys, "synth", path, "--box-dims", str(dims))
+    assert (rc, err) == (EXIT_OK, "")
+    assert got == want
+
+
+def test_partial_box_dims_file_overrides_its_type(tmp_path, capsys):
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({"a": [10, 10, 12]}))
+    rc, out, _ = run_cli(capsys, "synth", str(CIRCUITS / "t_gate.tq"), "--box-dims", str(dims))
+    assert rc == EXIT_OK
+    spans = {box["state"]: box["spans"] for box in json.loads(out)["boxes"]}
+    assert spans == {"a": [10, 10, 12], "y": [4, 4, 8]}
+
+
+def test_slice_lines_are_canonical_json(capsys):
+    rc, out, _ = run_cli(capsys, "slice", str(CIRCUITS / "t_gate.tq"),
+                         "--success-rate", "0.8", "--seed", "53")
+    assert rc == EXIT_OK
+    lines = out.splitlines(keepends=True)
+    assert len(lines) > 10
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+
+def test_slice_encodes_each_layer_once(capsys, monkeypatch):
+    import tqecsynth.cli as cli
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(obj, **kw):
+        if isinstance(obj, dict) and "index" in obj:
+            encoded.append(obj["index"])
+        return dumps(obj, **kw)
+
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    rc, out, _ = run_cli(capsys, "slice", str(CIRCUITS / "p_gate.tq"))
+    assert rc == EXIT_OK
+    named = {layer["index"] for line in out.splitlines()
+             for layer in json.loads(line)["layers"]}
+    assert sorted(encoded) == sorted(named) == list(range(len(named)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.just("a\0b"),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6)
+config_keys = st.sampled_from(["success_rate", "spare_epsilon", "seed", "spares_y",
+                               "spares_a", "distance", "box_dims"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=st.dictionaries(config_keys, json_values | st.integers(0, 40)
+                           | st.floats(0, 1), min_size=1, max_size=4))
+def test_any_config_values_end_in_an_exit_code(tmp_path, monkeypatch, capsys, cfg):
+    import tqecsynth.pipeline as pipeline
+    # a lower explicit-spare cap keeps large drawn counts from placing thousands of boxes
+    monkeypatch.setattr(pipeline, "MAX_SPARES", 64)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tq").write_text("qubits 1\nt 0\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    rc, _, err = run_cli(capsys, "synth", "t.tq", "--config", "cfg.json")
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_SYNTH)
+    if rc == EXIT_PARSE:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""

@@ -1,0 +1,91 @@
+"""The stamp-bucketed slicer against the per-layer reference rescan."""
+from pathlib import Path
+
+import pytest
+
+import reference_scans as ref
+from tqecsynth.analysis import SiteBasis, lattice_cells_for, slice_layers
+from tqecsynth.circuit import InitBasis
+from tqecsynth.geometry import (
+    CapShape, Coord, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole,
+    PortBasis, PortRole, PortTemplate, Segment, SegmentKind,
+)
+from tqecsynth.pipeline import PipelineConfig, run_pipeline
+
+CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+P = SegmentKind.PRIMAL
+
+
+def strand(i, j, t0, t1) -> Defect:
+    return Defect(P, (Segment(P, Coord(i, j, t0), Coord(i, j, t1)),), closed=False)
+
+
+def pin(i, j, t, role=PinRole.IO, state=None) -> Pin:
+    return Pin(Coord(i, j, t), P, role, state)
+
+
+def port(shape, i_a, i_b, j, t, role=PortRole.INPUT) -> IOPort:
+    return IOPort(role, PortBasis.Z, (pin(i_a, j, t), pin(i_b, j, t)), 0,
+                  PortTemplate(shape, mirrored=role is PortRole.OUTPUT))
+
+
+def injection(vertex, pin_a, pin_b) -> Injection:
+    pins = tuple(pin(*c, role=PinRole.INJECTION, state=InitBasis.A)
+                 for c in (pin_a, pin_b))
+    return Injection(Coord(*vertex), InitBasis.A, pins, 0)
+
+
+def geometry(defects=(), ports=(), injections=(), listed_pins=True) -> Geometry:
+    pins = [p for owner in (*ports, *injections) for p in owner.pins] if listed_pins else []
+    return Geometry(defects=tuple(defects), pins=tuple(pins), injections=tuple(injections),
+                    ioports=tuple(ports), layout=LayoutParams())
+
+
+@pytest.mark.parametrize("rate,seed", [(1.0, 0), (0.8, 53)])
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_slice_layers_equals_reference_on_circuits(path, rate, seed):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
+    cells = lattice_cells_for(geo)
+    assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
+
+
+HAND_BUILT = {
+    # a configurable port's IO caps land on a strand's Z cross-section
+    "io-over-z": geometry([strand(3, 3, 1, 9)], ports=[port(CapShape.CONFIG, 3, 7, 3, 5)]),
+    # the injected vertex sits inside its own pins' Z boxes; a second
+    # injection's pins then cover the first vertex again
+    "injected-over-pin-z": geometry(injections=[
+        injection((4, 3, 6), (3, 3, 5), (5, 3, 5)),
+        injection((6, 3, 6), (5, 3, 7), (7, 3, 7)),
+    ]),
+    # split caps beside solid caps and a strand, clipped at the i = 0 edge
+    "split-caps": geometry([strand(5, 5, 1, 7)], ports=[
+        port(CapShape.SPLIT, 1, 9, 5, 1),
+        port(CapShape.SPLIT, 1, 7, 5, 7, role=PortRole.OUTPUT),
+        port(CapShape.SOLID, 3, 9, 1, 3),
+    ]),
+    # ports whose pins the geometry does not list: no bounding-box check,
+    # and every cap is clipped to the lattice
+    "unlisted-port-pins": geometry(ports=[port(CapShape.SOLID, 1, 30, 3, 3),
+                                          port(CapShape.CONFIG, 1, 5, 30, 30)],
+                                   listed_pins=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_slice_layers_equals_reference_on_overlapping_stamps(case):
+    geo = HAND_BUILT[case]
+    cells = (6, 6, 6)
+    got = slice_layers(geo, cells)
+    assert got == ref.slice_layers(geo, cells)
+    assert any(layer.marked for layer in got)
+
+
+def test_later_stamps_win_on_shared_sites():
+    layers = {layer.t: layer for layer in slice_layers(HAND_BUILT["io-over-z"], (6, 6, 6))}
+    assert layers[5].basis_at(3, 3) is SiteBasis.IO
+    assert layers[3].basis_at(3, 3) is SiteBasis.Z
+    layers = {layer.t: layer
+              for layer in slice_layers(HAND_BUILT["injected-over-pin-z"], (6, 6, 6))}
+    assert layers[6].basis_at(6, 3) is SiteBasis.INJECTED
+    assert layers[6].basis_at(4, 3) is SiteBasis.Z   # the second injection's pin box
