@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -157,6 +158,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise PipelineError("seed must be a non-negative integer")
+    if args.trials < 1:
+        raise PipelineError("trials must be a positive integer")
+    if not 0 <= args.tolerance < math.inf:
+        raise PipelineError("tolerance must be a finite non-negative number")
     circ = parse_circuit(_read_source(args.source))
     diags = validate_circuit(circ)
     if diags:

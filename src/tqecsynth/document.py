@@ -26,7 +26,7 @@ FORMATS = (JSON_FORMAT, OBJ_FORMAT, CSV_FORMAT)
 
 def canonical_json(payload: Any) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                       ensure_ascii=True) + "\n").encode("ascii")
+                       ensure_ascii=True, allow_nan=False) + "\n").encode("ascii")
 
 
 def _coord(c: Coord) -> list[int]:

@@ -33,9 +33,9 @@ class TeleportTemplate:
     """Static shape of one teleportation block, in template-local row indices.
 
     Row 0 is the acted-on wire; ancilla rows follow in order. Selective
-    (T-type) templates carry two alternative measurement patterns;
-    ``correction_rule`` maps the Z outcome of row 0 to the pattern index to
-    apply (outcome 1 means the corrective P is required).
+    (T-type) templates carry two alternative measurement patterns: the
+    correction pattern first, selected when the Z outcome of row 0 is 1 (the
+    corrective P is required), then the plain one.
     """
 
     gate: GateKind
@@ -43,16 +43,10 @@ class TeleportTemplate:
     cnots: tuple[tuple[int, int], ...]
     measurement_patterns: tuple[tuple[tuple[int, MeasBasis], ...], ...]
     output_qubit: int
-    conjugate_ancillas: bool = False
-    correction_rule: tuple[int, int] = (1, 0)   # (outcome bit, pattern index)
 
     @property
     def selective(self) -> bool:
         return len(self.measurement_patterns) == 2
-
-    def pattern_for(self, outcome: int) -> tuple[tuple[int, MeasBasis], ...]:
-        bit, pattern = self.correction_rule
-        return self.measurement_patterns[pattern if outcome == bit else 1 - pattern]
 
 
 def _patterns(*maps: dict[int, MeasBasis]) -> tuple[tuple[tuple[int, MeasBasis], ...], ...]:
@@ -67,7 +61,6 @@ T_PATTERN_PLAIN = {0: _Z, 1: _X, 2: _Z, 3: _Z, 4: _X}
 
 _TEMPLATES: dict[GateKind, TeleportTemplate] = {}
 for _kind in ROTATION_KINDS:
-    _dag = _kind in DAGGERED
     if _kind in P_KINDS:
         _TEMPLATES[_kind] = TeleportTemplate(
             gate=_kind,
@@ -75,7 +68,6 @@ for _kind in ROTATION_KINDS:
             cnots=((1, 0),),
             measurement_patterns=_patterns({0: _Z}),
             output_qubit=1,
-            conjugate_ancillas=_dag,
         )
     elif _kind in V_KINDS:
         _TEMPLATES[_kind] = TeleportTemplate(
@@ -84,7 +76,6 @@ for _kind in ROTATION_KINDS:
             cnots=((0, 1),),
             measurement_patterns=_patterns({0: _X}),
             output_qubit=1,
-            conjugate_ancillas=_dag,
         )
     else:
         _TEMPLATES[_kind] = TeleportTemplate(
@@ -94,7 +85,6 @@ for _kind in ROTATION_KINDS:
             cnots=((1, 0), (1, 2), (3, 1), (4, 2), (3, 5), (4, 5)),
             measurement_patterns=_patterns(T_PATTERN_CORRECTION, T_PATTERN_PLAIN),
             output_qubit=5,
-            conjugate_ancillas=_dag,
         )
 
 
@@ -256,5 +246,5 @@ def select_pattern(instance: TemplateInstance, outcome: int) -> dict[int, MeasBa
         raise ValueError("select_pattern requires a selective T-type instance")
     if outcome not in (0, 1):
         raise ValueError("outcome must be a bit")
-    pattern = instance.template.pattern_for(outcome)
+    pattern = instance.template.measurement_patterns[1 - outcome]
     return {instance.rows[loc]: basis for loc, basis in pattern}

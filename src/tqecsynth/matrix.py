@@ -18,9 +18,9 @@ from .circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis
 INPUT_OPEN = -100
 OUTPUT_OPEN = -101
 INIT_A = -99
-MEAS_A = -98       # terminal of an |A>-initialised row
+MEAS_A = -98       # protocol terminal: an |A>-initialised row measured in Z
 INIT_Y = -97
-MEAS_Y = -96       # terminal of a |Y>-initialised row
+MEAS_Y = -96       # protocol terminal: a |Y>-initialised row measured in X
 INIT_ZERO = -95
 INIT_PLUS = -94
 MEAS_Z = -93
@@ -80,12 +80,13 @@ class MatrixRep:
 
 
 def _terminal_code(init: InitBasis, m: MeasBasis) -> int:
-    # Injection-initialised rows terminate with their protocol marker: the
-    # actual basis is fixed by the teleportation (or selected at run time
-    # for the T block), not by a plain Z/X tag.
-    if init is InitBasis.A:
+    # An injected row consumed in its protocol basis terminates with the
+    # protocol marker (the T block may select the other basis at run time).
+    # Any other terminal, such as an injected row that carries a logical
+    # output or that a later block consumes in Z, keeps its own code.
+    if init is InitBasis.A and m is MeasBasis.Z:
         return MEAS_A
-    if init is InitBasis.Y:
+    if init is InitBasis.Y and m is MeasBasis.X:
         return MEAS_Y
     return _MEAS_CODE[m]
 

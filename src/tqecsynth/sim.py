@@ -2,20 +2,22 @@
 
 Little-endian by row index: row r is tensor axis r. Capped at 12 qubits;
 teleportation blocks are verified per gate instance, so the cap is never a
-constraint in practice. Measurement outcomes are driven by an outcome
-source, either an exhaustive branch enumeration or a seeded sampler, which
-keeps every check deterministic.
+constraint in practice. An ICM conversion is walked depth first: the state
+forks at each measurement into every feasible outcome, so branches share
+their common prefix, or follows one seeded draw when there are too many
+branches, which keeps every check deterministic.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
 
 from .circuit import Circuit, GateKind, InitBasis, MeasBasis
-from .icm import DAGGERED, IcmConversion, PauliFrame, TemplateInstance, select_pattern
+from .icm import (
+    DAGGERED, P_KINDS, V_KINDS, IcmConversion, PauliFrame, TemplateInstance, select_pattern,
+)
 
 QUBIT_BUDGET = 12
 EXHAUSTIVE_BRANCH_CAP = 1024
@@ -67,44 +69,6 @@ def init_vector(basis: InitBasis, conjugate: bool = False) -> np.ndarray:
     return v.conj() if conjugate else v
 
 
-class OutcomesExhausted(RuntimeError):
-    """The forced outcome list ran out before all measurements were served."""
-
-
-class InfeasibleBranch(RuntimeError):
-    """A forced outcome has (numerically) zero probability."""
-
-
-class OutcomeSource:
-    def next_bit(self, p_one: float) -> int:
-        raise NotImplementedError
-
-
-@dataclass
-class ForcedOutcomes(OutcomeSource):
-    bits: tuple[int, ...]
-    _used: int = 0
-
-    def next_bit(self, p_one: float) -> int:
-        if self._used >= len(self.bits):
-            raise OutcomesExhausted(f"needed more than {len(self.bits)} outcomes")
-        m = self.bits[self._used]
-        self._used += 1
-        if (p_one if m else 1.0 - p_one) < _FEASIBLE_TOL:
-            raise InfeasibleBranch(f"outcome {m} has probability ~0")
-        return m
-
-
-@dataclass
-class SampledOutcomes(OutcomeSource):
-    rng: np.random.Generator
-    count: int = 0
-
-    def next_bit(self, p_one: float) -> int:
-        self.count += 1
-        return int(self.rng.random() < p_one)
-
-
 @dataclass(frozen=True)
 class MeasurementEvent:
     row: int
@@ -145,28 +109,6 @@ def apply_toffoli(state: np.ndarray, c1: int, c2: int, target: int) -> np.ndarra
     hi[target] = 1
     out[tuple(lo)], out[tuple(hi)] = state[tuple(hi)], state[tuple(lo)]
     return out
-
-
-def measure(state: np.ndarray, axis: int, basis: MeasBasis,
-            outcomes: OutcomeSource) -> tuple[np.ndarray, int]:
-    """Collapse ``axis`` in the given basis; the axis is left in |outcome>.
-
-    X measurements rotate the outcome into the computational basis so the
-    dead wire can be indexed out later.
-    """
-    if basis is MeasBasis.X:
-        state = apply_1q(state, H_MATRIX, axis)
-    sl0 = [slice(None)] * state.ndim
-    sl1 = [slice(None)] * state.ndim
-    sl0[axis] = 0
-    sl1[axis] = 1
-    p_one = float(np.sum(np.abs(state[tuple(sl1)]) ** 2))
-    m = outcomes.next_bit(p_one)
-    out = np.zeros_like(state)
-    kept = state[tuple(sl1 if m else sl0)]
-    norm = sqrt(p_one if m else 1.0 - p_one)
-    out[tuple(sl1 if m else sl0)] = kept / norm
-    return out, m
 
 
 def assemble_state(
@@ -267,110 +209,101 @@ def to_unitary(circ: Circuit) -> np.ndarray:
     return u
 
 
-def simulate(
-    target: Circuit | IcmConversion,
-    input_state: np.ndarray | None = None,
-    outcomes: OutcomeSource | None = None,
-) -> SimResult:
-    """Simulate a circuit or an ICM conversion.
+def _steps(conv: IcmConversion) -> list[tuple]:
+    """The conversion in execution order.
 
-    Plain circuits are applied unitarily (frame stays identity). ICM
-    conversions execute each teleportation block with outcome-driven
-    measurements, returning the tracked Pauli frame and the outcome log.
+    A step is ``("cnot", control, target)`` or a measurement ``(row, basis,
+    instance, position)``: each block measures the rows of its first pattern
+    right after its last CNOT, and every other measured row follows the
+    gates with ``instance`` None.
     """
-    if isinstance(target, Circuit):
-        state = simulate_plain(target, input_state)
-        return SimResult(state, PauliFrame.identity(), (), {})
-    return _simulate_icm(target, input_state, outcomes or SampledOutcomes(np.random.default_rng(0)))
+    blocks = {max(inst.cnot_slots): inst for inst in conv.instances}
+    steps: list[tuple] = []
+    for gi, g in enumerate(conv.circuit.gates):
+        steps.append(("cnot", *g.qubits))
+        inst = blocks.get(gi)
+        if inst is not None:
+            steps.extend((inst.rows[loc], basis, inst, pos) for pos, (loc, basis)
+                         in enumerate(inst.template.measurement_patterns[0]))
+    done = {step[0] for step in steps if step[0] != "cnot"}
+    steps.extend((row, basis, None, 0) for row, basis in enumerate(conv.circuit.meas)
+                 if basis is not MeasBasis.OPEN and row not in done)
+    return steps
 
 
-def _simulate_icm(conv: IcmConversion, input_state: np.ndarray | None,
-                  outcomes: OutcomeSource) -> SimResult:
-    circ = conv.circuit
-    n = circ.qubit_count
-    if n > QUBIT_BUDGET:
-        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
-    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
-    x = bytearray(n)
-    z = bytearray(n)
-    log: list[MeasurementEvent] = []
-    measured: dict[int, int] = {}
+def _byproduct(inst: TemplateInstance, eff: list[int]) -> tuple[int, int]:
+    """X and Z flips a finished block leaves on its output row.
 
-    def do_measure(row: int, basis: MeasBasis) -> tuple[int, int]:
-        nonlocal state
-        state, m = measure(state, row, basis, outcomes)
-        measured[row] = m
-        # A pending X flips Z outcomes, a pending Z flips X outcomes; the
-        # effective outcome is the one the ideal (frame-free) circuit saw.
-        eff = m ^ (x[row] if basis is MeasBasis.Z else z[row])
-        log.append(MeasurementEvent(row, basis, m, eff))
-        x[row] = 0
-        z[row] = 0
-        return m, eff
+    ``eff`` holds the block's effective outcomes in measurement order. Frame
+    pendings have already been conjugated through the block's CNOTs, so the
+    rules work on effective outcomes only.
+    """
+    if inst.kind in P_KINDS:
+        return eff[0], eff[0]
+    if inst.kind in V_KINDS:
+        return 1 ^ eff[0], eff[0]
+    if eff[0]:
+        # correction path: the wire routes through the |Y> row, whose
+        # teleport supplies the pending P and leaves a Pauli-Y byproduct
+        return 1 ^ eff[1] ^ eff[4], 1 ^ eff[1] ^ eff[2] ^ eff[3]
+    return eff[2] ^ eff[3], eff[1] ^ eff[4]
 
-    scripts = {max(inst.cnot_slots): inst for inst in conv.instances}
 
-    for gi, g in enumerate(circ.gates):
-        c, t = g.qubits
+def _walk(steps: list[tuple], at: int, state: np.ndarray, x: bytearray, z: bytearray,
+          log: list[MeasurementEvent], measured: dict[int, int],
+          rng: np.random.Generator | None):
+    """Yield the branches below step ``at``; ``x`` and ``z`` are this branch's own.
+
+    With ``rng`` None the state forks into every outcome of non-negligible
+    probability, 0 first; otherwise one outcome is drawn per measurement.
+    """
+    while at < len(steps) and steps[at][0] == "cnot":
+        _, c, t = steps[at]
         state = apply_cnot(state, c, t)
         x[t] ^= x[c]
         z[c] ^= z[t]
-        inst = scripts.get(gi)
-        if inst is not None:
-            _run_template(inst, do_measure, x, z)
+        at += 1
+    if at == len(steps):
+        live = [r for r in range(state.ndim) if r not in measured]
+        frame = PauliFrame(frozenset(r for r in live if x[r]),
+                           frozenset(r for r in live if z[r]))
+        yield SimResult(state, frame, tuple(log), measured)
+        return
 
-    for row in range(n):
-        if row not in measured and circ.meas[row] in (MeasBasis.Z, MeasBasis.X):
-            do_measure(row, circ.meas[row])
-
-    frame = PauliFrame(
-        frozenset(r for r in range(n) if x[r] and r not in measured),
-        frozenset(r for r in range(n) if z[r] and r not in measured),
-    )
-    return SimResult(state, frame, tuple(log), measured)
-
-
-def _run_template(inst: TemplateInstance, do_measure, x: bytearray, z: bytearray) -> None:
-    # Frame pendings have already been conjugated through the block's CNOTs
-    # by the main loop, so the rules below work on effective outcomes only.
-    src = inst.source_row
-    out = inst.output_row
-    kind = inst.kind
-    if kind in (GateKind.P, GateKind.PDG):
-        _, eff = do_measure(src, MeasBasis.Z)
-        x[out] ^= eff
-        z[out] ^= eff
-    elif kind in (GateKind.V, GateKind.VDG):
-        _, eff = do_measure(src, MeasBasis.X)
-        x[out] ^= 1 ^ eff
-        z[out] ^= eff
+    row, basis, inst, pos = steps[at]
+    if pos:
+        # a T block's later bases follow its wire's effective Z outcome
+        basis = select_pattern(inst, log[-pos].effective)[row]
+    # X measurements rotate the outcome into the computational basis so the
+    # dead wire can be indexed out later.
+    if basis is MeasBasis.X:
+        state = apply_1q(state, H_MATRIX, row)
+    half = [(slice(None),) * row + (m,) for m in (0, 1)]
+    p_one = float(np.sum(np.abs(state[half[1]]) ** 2))
+    prob = (1.0 - p_one, p_one)
+    block_done = inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1
+    if rng is None:
+        outcomes = [m for m in (0, 1) if prob[m] >= _FEASIBLE_TOL]
     else:
-        _, eff0 = do_measure(src, MeasBasis.Z)
-        pattern = select_pattern(inst, eff0)
-        effs = []
-        for row in inst.rows[1:5]:
-            _, eff = do_measure(row, pattern[row])
-            effs.append(eff)
-        e1, e2, e3, e4 = effs
-        if eff0:
-            # correction path: the wire routes through the |Y> row, whose
-            # teleport supplies the pending P and leaves a Pauli-Y byproduct
-            x[out] ^= 1 ^ e1 ^ e4
-            z[out] ^= 1 ^ e1 ^ e2 ^ e3
-        else:
-            x[out] ^= e2 ^ e3
-            z[out] ^= e1 ^ e4
+        outcomes = [int(rng.random() < p_one)]
+    for m in outcomes:
+        collapsed = np.zeros_like(state)
+        collapsed[half[m]] = state[half[m]] / sqrt(prob[m])
+        # A pending X flips Z outcomes, a pending Z flips X outcomes; the
+        # effective outcome is the one the ideal (frame-free) circuit saw.
+        eff = m ^ (x[row] if basis is MeasBasis.Z else z[row])
+        bx, bz = bytearray(x), bytearray(z)
+        bx[row] = bz[row] = 0
+        blog = [*log, MeasurementEvent(row, basis, m, eff)]
+        if block_done:
+            fx, fz = _byproduct(inst, [e.effective for e in blog[-pos - 1:]])
+            bx[inst.output_row] ^= fx
+            bz[inst.output_row] ^= fz
+        yield from _walk(steps, at + 1, collapsed, bx, bz, blog, {**measured, row: m}, rng)
 
 
 def measurement_count(conv: IcmConversion) -> int:
-    fixed = sum(
-        1 for r in range(conv.circuit.qubit_count)
-        if conv.circuit.meas[r] in (MeasBasis.Z, MeasBasis.X)
-        and not any(r in inst.rows[:5] if inst.selective else r == inst.source_row
-                    for inst in conv.instances)
-    )
-    per_template = sum(5 if inst.selective else 1 for inst in conv.instances)
-    return fixed + per_template
+    return sum(1 for step in _steps(conv) if step[0] != "cnot")
 
 
 def run_branches(
@@ -385,17 +318,18 @@ def run_branches(
     otherwise ``sample_count`` seeded samples. Infeasible branches are
     skipped.
     """
-    m = measurement_count(conv)
-    if 2 ** m <= EXHAUSTIVE_BRANCH_CAP:
-        for bits in itertools.product((0, 1), repeat=m):
-            try:
-                yield _simulate_icm(conv, input_state, ForcedOutcomes(bits))
-            except InfeasibleBranch:
-                continue
+    circ = conv.circuit
+    n = circ.qubit_count
+    if n > QUBIT_BUDGET:
+        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
+    steps = _steps(conv)
+    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
+    if 2 ** measurement_count(conv) <= EXHAUSTIVE_BRANCH_CAP:
+        yield from _walk(steps, 0, state, bytearray(n), bytearray(n), [], {}, None)
     else:
         rng = trials_rng or np.random.default_rng(0)
         for _ in range(sample_count):
-            yield _simulate_icm(conv, input_state, SampledOutcomes(rng))
+            yield from _walk(steps, 0, state, bytearray(n), bytearray(n), [], {}, rng)
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:

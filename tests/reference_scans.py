@@ -1,15 +1,28 @@
-"""Brute-force reference scans over every segment pair or every layer.
+"""Brute-force reference scans over every segment pair, layer or branch.
 
 These are the all-pairs versions of ``analysis.min_code_distance`` and
-``geometry.segment_overlaps``, and the per-layer rescan version of
-``analysis.slice_layers``; the tests compare the indexed versions with them.
+``geometry.segment_overlaps``, the per-layer rescan version of
+``analysis.slice_layers``, and the replay version of ``sim.run_branches``
+(every outcome string run from scratch); the tests compare the indexed and
+tree-walking versions with them.
 """
 from __future__ import annotations
+
+import itertools
+from math import sqrt
+
+import numpy as np
 
 from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Layer, LayerKind, SiteBasis, bounding_box,
 )
+from tqecsynth.circuit import GateKind, MeasBasis
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
+from tqecsynth.icm import IcmConversion, PauliFrame, select_pattern
+from tqecsynth.sim import (
+    EXHAUSTIVE_BRANCH_CAP, H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult,
+    _conjugate_rows, apply_1q, apply_cnot, assemble_state,
+)
 
 
 def segment_gap(a: Segment, b: Segment) -> int:
@@ -166,3 +179,125 @@ def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> lis
                 marks[(inj.vertex.i, inj.vertex.j)] = SiteBasis.INJECTED
         layers.append(Layer(t, kind, extent, tuple(sorted(marks.items()))))
     return layers
+
+
+class InfeasibleBranch(RuntimeError):
+    """A forced outcome has (numerically) zero probability."""
+
+
+def _forced(bits: tuple[int, ...]):
+    it = iter(bits)
+
+    def next_bit(p_one: float) -> int:
+        m = next(it)
+        if (p_one if m else 1.0 - p_one) < 1e-12:
+            raise InfeasibleBranch(f"outcome {m} has probability ~0")
+        return m
+    return next_bit
+
+
+def _sampled(rng: np.random.Generator):
+    return lambda p_one: int(rng.random() < p_one)
+
+
+def _measure(state, axis, basis, next_bit):
+    if basis is MeasBasis.X:
+        state = apply_1q(state, H_MATRIX, axis)
+    sl0 = [slice(None)] * state.ndim
+    sl1 = [slice(None)] * state.ndim
+    sl0[axis] = 0
+    sl1[axis] = 1
+    p_one = float(np.sum(np.abs(state[tuple(sl1)]) ** 2))
+    m = next_bit(p_one)
+    out = np.zeros_like(state)
+    kept = state[tuple(sl1 if m else sl0)]
+    norm = sqrt(p_one if m else 1.0 - p_one)
+    out[tuple(sl1 if m else sl0)] = kept / norm
+    return out, m
+
+
+def simulate_icm(conv: IcmConversion, input_state, next_bit) -> SimResult:
+    """One branch of ``conv``, its outcomes drawn from ``next_bit(p_one)``."""
+    circ = conv.circuit
+    n = circ.qubit_count
+    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
+    x = bytearray(n)
+    z = bytearray(n)
+    log: list[MeasurementEvent] = []
+    measured: dict[int, int] = {}
+
+    def do_measure(row: int, basis: MeasBasis) -> int:
+        nonlocal state
+        state, m = _measure(state, row, basis, next_bit)
+        measured[row] = m
+        eff = m ^ (x[row] if basis is MeasBasis.Z else z[row])
+        log.append(MeasurementEvent(row, basis, m, eff))
+        x[row] = 0
+        z[row] = 0
+        return eff
+
+    scripts = {max(inst.cnot_slots): inst for inst in conv.instances}
+    for gi, g in enumerate(circ.gates):
+        c, t = g.qubits
+        state = apply_cnot(state, c, t)
+        x[t] ^= x[c]
+        z[c] ^= z[t]
+        inst = scripts.get(gi)
+        if inst is None:
+            continue
+        src, out = inst.source_row, inst.output_row
+        if inst.kind in (GateKind.P, GateKind.PDG):
+            eff = do_measure(src, MeasBasis.Z)
+            x[out] ^= eff
+            z[out] ^= eff
+        elif inst.kind in (GateKind.V, GateKind.VDG):
+            eff = do_measure(src, MeasBasis.X)
+            x[out] ^= 1 ^ eff
+            z[out] ^= eff
+        else:
+            eff0 = do_measure(src, MeasBasis.Z)
+            pattern = select_pattern(inst, eff0)
+            e1, e2, e3, e4 = (do_measure(row, pattern[row]) for row in inst.rows[1:5])
+            if eff0:
+                x[out] ^= 1 ^ e1 ^ e4
+                z[out] ^= 1 ^ e1 ^ e2 ^ e3
+            else:
+                x[out] ^= e2 ^ e3
+                z[out] ^= e1 ^ e4
+
+    for row in range(n):
+        if row not in measured and circ.meas[row] in (MeasBasis.Z, MeasBasis.X):
+            do_measure(row, circ.meas[row])
+
+    frame = PauliFrame(
+        frozenset(r for r in range(n) if x[r] and r not in measured),
+        frozenset(r for r in range(n) if z[r] and r not in measured),
+    )
+    return SimResult(state, frame, tuple(log), measured)
+
+
+def measurement_count(conv: IcmConversion) -> int:
+    fixed = sum(
+        1 for r in range(conv.circuit.qubit_count)
+        if conv.circuit.meas[r] in (MeasBasis.Z, MeasBasis.X)
+        and not any(r in inst.rows[:5] if inst.selective else r == inst.source_row
+                    for inst in conv.instances)
+    )
+    return fixed + sum(5 if inst.selective else 1 for inst in conv.instances)
+
+
+def run_branches(conv: IcmConversion, input_state, trials_rng=None, sample_count: int = 64):
+    """Every outcome string replayed from the start, infeasible ones skipped."""
+    if conv.circuit.qubit_count > QUBIT_BUDGET:
+        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
+    m = measurement_count(conv)
+    if 2 ** m <= EXHAUSTIVE_BRANCH_CAP:
+        for bits in itertools.product((0, 1), repeat=m):
+            try:
+                yield simulate_icm(conv, input_state, _forced(bits))
+            except InfeasibleBranch:
+                continue
+    else:
+        rng = trials_rng or np.random.default_rng(0)
+        for _ in range(sample_count):
+            yield simulate_icm(conv, input_state, _sampled(rng))

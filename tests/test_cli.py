@@ -304,6 +304,25 @@ def test_verify_negative_seed_exit_code(src_file, capsys):
     assert err == "error: seed must be a non-negative integer\n"
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--tolerance", "nan"),
+    ("--tolerance", "inf"), ("--tolerance", "-inf"), ("--tolerance", "-1e-9"),
+])
+def test_verify_bad_trials_or_tolerance_exit_code(src_file, capsys, flag, value):
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    rc, out, err = run_cli(capsys, "verify", path, f"{flag}={value}")
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: " + flag[2:]) and err.count("\n") == 1
+
+
+def test_verify_one_trial_zero_tolerance_are_accepted(src_file, capsys):
+    path = src_file("c.tq", "qubits 2\ncnot 0 1\n")
+    rc, out, _ = run_cli(capsys, "verify", path, "--trials", "1", "--tolerance", "0")
+    assert rc == EXIT_OK
+    assert json.loads(out)["tolerance"] == 0
+
+
 @pytest.mark.parametrize("entry", [{"a": [8, 8, 12]}, {"y": [4, 4, 8]}])
 def test_partial_box_dims_file_keeps_other_defaults(tmp_path, capsys, entry):
     path = str(CIRCUITS / "t_gate.tq")

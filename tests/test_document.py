@@ -11,6 +11,12 @@ P_SRC = "qubits 1\np 0\n"
 T_SRC = "qubits 1\nt 0\n"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_rejects_non_json_numbers(value):
+    with pytest.raises(ValueError):
+        canonical_json({"tolerance": value})
+
+
 def test_canonical_json_stable():
     payload = {"b": 1, "a": [2, {"d": 3, "c": 4}]}
     assert canonical_json(payload) == b'{"a":[2,{"c":4,"d":3}],"b":1}\n'

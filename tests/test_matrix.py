@@ -1,13 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import icm_circuits
 from tqecsynth.circuit import Circuit, InitBasis, MeasBasis, cnot, parse_circuit
+from tqecsynth.decompose import decompose_gates
+from tqecsynth.geometry import CapShape, PortBasis, PortRole, generate_geometry
+from tqecsynth.icm import to_icm
 from tqecsynth.matrix import (
-    CONTROL, INPUT_OPEN, MEAS_A, MEAS_Z, OUTPUT_OPEN, TARGET, INIT_A,
-    MatrixRep, from_matrix, to_matrix,
+    CONTROL, INIT_Y, INPUT_OPEN, MEAS_A, MEAS_X, MEAS_Y, MEAS_Z, OUTPUT_OPEN, TARGET,
+    INIT_A, MatrixRep, from_matrix, to_matrix,
 )
+
+CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
 
 
 def icm(src: str) -> Circuit:
@@ -33,7 +40,8 @@ def test_wireless_single_qubit_matrix():
 
 def test_t_teleport_pair_matrix():
     # |psi> open input measured Z as CNOT target, |A> ancilla as control
-    # carrying the teleported output: hand-applied encoding table.
+    # carrying the teleported output: hand-applied encoding table. The
+    # output row is an open logical output, not a protocol measurement.
     circ = Circuit(
         2,
         (InitBasis.OPEN, InitBasis.A),
@@ -43,7 +51,36 @@ def test_t_teleport_pair_matrix():
     )
     m = to_matrix(circ)
     assert m.cells[0].tolist() == [INPUT_OPEN, TARGET, MEAS_Z]
-    assert m.cells[1].tolist() == [INIT_A, CONTROL, MEAS_A]
+    assert m.cells[1].tolist() == [INIT_A, CONTROL, OUTPUT_OPEN]
+
+
+def test_protocol_terminals_only_for_protocol_bases():
+    inits = (InitBasis.A, InitBasis.A, InitBasis.A, InitBasis.Y, InitBasis.Y, InitBasis.Y)
+    meas = (MeasBasis.Z, MeasBasis.X, MeasBasis.OPEN, MeasBasis.X, MeasBasis.Z, MeasBasis.OPEN)
+    circ = Circuit(6, inits, (), meas, icm=True)
+    m = to_matrix(circ)
+    assert m.cells[:, -1].tolist() == [MEAS_A, MEAS_X, OUTPUT_OPEN, MEAS_Y, MEAS_Z, OUTPUT_OPEN]
+    assert m.cells[:, 0].tolist() == [INIT_A] * 3 + [INIT_Y] * 3
+    assert from_matrix(m) == circ
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_sample_conversions_round_trip(path):
+    conv = to_icm(decompose_gates(parse_circuit(path.read_text())))
+    assert from_matrix(to_matrix(conv.circuit)) == conv.circuit
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_logical_open_outputs_are_open_ports(path):
+    circ = parse_circuit(path.read_text())
+    conv = to_icm(decompose_gates(circ))
+    geo = generate_geometry(to_matrix(conv.circuit))
+    ports = {p.qubit_row: p for p in geo.ioports if p.role is PortRole.OUTPUT}
+    rows = [out for q, (_, out) in enumerate(conv.qubit_rows) if circ.meas[q] is MeasBasis.OPEN]
+    assert rows
+    for row in rows:
+        assert ports[row].basis is PortBasis.OPEN
+        assert ports[row].template.shape is CapShape.CONFIG
 
 
 def test_matrix_rejects_non_icm():

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import reference_scans as ref
 from conftest import gate_circuits
 from tqecsynth.circuit import (
-    Circuit, Gate, GateKind, InitBasis, MeasBasis, circuit, cnot,
+    Circuit, Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, parse_circuit,
 )
 from tqecsynth.decompose import decompose_gates, toffoli_sequence
 from tqecsynth.icm import PauliFrame, to_icm
 from tqecsynth.sim import (
-    H_MATRIX, TOFFOLI_MATRIX, ForcedOutcomes, OutcomesExhausted, InfeasibleBranch,
+    EXHAUSTIVE_BRANCH_CAP, H_MATRIX, TOFFOLI_MATRIX, MeasurementEvent,
     check_equivalence, gate_matrix, init_vector, measurement_count,
-    random_product_state, run_branches, simulate, to_unitary,
+    random_product_state, run_branches, to_unitary,
 )
 
 TOL = 1e-10
@@ -139,15 +140,12 @@ def test_frame_composition():
     assert PauliFrame.identity().is_identity()
 
 
-def test_forced_outcomes_exhaustion_and_feasibility():
-    conv = to_icm(circuit(1, [Gate(GateKind.P, (0,))]))
-    plus = np.array([1, 1]) / np.sqrt(2)
-    with pytest.raises(OutcomesExhausted):
-        simulate(conv, plus, ForcedOutcomes(()))
+def test_zero_probability_outcome_is_not_a_branch():
     # Z measurement of |0> can never yield 1
-    conv0 = to_icm(Circuit(1, (InitBasis.ZERO,), (), (MeasBasis.Z,), icm=True))
-    with pytest.raises(InfeasibleBranch):
-        simulate(conv0, None, ForcedOutcomes((1,)))
+    conv = to_icm(Circuit(1, (InitBasis.ZERO,), (), (MeasBasis.Z,), icm=True))
+    branches = list(run_branches(conv, None))
+    assert [res.log for res in branches] == [(MeasurementEvent(0, MeasBasis.Z, 0, 0),)]
+    assert [res.measured for res in branches] == [{0: 0}]
 
 
 def test_norm_preserved_across_branches():
@@ -174,3 +172,55 @@ def test_random_circuits_icm_equivalent(circ):
     if conv.circuit.qubit_count > 12 or 2 ** measurement_count(conv) > 1024:
         return
     assert check_equivalence(circ, conv, trials=2, seed=5) < TOL
+
+
+def assert_walk_matches_replay(conv, inp, seed=0):
+    """Every branch equals the from-scratch replay's, bitwise and in order."""
+    rng_walk, rng_replay = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = list(run_branches(conv, inp, trials_rng=rng_walk))
+    want = list(ref.run_branches(conv, inp, trials_rng=rng_replay))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.log == b.log
+        assert a.frame == b.frame
+        assert list(a.measured.items()) == list(b.measured.items())
+        assert a.state.tobytes() == b.state.tobytes()
+    assert rng_walk.random() == rng_replay.random()
+    assert measurement_count(conv) == ref.measurement_count(conv)
+    return got
+
+
+@pytest.mark.parametrize("kind", ["p", "pdg", "v", "vdg", "t", "tdg"])
+def test_walk_matches_replay_on_every_template(kind):
+    conv = to_icm(circuit(1, [Gate(GateKind(kind), (0,))]))
+    zero = np.array([1, 0], dtype=complex)
+    for inp in (zero, random_product_state(1, np.random.default_rng(13))):
+        assert assert_walk_matches_replay(conv, inp)
+
+
+def test_walk_matches_replay_on_two_t_blocks():
+    circ = circuit(2, [Gate(GateKind.T, (0,)), cnot(0, 1), Gate(GateKind.TDG, (1,))])
+    conv = to_icm(circ)
+    inp = random_product_state(2, np.random.default_rng(21))
+    assert len(assert_walk_matches_replay(conv, inp)) == EXHAUSTIVE_BRANCH_CAP
+
+
+@pytest.mark.parametrize("source,branches", [
+    ("qubits 1\nmeasure 0 x\nt 0\ntdg 0\n", 64),   # 2**11 branches: sampled
+    ("qubits 2\nmeasure 0 z\nmeasure 1 x\nt 0\ncnot 0 1\nvdg 1\n", 256),  # exhaustive
+])
+def test_walk_matches_replay_with_measured_outputs(source, branches):
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    inp = random_product_state(circ.qubit_count, np.random.default_rng(4))
+    assert len(assert_walk_matches_replay(conv, inp, seed=3)) == branches
+
+
+@settings(max_examples=20, deadline=None)
+@given(gate_circuits(max_qubits=2, max_gates=4))
+def test_walk_matches_replay_on_random_circuits(circ):
+    conv = to_icm(decompose_gates(circ))
+    if conv.circuit.qubit_count > 12:
+        return
+    inp = random_product_state(len(circ.open_inputs()), np.random.default_rng(5))
+    assert_walk_matches_replay(conv, inp, seed=5)
