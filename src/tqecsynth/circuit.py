@@ -191,6 +191,12 @@ def validate_circuit(circ: Circuit) -> list[Diagnostic]:
     return out
 
 
+# Largest qubit count a source may declare. The parser allocates an init and a
+# measurement entry per declared qubit, so a larger count is a parse error
+# rather than an allocation that can exhaust memory.
+MAX_QUBITS = 100_000
+
+
 class ParseError(ValueError):
     """Syntax or semantic error in circuit source, with line/column info."""
 
@@ -264,6 +270,9 @@ def parse_circuit(text: str) -> Circuit:
             qubit_count = want_int(args[0][0], lineno, args[0][1], "a qubit count")
             if qubit_count < 1:
                 raise ParseError("qubit count must be positive", lineno, args[0][1])
+            if qubit_count > MAX_QUBITS:
+                raise ParseError(f"qubit count must not exceed {MAX_QUBITS}",
+                                 lineno, args[0][1])
             continue
 
         if word == "qubits":

@@ -6,7 +6,6 @@ algorithm identifier is recorded in the output metadata.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,8 +20,8 @@ from .icm import IcmConversion, to_icm
 from .matrix import INIT_A, INIT_Y, MatrixRep, to_matrix
 from .scheduling import (
     MAX_SPARES, Assignment, BoxDim, BoxInstance, Connection, FailureReport,
-    FillConfig, PinPairReq, Region, Schedule, connect_pins, default_box_dims,
-    homogeneous_schedule, schedule_boxes, simulate_failures, spare_count,
+    FillConfig, PinPairReq, Schedule, box_layout, connect_pins, default_box_dims,
+    place_boxes, simulate_failures, spare_count,
 )
 
 
@@ -91,40 +90,12 @@ class PipelineResult:
     config: PipelineConfig
 
 
-@dataclass(frozen=True)
-class _SparePlan:
-    state: InitBasis
-    count: int
-    row_len: int
-    flank: str                       # "low" | "high"
-
-
-def _spare_plans(matrix: MatrixRep, config: PipelineConfig) -> list[_SparePlan]:
-    first_col = matrix.cells[:, 0]
-    plans = []
-    for state, code, flank in ((InitBasis.Y, INIT_Y, "low"), (InitBasis.A, INIT_A, "high")):
-        needed = int((first_col == code).sum())
-        count = config.spares.count(state, needed, config.success_rate) if needed else 0
-        row_len = math.ceil(math.sqrt(count)) if count else 0
-        plans.append(_SparePlan(state, count, row_len, flank))
-    return plans
-
-
-def _effective_layout(layout: LayoutParams, matrix: MatrixRep,
-                      config: PipelineConfig, plans: list[_SparePlan]) -> LayoutParams:
-    """Push t_in out to fit the box layer, and j_base past the low spare flank."""
-    first_col = matrix.cells[:, 0]
-    used = [state for state, code in ((InitBasis.A, INIT_A), (InitBasis.Y, INIT_Y))
-            if (first_col == code).any()]
-    if not used:
-        return layout
-    t_need = 2 * max(config.box_dims[s].tspan for s in used) + 1
-    t_in = max(layout.t_in, t_need)
-    j_base = layout.j_base
-    for plan in plans:
-        if plan.flank == "low" and plan.count:
-            j_base += plan.row_len * 2 * config.box_dims[plan.state].jspan
-    return replace(layout, t_in=t_in, j_base=j_base)
+def _by_state(items: list) -> dict[InitBasis, list]:
+    """Group pin pairs or boxes by the state they carry, keeping their order."""
+    out: dict[InitBasis, list] = {}
+    for item in items:
+        out.setdefault(item.state, []).append(item)
+    return out
 
 
 def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineResult:
@@ -142,8 +113,13 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     conv = to_icm(decompose_gates(circ))
     matrix = to_matrix(conv.circuit)
 
-    plans = _spare_plans(matrix, config)
-    layout = _effective_layout(config.layout, matrix, config, plans)
+    first_col = matrix.cells[:, 0]
+    spares: dict[InitBasis, int] = {}
+    for state, code in ((InitBasis.Y, INIT_Y), (InitBasis.A, INIT_A)):
+        needed = int((first_col == code).sum())
+        if needed:
+            spares[state] = config.spares.count(state, needed, config.success_rate)
+    layout = box_layout(config.layout, spares, config.box_dims)
     geometry = generate_geometry(matrix, layout)
     parity = validate_parity(geometry)
     if parity:
@@ -156,51 +132,15 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     boxes: list[BoxInstance] = []
 
     if geometry.injections:
-        dims = config.box_dims
-        face_t = layout.t_in - 2
-        region = Region(fill=config.fill)
         pairs = [
             PinPairReq(inj.state, inj.pins[0].coord.j, inj.pins)
             for inj in geometry.injections
         ]
-        hetero = schedule_boxes(pairs, dims, region, face_t)
-        schedules.append(hetero)
-
-        pin_js = [p.coord.j for p in geometry.pins]
-        j_lo = min(pin_js)
-        # the high flank must clear the initial boxes, which extend past
-        # their pins along j
-        j_hi = max(b.extent("j")[1] for b in hetero.boxes)
-        per_state_pairs: dict[InitBasis, list[PinPairReq]] = {}
-        for pair in pairs:
-            per_state_pairs.setdefault(pair.state, []).append(pair)
-
-        spare_boxes: dict[InitBasis, list[BoxInstance]] = {s: [] for s in dims}
-        for plan in plans:
-            if not plan.count:
-                continue
-            pitch = 2 * dims[plan.state].jspan
-            sj = j_lo - plan.row_len * pitch if plan.flank == "low" else j_hi + 2
-            remaining = plan.count
-            while remaining > 0:
-                k = min(plan.row_len, remaining)
-                row = homogeneous_schedule(k, plan.state, sj, dims,
-                                           region=region, face_t=face_t)
-                schedules.append(row)
-                spare_boxes[plan.state].extend(row.boxes)
-                remaining -= k
-
+        schedules = place_boxes(pairs, spares, config.box_dims, layout, config.fill)
         boxes = [b for s in schedules for b in s.boxes]
-        boxes_by_type: dict[InitBasis, list[BoxInstance]] = {}
-        for state in (InitBasis.A, InitBasis.Y):
-            initial = [b for b in hetero.boxes if b.state is state]
-            queue = initial + spare_boxes.get(state, [])
-            if queue:
-                boxes_by_type[state] = queue
-
         rng = np.random.default_rng(config.seed)
-        failure = simulate_failures(boxes_by_type, config.success_rate,
-                                    per_state_pairs, rng, seed=config.seed)
+        failure = simulate_failures(_by_state(boxes), config.success_rate,
+                                    _by_state(pairs), rng, seed=config.seed)
         assignments = failure.assignments
         connections = connect_pins(assignments)
 

@@ -3,19 +3,21 @@
 Boxes are packed in the (j, i) plane of a single layer sitting before the
 circuit's inputs on the t axis. Every box is placed at the j coordinate of
 the pin pair it serves; boxes whose j extents collide stack along i, lowest
-free i first. Spare boxes are driven by ghost pin pairs that exist only to
-steer the packer.
+free i first. Spare boxes are driven by requests without pins that exist
+only to steer the packer, and form one array per state on a flank of the
+circuit (:func:`box_layout`, :func:`place_boxes`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .circuit import InitBasis
-from .geometry import Coord, Pin, PinRole, Segment, SegmentKind
+from .geometry import Coord, LayoutParams, Pin, PinRole, Segment, SegmentKind
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -52,6 +54,11 @@ class BoxDim:
         if min(self.ispan, self.jspan, self.tspan) < 1:
             raise SchedulingError("box spans must be positive")
 
+    @property
+    def pitch(self) -> int:
+        """j distance between neighbouring boxes of one spare row."""
+        return 2 * self.jspan
+
 
 def default_box_dims() -> dict[InitBasis, BoxDim]:
     return {
@@ -68,18 +75,18 @@ def validate_dims(dims: dict[InitBasis, BoxDim]) -> None:
 
 @dataclass(frozen=True)
 class PinPairReq:
-    """One scheduling request: the pin pair a box must align with."""
+    """One scheduling request: the pin pair a box must align with.
+
+    A pair without pins only steers the packer; its box is a spare.
+    """
 
     state: InitBasis
     j: int
     pins: tuple[Pin, Pin] | None = None
-    ghost: bool = False
 
     def __post_init__(self) -> None:
         if self.state not in (InitBasis.A, InitBasis.Y):
             raise SchedulingError("pin pair state must be A or Y")
-        if self.ghost != (self.pins is None):
-            raise SchedulingError("ghost pairs carry no pins; real pairs must")
 
 
 class BoxStatus(Enum):
@@ -108,12 +115,6 @@ class BoxInstance:
     @property
     def face_t(self) -> int:
         return self.extent("t")[1]
-
-
-class ScheduleKind(Enum):
-    HETEROGENEOUS = "heterogeneous"
-    HOMOGENEOUS_A = "homogeneous_a"
-    HOMOGENEOUS_Y = "homogeneous_y"
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,9 @@ class Region:
 
 @dataclass
 class Schedule:
-    kind: ScheduleKind
-    boxes: list[BoxInstance]
+    """The boxes one placement call put down, in request order."""
 
-    def __post_init__(self) -> None:
-        if self.kind is not ScheduleKind.HETEROGENEOUS:
-            want = InitBasis.A if self.kind is ScheduleKind.HOMOGENEOUS_A else InitBasis.Y
-            if any(b.state is not want for b in self.boxes):
-                raise SchedulingError(f"homogeneous schedule may only hold {want.value} boxes")
+    boxes: list[BoxInstance]
 
 
 def _place_box(pair: PinPairReq, dims: dict[InitBasis, BoxDim], region: Region,
@@ -176,12 +172,17 @@ def _place_box(pair: PinPairReq, dims: dict[InitBasis, BoxDim], region: Region,
         Pin(Coord(i_lo + 2 * (dim.ispan - 1), pair.j, face_t),
             SegmentKind.PRIMAL, pin_role, pair.state),
     )
-    return BoxInstance(dim, origin, pins, spare=pair.ghost)
+    return BoxInstance(dim, origin, pins, spare=pair.pins is None)
 
 
-def schedule_face_t(dims: dict[InitBasis, BoxDim]) -> int:
-    """Shared output-face plane: boxes end one step before the first odd t slot."""
-    return 2 * max(d.tspan for d in dims.values()) - 1
+def _face_t(t_in: int) -> int:
+    """The box layer's output face: the odd t slot just before the circuit's inputs."""
+    return t_in - 2
+
+
+def _fit_t_in(dims: Iterable[BoxDim], t_in: int = 1) -> int:
+    """Smallest t_in, at least ``t_in``, whose box face lets every box start at t >= 1."""
+    return max(t_in, 2 * max(d.tspan for d in dims) + 1)
 
 
 def schedule_boxes(
@@ -193,23 +194,8 @@ def schedule_boxes(
     """Place one box per pin pair (arrival order), pins aligned on the pair's j."""
     validate_dims(dims)
     region = region if region is not None else Region()
-    face = face_t if face_t is not None else schedule_face_t(dims)
-    boxes = [_place_box(pair, dims, region, face) for pair in pin_pairs]
-    states = {b.state for b in boxes}
-    if states == {InitBasis.A}:
-        kind = ScheduleKind.HOMOGENEOUS_A
-    elif states == {InitBasis.Y} or not states:
-        kind = ScheduleKind.HOMOGENEOUS_Y
-    else:
-        kind = ScheduleKind.HETEROGENEOUS
-    return Schedule(kind, boxes)
-
-
-def ghost_pairs(n: int, state: InitBasis, sj: int,
-                dims: dict[InitBasis, BoxDim]) -> list[PinPairReq]:
-    """Ghost pin pairs a box pitch apart so scheduled boxes land in one row."""
-    pitch = 2 * dims[state].jspan
-    return [PinPairReq(state, sj + idx * pitch, ghost=True) for idx in range(n)]
+    face = face_t if face_t is not None else _face_t(_fit_t_in(dims.values()))
+    return Schedule([_place_box(pair, dims, region, face) for pair in pin_pairs])
 
 
 def homogeneous_schedule(
@@ -220,15 +206,67 @@ def homogeneous_schedule(
     region: Region | None = None,
     face_t: int | None = None,
 ) -> Schedule:
-    """Schedule ``n`` ghost-driven spare boxes in a row starting at j = sj.
+    """Schedule ``n`` spare boxes in a row starting at j = sj, a box pitch apart.
 
-    Calling this repeatedly with identical coordinates against the same
-    region stacks further rows along i, producing an array.
+    Each box is driven by a pair without pins. Calling this repeatedly with
+    identical coordinates against the same region stacks further rows along
+    i, producing an array.
     """
-    sched = schedule_boxes(ghost_pairs(n, state, sj, dims), dims, region, face_t)
-    kind = (ScheduleKind.HOMOGENEOUS_A if state is InitBasis.A
-            else ScheduleKind.HOMOGENEOUS_Y)
-    return Schedule(kind, sched.boxes)
+    pitch = dims[state].pitch
+    pairs = [PinPairReq(state, sj + idx * pitch) for idx in range(n)]
+    return schedule_boxes(pairs, dims, region, face_t)
+
+
+# Spare arrays flank the circuit: the Y array below its lowest j, the wider A
+# array past the initial boxes' highest j. Rows are placed low flank first.
+LOW_FLANK, HIGH_FLANK = InitBasis.Y, InitBasis.A
+
+
+def _row_len(count: int) -> int:
+    """Boxes per spare row: the array is as near square as ``count`` allows."""
+    return math.ceil(math.sqrt(count))
+
+
+def box_layout(layout: LayoutParams, spares: dict[InitBasis, int],
+               dims: dict[InitBasis, BoxDim]) -> LayoutParams:
+    """Push t_in out to fit the box layer, and j_base past the low spare flank.
+
+    ``spares`` maps every injected state the circuit uses to its spare count.
+    """
+    if not spares:
+        return layout
+    t_in = _fit_t_in((dims[s] for s in spares), layout.t_in)
+    j_base = layout.j_base
+    if spares.get(LOW_FLANK):
+        j_base += _row_len(spares[LOW_FLANK]) * dims[LOW_FLANK].pitch
+    return replace(layout, t_in=t_in, j_base=j_base)
+
+
+def place_boxes(pairs: list[PinPairReq], spares: dict[InitBasis, int],
+                dims: dict[InitBasis, BoxDim], layout: LayoutParams,
+                fill: FillConfig) -> list[Schedule]:
+    """Place one box per pin pair, then each state's spare array on its flank.
+
+    ``layout`` is the one :func:`box_layout` returned. Returns the initial
+    schedule followed by the spare rows, each row a single state.
+    """
+    region = Region(fill=fill)
+    face_t = _face_t(layout.t_in)
+    initial = schedule_boxes(pairs, dims, region, face_t)
+    # the high flank must clear the initial boxes, which extend past their
+    # pins along j
+    j_hi = max(b.extent("j")[1] for b in initial.boxes)
+    schedules = [initial]
+    for state in (LOW_FLANK, HIGH_FLANK):
+        count = spares.get(state, 0)
+        if not count:
+            continue
+        row_len = _row_len(count)
+        sj = layout.j_base - row_len * dims[state].pitch if state is LOW_FLANK else j_hi + 2
+        for done in range(0, count, row_len):
+            schedules.append(homogeneous_schedule(min(row_len, count - done), state, sj,
+                                                  dims, region=region, face_t=face_t))
+    return schedules
 
 
 def spare_count(needed: int, success_rate: float, epsilon: float = 0.01) -> int:
@@ -368,7 +406,7 @@ def connect_pins(assignments: list[Assignment]) -> list[Connection]:
     out: list[Connection] = []
     for asg in assignments:
         if asg.pair.pins is None:
-            raise SchedulingError("ghost pairs cannot be connected")
+            raise SchedulingError("pairs without pins cannot be connected")
         box_lo, box_hi = sorted(asg.box.output_pins, key=lambda p: p.coord.i)
         circ_lo, circ_hi = sorted(asg.pair.pins, key=lambda p: p.coord.i)
         for bp, cp in ((box_lo, circ_lo), (box_hi, circ_hi)):

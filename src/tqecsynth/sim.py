@@ -77,10 +77,6 @@ class MeasurementEvent:
     effective: int
 
 
-def _as_tensor(state: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(state, dtype=complex).reshape((2,) * n)
-
-
 def apply_1q(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
     moved = np.moveaxis(state, axis, 0)
     moved = np.tensordot(u, moved, axes=([1], [0]))

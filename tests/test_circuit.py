@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqecsynth.circuit import (
-    Circuit, Gate, GateKind, InitBasis, MeasBasis, ParseError,
+    MAX_QUBITS, Circuit, Gate, GateKind, InitBasis, MeasBasis, ParseError,
     circuit, cnot, parse_circuit, toffoli, validate_circuit,
 )
 
@@ -59,6 +61,44 @@ def test_parse_errors(src, fragment):
     with pytest.raises(ParseError) as err:
         parse_circuit(src)
     assert fragment in str(err.value)
+
+
+def test_parse_accepts_the_qubit_bound():
+    circ = parse_circuit(f"qubits {MAX_QUBITS}\nt {MAX_QUBITS - 1}\n")
+    assert circ.qubit_count == MAX_QUBITS
+    assert len(circ.inits) == len(circ.meas) == MAX_QUBITS
+
+
+@pytest.mark.parametrize("count", [MAX_QUBITS + 1, 99999999999999])
+def test_parse_rejects_qubit_count_above_bound(count):
+    with pytest.raises(ParseError, match=f"must not exceed {MAX_QUBITS}") as err:
+        parse_circuit(f"# header\n  qubits {count}\n")
+    assert (err.value.line, err.value.column) == (2, 10)
+
+
+statement_words = st.sampled_from(
+    ["qubits", "init", "measure", "cnot", "toffoli", "t", "tdg", "p", "pdg", "v",
+     "vdg", "h", "zero", "plus", "y", "a", "open", "z", "x", "#", "-1", "0", "1", "2"])
+qubit_counts = (st.integers(-2, 4) | st.integers(MAX_QUBITS - 1, MAX_QUBITS + 1)
+                | st.integers(10**12, 10**20)).map(str)
+source_lines = (st.lists(statement_words | qubit_counts, max_size=4).map(" ".join)
+                | st.text(max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.lists(source_lines, max_size=6).map("\n".join),
+    st.tuples(qubit_counts, st.lists(source_lines, max_size=6)).map(
+        lambda t: "\n".join([f"qubits {t[0]}", *t[1]])),
+))
+def test_parse_any_text_raises_only_parse_errors(text):
+    try:
+        circ = parse_circuit(text)
+    except ParseError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+    else:
+        assert 1 <= circ.qubit_count <= MAX_QUBITS
 
 
 def test_parse_error_carries_line_and_column():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tqecsynth.circuit import MAX_QUBITS
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTH, EXIT_VERIFY, main
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
@@ -241,6 +242,63 @@ def test_bad_input_files_exit_code(tmp_path, monkeypatch, capsys, command, case)
     assert rc == EXIT_PARSE
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice", "verify"])
+def test_huge_qubit_count_exit_code(src_file, capsys, command):
+    path = src_file("huge.tq", "qubits 99999999999999\nt 0\n")
+    rc, out, err = run_cli(capsys, command, path)
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: line 1, column 8: qubit count must not exceed {MAX_QUBITS}\n"
+
+
+qubit_args = st.sampled_from(["0", "1", "2"])
+fuzz_statements = st.one_of(
+    st.builds("{} {}".format, st.sampled_from(["t", "tdg", "p", "pdg", "v", "vdg", "h"]),
+              qubit_args),
+    st.permutations("012").map(lambda qs: "cnot {} {}".format(*qs)),
+    st.builds("init {} {}".format, qubit_args,
+              st.sampled_from(["zero", "plus", "y", "a", "open"])),
+    st.builds("measure {} {}".format, qubit_args, st.sampled_from(["z", "x", "open"])),
+)
+malformed_statements = st.one_of(
+    st.sampled_from(["qubits 0", "qubits 2", "qubits 99999999999999", "t -1", "t 3",
+                     "cnot 0", "cnot 1 1", "h x", "measure 0 up", "init 0 z"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+def _small_source(head: str, body: list[str], extra: str | None, at: int) -> str:
+    if extra is not None:
+        body = body[:at] + [extra] + body[at:]
+    return "\n".join([head, *body[:6]]) + "\n"
+
+
+# Up to 3 qubits and 6 statements. A third of the sources hold one malformed
+# statement and a third one Toffoli (slicing several takes seconds); some lack
+# the qubit declaration, declare too few qubits or more than MAX_QUBITS.
+small_sources = st.builds(
+    _small_source,
+    st.sampled_from(["qubits 3"] * 4 + ["qubits 1", "", "qubits 99999999999999"]),
+    st.lists(fuzz_statements, max_size=6),
+    st.one_of(st.none(), malformed_statements,
+              st.permutations("012").map(lambda qs: "toffoli {} {} {}".format(*qs))),
+    st.integers(0, 6))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["synth", "metrics", "slice"]), source=small_sources)
+def test_any_small_source_ends_in_an_exit_code(tmp_path, capsys, command, source):
+    path = tmp_path / "fuzz.tq"
+    path.write_text(source, encoding="utf-8")
+    rc, _, err = run_cli(capsys, command, str(path))
+    assert rc in (EXIT_OK, EXIT_PARSE, EXIT_SYNTH)
+    if rc == EXIT_PARSE:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_verify_missing_source_exit_code(tmp_path, capsys):

@@ -8,13 +8,15 @@ from scipy import stats
 
 from tqecsynth.circuit import InitBasis, parse_circuit
 from tqecsynth.decompose import decompose_gates
-from tqecsynth.geometry import Coord, Pin, PinRole, SegmentKind, generate_geometry
+from tqecsynth.geometry import (
+    Coord, LayoutParams, Pin, PinRole, SegmentKind, generate_geometry,
+)
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
 from tqecsynth.scheduling import (
-    Assignment, BoxDim, BoxStatus, DistillationExhausted,
-    PinPairReq, Region, ScheduleKind, SchedulingError, connect_pins,
-    default_box_dims, ghost_pairs, homogeneous_schedule, route_pins,
+    Assignment, BoxDim, BoxStatus, DistillationExhausted, FillConfig,
+    PinPairReq, Region, SchedulingError, box_layout, connect_pins,
+    default_box_dims, homogeneous_schedule, place_boxes, route_pins,
     schedule_boxes, simulate_failures, spare_count, validate_dims,
 )
 
@@ -39,7 +41,6 @@ def test_t_gate_schedule_one_a_one_y():
     sched = schedule_boxes(injection_pairs("qubits 1\nt 0\n"), DIMS)
     states = sorted(b.state.value for b in sched.boxes)
     assert states == ["a", "y"]
-    assert sched.kind is ScheduleKind.HETEROGENEOUS
 
 
 def test_hadamard_schedule_three_y():
@@ -100,7 +101,6 @@ def test_dims_invariant_a_wider_than_y():
 def test_homogeneous_empty():
     sched = homogeneous_schedule(0, InitBasis.Y, 1, DIMS)
     assert sched.boxes == []
-    assert sched.kind is ScheduleKind.HOMOGENEOUS_Y
 
 
 def test_homogeneous_row_of_four():
@@ -122,9 +122,48 @@ def test_homogeneous_repeat_builds_array():
     assert [b.origin.j for b in first.boxes] == [b.origin.j for b in second.boxes]
 
 
-def test_ghost_pairs_carry_no_pins():
-    for g in ghost_pairs(3, InitBasis.Y, 1, DIMS):
-        assert g.ghost and g.pins is None
+def test_place_boxes_initial_schedule_then_flank_rows():
+    spares = {InitBasis.Y: 5, InitBasis.A: 3}
+    layout = box_layout(LayoutParams(), spares, DIMS)
+    # t_in fits the tallest (A) box; j_base clears three Y boxes a pitch apart
+    assert (layout.t_in, layout.j_base) == (2 * 12 + 1, 1 + 3 * 8)
+    pairs = [real_pair(InitBasis.Y, layout.row_j(0), layout.t_in),
+             real_pair(InitBasis.A, layout.row_j(1), layout.t_in)]
+    initial, *rows = place_boxes(pairs, spares, DIMS, layout, FillConfig())
+    assert [(b.state, b.spare) for b in initial.boxes] == [
+        (InitBasis.Y, False), (InitBasis.A, False)]
+    assert [(r.boxes[0].state, len(r.boxes)) for r in rows] == [
+        (InitBasis.Y, 3), (InitBasis.Y, 2), (InitBasis.A, 2), (InitBasis.A, 1)]
+    for row in rows:
+        assert all(b.spare and b.state is row.boxes[0].state for b in row.boxes)
+    assert all(b.face_t == layout.t_in - 2 for s in [initial, *rows] for b in s.boxes)
+    y_boxes = [b for r in rows[:2] for b in r.boxes]
+    a_boxes = [b for r in rows[2:] for b in r.boxes]
+    assert min(b.origin.j for b in y_boxes) == 1
+    assert max(b.extent("j")[1] for b in y_boxes) < layout.j_base
+    assert min(b.origin.j for b in a_boxes) == max(b.extent("j")[1] for b in initial.boxes) + 2
+
+
+def test_box_layout_without_injections_keeps_layout():
+    assert box_layout(LayoutParams(), {}, DIMS) == LayoutParams()
+
+
+@pytest.mark.parametrize("state", [InitBasis.Y, InitBasis.A])
+@pytest.mark.parametrize("needed", [8, 14])
+def test_binomial_spares_exhaust_at_most_epsilon(needed, state):
+    rate, eps, runs = 0.8, 0.01, 4000
+    spares = {state: spare_count(needed, rate, eps)}
+    layout = box_layout(LayoutParams(), spares, DIMS)
+    pairs = [real_pair(state, layout.row_j(k), layout.t_in) for k in range(needed)]
+    boxes = [b for s in place_boxes(pairs, spares, DIMS, layout, FillConfig()) for b in s.boxes]
+    assert len(boxes) == needed + spares[state]
+    exhausted = 0
+    for seed in range(runs):
+        try:
+            simulate_failures({state: boxes}, rate, {state: pairs}, np.random.default_rng(seed))
+        except DistillationExhausted:
+            exhausted += 1
+    assert exhausted / runs <= eps + 3 * math.sqrt(eps * (1 - eps) / runs)
 
 
 def test_failures_rate_one_assigns_in_order():
@@ -209,10 +248,10 @@ def test_connect_pins_pairs_inner_to_inner():
 
 
 def test_connect_rejects_ghosts():
-    ghost = PinPairReq(InitBasis.Y, 1, ghost=True)
+    pinless = PinPairReq(InitBasis.Y, 1)
     box = schedule_boxes([real_pair(InitBasis.Y, 1)], DIMS).boxes[0]
-    with pytest.raises(SchedulingError):
-        connect_pins([Assignment(ghost, box)])
+    with pytest.raises(SchedulingError, match="without pins"):
+        connect_pins([Assignment(pinless, box)])
 
 
 def test_spare_count_trivial_and_derived():
