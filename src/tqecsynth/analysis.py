@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Iterator, TypeVar
 
 from .geometry import CapShape, Coord, Geometry
 from .spatial import RADIUS, SegmentIndex
+
+V = TypeVar("V")
 
 
 class AnalysisError(ValueError):
@@ -173,34 +176,24 @@ class Layer:
         return SiteBasis.X
 
 
-def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
-    """Slice a geometry into alternating primal (odd t) and dual (even t) layers.
+# Largest lattice the slicer accepts, checked before anything is allocated:
+# sites per layer, (2I + 1)(2J + 1) for I x J cells, and layers, 2T - 1 for
+# T cells along t. Every layer reaches the stream even when it marks no
+# site, so the layer count bounds the slice output.
+MAX_LAYER_SITES = 10**9
+MAX_LAYERS = 10**6
 
-    ``lattice_cells`` is the hosting lattice extent in unit cells and must
-    cover the geometry. Sites inside a defect cross-section measure Z,
-    injection vertices are marked injected, and configurable IO boundary
-    cells stay unmeasured.
 
-    Every mark is a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``:
-    segment cross-sections, then port caps, then each injection's pins and
-    its vertex. Each layer is built from the stamps that cross it, in that
-    order, so a later stamp overwrites an earlier one on shared sites.
-    """
-    ci, cj, ct = lattice_cells
-    if min(ci, cj, ct) < 1:
-        raise AnalysisError("lattice extent must be positive")
-    extent = (2 * ci, 2 * cj)
-    t_max = 2 * ct
-    segments = geometry.segments
-    if segments or geometry.pins or geometry.injections or geometry.boxes:
-        bbox = bounding_box(geometry)
-        if bbox.hi.i > extent[0] or bbox.hi.j > extent[1] or bbox.hi.t > t_max \
-                or min(bbox.lo.as_list()) < 0:
-            raise AnalysisError("lattice extent smaller than the geometry bounding box")
+def layer_kind(t: int) -> LayerKind:
+    """Odd t slices primal cells, even t dual ones."""
+    return LayerKind.PRIMAL if t % 2 else LayerKind.DUAL
 
+
+def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, SiteBasis]]:
+    """Every mark as a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``."""
     Z = SiteBasis.Z
     stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = []
-    for seg in segments:
+    for seg in geometry.segments:
         (i_lo, i_hi), (j_lo, j_hi), (t_lo, t_hi) = (seg.interval(ax) for ax in "ijt")
         stamps.append((t_lo - 1, t_hi + 1, i_lo - 1, i_hi + 1, j_lo - 1, j_hi + 1, Z))
     for port in geometry.ioports:
@@ -225,27 +218,73 @@ def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> lis
             stamps.append((t - 1, t + 1, i - 1, i + 1, j - 1, j + 1, Z))
         v = inj.vertex
         stamps.append((v.t, v.t, v.i, v.i, v.j, v.j, SiteBasis.INJECTED))
+    return stamps
 
-    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order;
-    # each stamp's clipped rectangle is listed once and shared by its layers.
+
+def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
+                cell: Callable[[int, int, SiteBasis], V]) -> Iterator[Iterator[V]]:
+    """The marked sites of every layer, t = 1 .. 2T - 1, as ``cell(i, j, basis)`` values.
+
+    ``lattice_cells`` is the hosting lattice extent (I, J, T) in unit
+    cells; it must cover the geometry and stay within ``MAX_LAYER_SITES``
+    and ``MAX_LAYERS``. Both checks and the stamp set-up run before this
+    returns, so a caller can fail before it writes anything.
+
+    Sites inside a defect cross-section measure Z, injection vertices are
+    marked injected, and configurable IO boundary cells stay unmeasured.
+    Every mark is a stamp: segment cross-sections, then port caps, then
+    each injection's pins and its vertex. Each stamp's ``{site: value}``
+    fragment is computed once over its clipped rectangle and shared by
+    every layer it crosses. A layer overlays its stamps' fragments in stamp
+    order, so a later stamp overwrites an earlier one on shared sites, and
+    yields the values in (i, j) order. Layers are built one at a time as
+    the returned generator is consumed.
+    """
+    ci, cj, ct = lattice_cells
+    if min(ci, cj, ct) < 1:
+        raise AnalysisError("lattice extent must be positive")
+    extent = (2 * ci, 2 * cj)
+    t_max = 2 * ct
+    if (extent[0] + 1) * (extent[1] + 1) > MAX_LAYER_SITES or t_max - 1 > MAX_LAYERS:
+        raise AnalysisError(
+            f"lattice of {ci} x {cj} x {ct} cells is too large: at most {MAX_LAYER_SITES} "
+            f"sites per layer and {MAX_LAYERS} layers")
+    if geometry.segments or geometry.pins or geometry.injections or geometry.boxes:
+        bbox = bounding_box(geometry)
+        if bbox.hi.i > extent[0] or bbox.hi.j > extent[1] or bbox.hi.t > t_max \
+                or min(bbox.lo.as_list()) < 0:
+            raise AnalysisError("lattice extent smaller than the geometry bounding box")
+
+    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order.
     width = extent[1] + 1
-    site: dict[int, tuple[int, int]] = {}
-    buckets: list[list[tuple[list[int], SiteBasis]]] = [[] for _ in range(t_max)]
-    for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in stamps:
-        keys = [i * width + j for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1)
-                for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1)]
-        site.update((k, divmod(k, width)) for k in keys)
+    buckets: list[list[dict[int, V]]] = [[] for _ in range(t_max)]
+    for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in _stamps(geometry):
+        fragment = {i * width + j: cell(i, j, basis)
+                    for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1)
+                    for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1)}
         for t in range(max(t_lo, 1), min(t_hi, t_max - 1) + 1):
-            buckets[t].append((keys, basis))
+            buckets[t].append(fragment)
+    return _overlay(buckets[1:])
 
-    layers: list[Layer] = []
-    for t in range(1, t_max):
-        marks: dict[int, SiteBasis] = {}
-        for keys, basis in buckets[t]:
-            marks.update(dict.fromkeys(keys, basis))
-        marked = tuple([(site[k], marks[k]) for k in sorted(marks)])
-        layers.append(Layer(t, LayerKind.PRIMAL if t % 2 else LayerKind.DUAL, extent, marked))
-    return layers
+
+def _overlay(buckets: list[list[dict[int, V]]]) -> Iterator[Iterator[V]]:
+    for fragments in buckets:
+        marks: dict[int, V] = {}
+        for fragment in fragments:
+            marks.update(fragment)
+        yield map(marks.__getitem__, sorted(marks))
+
+
+def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
+    """Slice a geometry into alternating primal (odd t) and dual (even t) layers.
+
+    The marks of each layer are ``layer_marks``' stamps, as
+    ``((i, j), basis)`` pairs in (i, j) order.
+    """
+    extent = (2 * lattice_cells[0], 2 * lattice_cells[1])
+    marks = layer_marks(geometry, lattice_cells, lambda i, j, basis: ((i, j), basis))
+    return [Layer(t, layer_kind(t), extent, tuple(marked))
+            for t, marked in enumerate(marks, 1)]
 
 
 class Op(Enum):
@@ -261,26 +300,32 @@ class Instruction:
 
 
 def execution_schedule(layers: list[Layer]) -> list[Instruction]:
+    """``hardware_loop`` over ``layers``, after checking their primal/dual alternation."""
+    for idx, layer in enumerate(layers):
+        want = LayerKind.PRIMAL if idx % 2 == 0 else LayerKind.DUAL
+        if layer.kind is not want:
+            raise AnalysisError(f"layer {idx} must be {want.value}")
+    return hardware_loop(len(layers))
+
+
+def hardware_loop(layer_count: int) -> list[Instruction]:
     """Unrolled hardware loop: init/entangle/measure over alternating layers.
 
+    Layer 0 is primal and the kinds alternate, so a loop needs an odd count.
     The stream follows the gradual-construction loop: bring up the first
     primal/dual pair, then repeatedly measure the primal layer, bring up
     the next one against the previous dual layer, measure that dual layer,
     and bring up the next dual layer, until the final primal measurement.
     """
-    if not layers:
+    if layer_count < 1:
         raise AnalysisError("no layers to schedule")
-    for idx, layer in enumerate(layers):
-        want = LayerKind.PRIMAL if idx % 2 == 0 else LayerKind.DUAL
-        if layer.kind is not want:
-            raise AnalysisError(f"layer {idx} must be {want.value}")
-    if len(layers) % 2 == 0:
+    if layer_count % 2 == 0:
         raise AnalysisError("layer sequence must start and end with primal layers")
 
-    if len(layers) == 1:
+    if layer_count == 1:
         return [Instruction(Op.INIT, (0,)), Instruction(Op.MEASURE, (0,))]
 
-    n = len(layers) // 2  # dual layer count
+    n = layer_count // 2  # dual layer count
     p = lambda k: 2 * k
     d = lambda k: 2 * k + 1
     stream = [

@@ -8,20 +8,23 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
-from .analysis import AnalysisError, execution_schedule, lattice_cells_for, slice_layers
+from .analysis import (
+    AnalysisError, SiteBasis, hardware_loop, lattice_cells_for, layer_kind, layer_marks,
+)
 from .circuit import (
     Gate, GateKind, InitBasis, ParseError, circuit as make_circuit, parse_circuit,
     validate_circuit,
 )
 from .decompose import decompose_gates
 from .document import FORMATS, build_document, canonical_json, export
+from .geometry import Geometry
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, run_pipeline
 from .scheduling import BoxDim, DistillationExhausted, SchedulingError, default_box_dims
@@ -215,26 +218,44 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def slice_lines(geometry: Geometry, cells: tuple[int, int, int]) -> Iterator[bytes]:
+    """The slice stream of ``geometry`` on a lattice of ``cells``, one JSON line per instruction.
+
+    The lattice is checked, and the stamps encoded, before this returns.
+    Each line holds the bytes ``json.dumps`` gives with sorted keys and
+    compact separators. Every marked site is encoded once per stamp, and
+    each layer once, from the encoded sites that ``layer_marks`` overlays.
+    """
+    names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
+    marks = layer_marks(geometry, cells,
+                        lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]))
+    head = b'{"default_basis":"x","extent":[%d,%d],' % (2 * cells[0], 2 * cells[1])
+    layers = (head + b'"index":%d,"kind":"%s","marked":[%s],"t":%d}' % (
+                  t - 1, layer_kind(t).value.encode("ascii"), b",".join(marked), t)
+              for t, marked in enumerate(marks, 1))
+    return _instruction_lines(layers, 2 * cells[2] - 1)
+
+
+def _instruction_lines(layers: Iterator[bytes], count: int) -> Iterator[bytes]:
+    # Instructions first name the layers in index order, and each one names
+    # only the layers around its step, so a window of the three latest
+    # layers serves every instruction and each layer is built once.
+    window: dict[int, bytes] = {}
+    for ins in hardware_loop(count):
+        for idx in ins.layers:
+            if idx not in window:
+                window[idx] = next(layers)
+                window.pop(idx - 3, None)
+        yield (b'{"layers":[' + b",".join(map(window.__getitem__, ins.layers))
+               + b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n')
+
+
 def cmd_slice(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     cells = tuple(args.cells) if args.cells else lattice_cells_for(result.geometry)
-    layers = slice_layers(result.geometry, cells)
-
-    # An instruction names the layers around its step only; three cached
-    # encodings cover every reuse, so each layer is encoded exactly once.
-    @functools.lru_cache(maxsize=3)
-    def encoded(idx: int) -> bytes:
-        layer = layers[idx]
-        obj = {"index": idx, "kind": layer.kind.value, "t": layer.t,
-               "extent": list(layer.extent), "default_basis": "x",
-               "marked": [[i, j, basis.value] for (i, j), basis in layer.marked]}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
-
+    lines = slice_lines(result.geometry, cells)
     with _output(args.out) as fh:
-        for ins in execution_schedule(layers):
-            # the bytes json.dumps gives {"layers": [...], "op": ...} with sorted keys
-            fh.write(b'{"layers":[' + b",".join(map(encoded, ins.layers))
-                     + b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n')
+        fh.writelines(lines)
     return EXIT_OK
 
 

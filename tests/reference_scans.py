@@ -2,19 +2,22 @@
 
 These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``geometry.segment_overlaps``, the per-layer rescan version of
-``analysis.slice_layers``, and the replay version of ``sim.run_branches``
+``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
+stream, and the replay version of ``sim.run_branches``
 (every outcome string run from scratch); the tests compare the indexed and
 tree-walking versions with them.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from math import sqrt
 
 import numpy as np
 
 from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Layer, LayerKind, SiteBasis, bounding_box,
+    execution_schedule,
 )
 from tqecsynth.circuit import GateKind, MeasBasis
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
@@ -179,6 +182,22 @@ def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> lis
                 marks[(inj.vertex.i, inj.vertex.j)] = SiteBasis.INJECTED
         layers.append(Layer(t, kind, extent, tuple(sorted(marks.items()))))
     return layers
+
+
+def slice_stream(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> bytes:
+    """The ``tqecsynth slice`` JSONL: every instruction and its layers through ``json.dumps``."""
+    layers = slice_layers(geometry, lattice_cells)
+
+    def layer_obj(idx: int) -> dict:
+        layer = layers[idx]
+        return {"index": idx, "kind": layer.kind.value, "t": layer.t,
+                "extent": list(layer.extent), "default_basis": "x",
+                "marked": [[i, j, basis.value] for (i, j), basis in layer.marked]}
+
+    return b"".join(
+        json.dumps({"layers": [layer_obj(idx) for idx in ins.layers], "op": ins.op.value},
+                   sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+        for ins in execution_schedule(layers))
 
 
 class InfeasibleBranch(RuntimeError):

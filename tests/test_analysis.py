@@ -1,8 +1,9 @@
 import pytest
 
+import tqecsynth.analysis as analysis
 from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Layer, LayerKind, Op, SiteBasis,
-    bounding_box, code_distance, execution_schedule, lattice_cells_for,
+    bounding_box, code_distance, execution_schedule, hardware_loop, lattice_cells_for,
     min_code_distance, slice_layers, volume_units,
 )
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
@@ -247,6 +248,16 @@ def test_extent_must_cover_geometry():
         slice_layers(geo, (2, 2, 3))
 
 
+def test_lattice_size_bounds(monkeypatch):
+    monkeypatch.setattr(analysis, "MAX_LAYERS", 5)
+    monkeypatch.setattr(analysis, "MAX_LAYER_SITES", 25)
+    geo = bare_geometry([])
+    assert len(slice_layers(geo, (2, 2, 3))) == 5            # 5 x 5 sites, 5 layers
+    for cells in ((2, 2, 4), (2, 3, 1), (3, 2, 1)):          # 7 layers; 35 sites
+        with pytest.raises(AnalysisError, match="too large"):
+            slice_layers(geo, cells)
+
+
 def test_injection_vertex_marked():
     conv = to_icm(circuit(1, [Gate(GateKind.P, (0,))]))
     geo = generate_geometry(to_matrix(conv.circuit))
@@ -309,6 +320,21 @@ def test_execution_five_layers_structure():
     order = [(i.op, i.layers) for i in stream]
     assert order.index((Op.MEASURE, (0,))) < order.index((Op.INIT, (2,)))
     assert order.index((Op.MEASURE, (2,))) < order.index((Op.INIT, (4,)))
+
+
+@pytest.mark.parametrize("count", [1, 3, 5, 7])
+def test_execution_schedule_is_the_count_loop(count):
+    layers = [L(t, LayerKind.PRIMAL if t % 2 else LayerKind.DUAL) for t in range(1, count + 1)]
+    assert execution_schedule(layers) == hardware_loop(count)
+
+
+def test_hardware_loop_rejects_empty_and_even_counts():
+    for count in (0, -1):
+        with pytest.raises(AnalysisError, match="no layers"):
+            hardware_loop(count)
+    for count in (2, 8):
+        with pytest.raises(AnalysisError, match="start and end with primal"):
+            hardware_loop(count)
 
 
 def test_execution_rejects_bad_alternation():

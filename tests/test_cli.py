@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tqecsynth.analysis import layer_marks
 from tqecsynth.circuit import MAX_QUBITS
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTH, EXIT_VERIFY, main
 
@@ -269,21 +270,22 @@ malformed_statements = st.one_of(
 )
 
 
-def _small_source(head: str, body: list[str], extra: str | None, at: int) -> str:
-    if extra is not None:
-        body = body[:at] + [extra] + body[at:]
-    return "\n".join([head, *body[:6]]) + "\n"
+def _small_source(head: str, body: list[str], extra: list[str], at: int) -> str:
+    body = body[:6 - len(extra)]
+    return "\n".join([head, *body[:at], *extra, *body[at:]]) + "\n"
 
 
 # Up to 3 qubits and 6 statements. A third of the sources hold one malformed
-# statement and a third one Toffoli (slicing several takes seconds); some lack
-# the qubit declaration, declare too few qubits or more than MAX_QUBITS.
+# statement and a third one to three Toffolis (slicing three takes about a
+# second); some lack the qubit declaration, declare too few qubits or more
+# than MAX_QUBITS.
+toffolis = st.permutations("012").map(lambda qs: "toffoli {} {} {}".format(*qs))
 small_sources = st.builds(
     _small_source,
     st.sampled_from(["qubits 3"] * 4 + ["qubits 1", "", "qubits 99999999999999"]),
     st.lists(fuzz_statements, max_size=6),
-    st.one_of(st.none(), malformed_statements,
-              st.permutations("012").map(lambda qs: "toffoli {} {} {}".format(*qs))),
+    st.one_of(st.just([]), malformed_statements.map(lambda s: [s]),
+              st.lists(toffolis, min_size=1, max_size=3)),
     st.integers(0, 6))
 
 
@@ -415,20 +417,30 @@ def test_slice_lines_are_canonical_json(capsys):
 
 def test_slice_encodes_each_layer_once(capsys, monkeypatch):
     import tqecsynth.cli as cli
-    encoded = []
-    dumps = json.dumps
+    pulled = []
 
-    def counting_dumps(obj, **kw):
-        if isinstance(obj, dict) and "index" in obj:
-            encoded.append(obj["index"])
-        return dumps(obj, **kw)
+    def counting_marks(*args):
+        for marked in layer_marks(*args):
+            pulled.append(len(pulled))
+            yield marked
 
-    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+    monkeypatch.setattr(cli, "layer_marks", counting_marks)
     rc, out, _ = run_cli(capsys, "slice", str(CIRCUITS / "p_gate.tq"))
     assert rc == EXIT_OK
     named = {layer["index"] for line in out.splitlines()
              for layer in json.loads(line)["layers"]}
-    assert sorted(encoded) == sorted(named) == list(range(len(named)))
+    assert pulled == sorted(named) == list(range(len(named)))
+
+
+@pytest.mark.parametrize("cells", [("50", "400", "99999999"), ("1", "1", "99999999"),
+                                   ("99999999", "99999999", "40")])
+def test_slice_huge_lattice_exit_code(tmp_path, capsys, cells):
+    out = tmp_path / "layers.jsonl"
+    rc, stdout, err = run_cli(capsys, "slice", str(CIRCUITS / "t_gate.tq"),
+                              "--cells", *cells, "--out", str(out))
+    assert rc == EXIT_PARSE
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: lattice of") and err.count("\n") == 1
 
 
 json_values = st.recursive(

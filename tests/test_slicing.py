@@ -1,10 +1,12 @@
-"""The stamp-bucketed slicer against the per-layer reference rescan."""
+"""The stamp-overlay slicer and its byte stream against the per-layer reference rescan."""
+import json
 from pathlib import Path
 
 import pytest
 
 import reference_scans as ref
 from tqecsynth.analysis import SiteBasis, lattice_cells_for, slice_layers
+from tqecsynth.cli import EXIT_OK, main, slice_lines
 from tqecsynth.circuit import InitBasis
 from tqecsynth.geometry import (
     CapShape, Coord, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole,
@@ -12,7 +14,8 @@ from tqecsynth.geometry import (
 )
 from tqecsynth.pipeline import PipelineConfig, run_pipeline
 
-CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+CIRCUIT_DIR = Path(__file__).parent.parent / "circuits"
+CIRCUITS = sorted(CIRCUIT_DIR.glob("*.tq"))
 P = SegmentKind.PRIMAL
 
 
@@ -49,6 +52,29 @@ def test_slice_layers_equals_reference_on_circuits(path, rate, seed):
     assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
 
 
+def cli_slice(tmp_path, source: Path, *flags: str) -> bytes:
+    out = tmp_path / "layers.jsonl"
+    assert main(["slice", str(source), *flags, "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("rate,seed", [(1.0, 0), (0.8, 53)])
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_slice_stream_equals_reference_on_circuits(tmp_path, path, rate, seed):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
+    got = cli_slice(tmp_path, path, "--success-rate", str(rate), "--seed", str(seed))
+    assert got == ref.slice_stream(geo, lattice_cells_for(geo))
+
+
+def test_slice_stream_equals_reference_on_a_larger_lattice(tmp_path):
+    path = CIRCUIT_DIR / "p_gate.tq"
+    geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
+    ci, cj, ct = lattice_cells_for(geo)
+    cells = (ci + 3, cj + 1, ct + 2)
+    got = cli_slice(tmp_path, path, "--cells", *map(str, cells))
+    assert got == ref.slice_stream(geo, cells)
+
+
 HAND_BUILT = {
     # a configurable port's IO caps land on a strand's Z cross-section
     "io-over-z": geometry([strand(3, 3, 1, 9)], ports=[port(CapShape.CONFIG, 3, 7, 3, 5)]),
@@ -79,6 +105,21 @@ def test_slice_layers_equals_reference_on_overlapping_stamps(case):
     got = slice_layers(geo, cells)
     assert got == ref.slice_layers(geo, cells)
     assert any(layer.marked for layer in got)
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_slice_stream_equals_reference_on_overlapping_stamps(case):
+    geo = HAND_BUILT[case]
+    assert b"".join(slice_lines(geo, (6, 6, 6))) == ref.slice_stream(geo, (6, 6, 6))
+
+
+def test_one_layer_stream_is_init_and_measure():
+    # pins at t = 1 and the vertex at t = 2 fit a lattice one cell deep
+    geo = geometry(injections=[injection((4, 3, 2), (3, 3, 1), (5, 3, 1))])
+    got = b"".join(slice_lines(geo, (3, 3, 1)))
+    assert got == ref.slice_stream(geo, (3, 3, 1))
+    assert [json.loads(line)["op"] for line in got.splitlines()] == ["init", "measure"]
+    assert b'"z"' in got
 
 
 def test_later_stamps_win_on_shared_sites():
