@@ -2,10 +2,20 @@
 
 Little-endian by row index: row r is tensor axis r. Capped at 12 qubits;
 teleportation blocks are verified per gate instance, so the cap is never a
-constraint in practice. An ICM conversion is walked depth first: the state
-forks at each measurement into every feasible outcome, so branches share
-their common prefix, or follows one seeded draw when there are too many
-branches, which keeps every check deterministic.
+constraint in practice.
+
+``branch_outputs`` checks every outcome branch of an ICM conversion at once
+by deferring its measurements: a measured row is never touched again, so
+its tensor axis is left in place and indexes that row's outcome. One pass
+over the conversion on the single (2,)*n tensor then holds every branch,
+with the Pauli frame and each T block's adaptive bases carried as bit arrays
+over the measured axes. ``check_equivalence`` is built on it and is always
+exhaustive.
+
+``run_branches`` is the per-branch inspection API: it walks the outcome tree
+depth first, forking the state at each measurement so branches share their
+common prefix, or follows one seeded draw per measurement when there are
+more than ``EXHAUSTIVE_BRANCH_CAP`` branches, which keeps it deterministic.
 """
 from __future__ import annotations
 
@@ -16,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit, GateKind, InitBasis, MeasBasis
 from .icm import (
-    DAGGERED, P_KINDS, V_KINDS, IcmConversion, PauliFrame, TemplateInstance, select_pattern,
+    DAGGERED, P_KINDS, V_KINDS, IcmConversion, PauliFrame, select_pattern,
 )
 
 QUBIT_BUDGET = 12
@@ -227,22 +237,25 @@ def _steps(conv: IcmConversion) -> list[tuple]:
     return steps
 
 
-def _byproduct(inst: TemplateInstance, eff: list[int]) -> tuple[int, int]:
+def _byproduct(kind: GateKind, eff):
     """X and Z flips a finished block leaves on its output row.
 
-    ``eff`` holds the block's effective outcomes in measurement order. Frame
-    pendings have already been conjugated through the block's CNOTs, so the
-    rules work on effective outcomes only.
+    ``eff`` holds the block's effective outcomes in measurement order, as
+    bits or as uint8 arrays of bits. Frame pendings have already been
+    conjugated through the block's CNOTs, so the rules work on effective
+    outcomes only.
     """
-    if inst.kind in P_KINDS:
+    if kind in P_KINDS:
         return eff[0], eff[0]
-    if inst.kind in V_KINDS:
+    if kind in V_KINDS:
         return 1 ^ eff[0], eff[0]
-    if eff[0]:
-        # correction path: the wire routes through the |Y> row, whose
-        # teleport supplies the pending P and leaves a Pauli-Y byproduct
-        return 1 ^ eff[1] ^ eff[4], 1 ^ eff[1] ^ eff[2] ^ eff[3]
-    return eff[2] ^ eff[3], eff[1] ^ eff[4]
+    # Outcome 1 on the wire takes the correction path: the wire routes
+    # through the |Y> row, whose teleport supplies the pending P and leaves a
+    # Pauli-Y byproduct.
+    e0, e1, e2, e3, e4 = eff
+    fx = e0 & (1 ^ e1 ^ e4) | (1 ^ e0) & (e2 ^ e3)
+    fz = e0 & (1 ^ e1 ^ e2 ^ e3) | (1 ^ e0) & (e1 ^ e4)
+    return fx, fz
 
 
 def _walk(steps: list[tuple], at: int, state: np.ndarray, x: bytearray, z: bytearray,
@@ -292,7 +305,7 @@ def _walk(steps: list[tuple], at: int, state: np.ndarray, x: bytearray, z: bytea
         bx[row] = bz[row] = 0
         blog = [*log, MeasurementEvent(row, basis, m, eff)]
         if block_done:
-            fx, fz = _byproduct(inst, [e.effective for e in blog[-pos - 1:]])
+            fx, fz = _byproduct(inst.kind, [e.effective for e in blog[-pos - 1:]])
             bx[inst.output_row] ^= fx
             bz[inst.output_row] ^= fz
         yield from _walk(steps, at + 1, collapsed, bx, bz, blog, {**measured, row: m}, rng)
@@ -328,6 +341,83 @@ def run_branches(
             yield from _walk(steps, 0, state, bytearray(n), bytearray(n), [], {}, rng)
 
 
+def _axis_bits(n: int, row: int) -> np.ndarray:
+    """The bit that axis ``row`` indexes, shaped to broadcast over (2,)*n."""
+    return np.arange(2, dtype=np.uint8).reshape((1,) * row + (2,) + (1,) * (n - row - 1))
+
+
+def _output_rows(conv: IcmConversion) -> list[int]:
+    return [r for _, r in conv.qubit_rows if conv.circuit.meas[r] is MeasBasis.OPEN]
+
+
+def _deferred(conv: IcmConversion, input_state: np.ndarray | None):
+    """Every outcome branch of ``conv`` in one pass: (feasible, outputs).
+
+    Both are indexed by a branch's raw outcomes read as a binary number, the
+    first measurement most significant, which is ``run_branches`` order.
+    ``outputs`` holds each branch's frame-corrected output amplitudes,
+    scaled by the square root of the branch's probability.
+    """
+    circ = conv.circuit
+    n = circ.qubit_count
+    if n > QUBIT_BUDGET:
+        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
+    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
+    no_flip = np.zeros((1,) * n, dtype=np.uint8)
+    x, z = [no_flip] * n, [no_flip] * n
+    weight = np.sum(np.abs(state) ** 2, keepdims=True)
+    feasible = np.ones(weight.shape, dtype=bool)
+    measured: list[int] = []
+    for step in _steps(conv):
+        if step[0] == "cnot":
+            _, c, t = step
+            state = apply_cnot(state, c, t)
+            x[t] = x[t] ^ x[c]
+            z[c] = z[c] ^ z[t]
+            continue
+        row, basis, inst, pos = step
+        if pos:
+            # a T block's later bases follow its wire's effective Z outcome
+            is_x = np.where(eff[0], *(select_pattern(inst, e)[row] is MeasBasis.X
+                                      for e in (1, 0)))
+        else:
+            eff = []
+            is_x = np.asarray(basis is MeasBasis.X)
+        if is_x.any():
+            state = np.where(is_x, apply_1q(state, H_MATRIX, row), state)
+        # The measured row is never touched again, so its axis is left in
+        # place and indexes the raw outcome of every branch at once.
+        eff.append(_axis_bits(n, row) ^ np.where(is_x, z[row], x[row]))
+        x[row] = z[row] = no_flip
+        measured.append(row)
+        free = tuple(r for r in range(n) if r not in measured)
+        branch_weight = np.sum(np.abs(state) ** 2, axis=free, keepdims=True)
+        feasible = feasible & (branch_weight >= _FEASIBLE_TOL * weight)
+        weight = branch_weight
+        if inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1:
+            fx, fz = _byproduct(inst.kind, eff)
+            x[inst.output_row] = x[inst.output_row] ^ fx
+            z[inst.output_row] = z[inst.output_row] ^ fz
+    rows = _output_rows(conv)
+    for r in rows:
+        state = np.where(z[r] & _axis_bits(n, r), -state, state)
+        state = np.where(x[r], np.flip(state, r), state)
+    order = measured + rows
+    outputs = np.transpose(state, order).reshape(2 ** len(measured), 2 ** len(rows))
+    return np.transpose(feasible, order).reshape(-1), outputs
+
+
+def branch_outputs(conv: IcmConversion, input_state: np.ndarray | None) -> np.ndarray:
+    """Normalised, frame-corrected output vector of every feasible branch.
+
+    Shape (feasible branches, 2**outputs), in ``run_branches`` order (depth
+    first, 0 first); output rows are in logical-qubit order.
+    """
+    feasible, outputs = _deferred(conv, input_state)
+    outputs = outputs[feasible]
+    return outputs / np.linalg.norm(outputs, axis=1, keepdims=True)
+
+
 def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random single-qubit states, tensored."""
     state = np.ones((), dtype=complex)
@@ -347,10 +437,10 @@ def _open_arity(target: Circuit | IcmConversion) -> tuple[int, int]:
     return ins, outs
 
 
-def _output_rows(target: Circuit | IcmConversion) -> list[int]:
-    if isinstance(target, Circuit):
-        return list(target.open_outputs())
-    return [r for _, r in target.qubit_rows if target.circuit.meas[r] is MeasBasis.OPEN]
+def _outputs(side: Circuit | IcmConversion, inp: np.ndarray | None) -> np.ndarray:
+    if isinstance(side, Circuit):
+        return simulate_plain(side, inp).reshape(1, -1)
+    return branch_outputs(side, inp)
 
 
 def check_equivalence(
@@ -362,9 +452,12 @@ def check_equivalence(
     """Maximum infidelity between two circuits over random product inputs.
 
     The reference side is simulated unitarily; an ICM side is expanded over
-    its exhaustive (or sampled) outcome branches with the Pauli frame
-    applied. Both sides must agree on open input/output arity.
+    all its feasible outcome branches with the Pauli frame applied, and
+    every pair of branches is scored. Both sides must agree on open
+    input/output arity.
     """
+    if trials < 1:
+        raise ValueError("trials must be a positive integer")
     arity_a, arity_b = _open_arity(a), _open_arity(b)
     if arity_a != arity_b:
         raise ValueError(f"open-arity mismatch: {arity_a} vs {arity_b}")
@@ -378,20 +471,7 @@ def check_equivalence(
     worst = 0.0
     for _ in range(trials):
         inp = random_product_state(n_in, rng) if n_in else None
-        outs = []
-        for side in (a, b):
-            rows = _output_rows(side)
-            if isinstance(side, Circuit):
-                state = simulate_plain(side, inp)
-                res = SimResult(state, PauliFrame.identity(), (), {})
-                outs.append([res.frame_corrected(rows)])
-            else:
-                outs.append([
-                    r.frame_corrected(rows)
-                    for r in run_branches(side, inp, trials_rng=rng)
-                ])
-        for va in outs[0]:
-            for vb in outs[1]:
-                overlap = abs(np.vdot(va.reshape(-1), vb.reshape(-1))) ** 2
-                worst = max(worst, 1.0 - float(overlap))
+        out_a, out_b = _outputs(a, inp), _outputs(b, inp)
+        overlap = np.abs(out_a.conj() @ out_b.T) ** 2
+        worst = max(worst, 1.0 - float(overlap.min()))
     return worst

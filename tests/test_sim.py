@@ -9,9 +9,10 @@ from tqecsynth.circuit import (
 )
 from tqecsynth.decompose import decompose_gates, toffoli_sequence
 from tqecsynth.icm import PauliFrame, to_icm
+from tqecsynth import sim
 from tqecsynth.sim import (
-    EXHAUSTIVE_BRANCH_CAP, H_MATRIX, TOFFOLI_MATRIX, MeasurementEvent,
-    check_equivalence, gate_matrix, init_vector, measurement_count,
+    EXHAUSTIVE_BRANCH_CAP, H_MATRIX, QUBIT_BUDGET, TOFFOLI_MATRIX, MeasurementEvent,
+    branch_outputs, check_equivalence, gate_matrix, init_vector, measurement_count,
     random_product_state, run_branches, to_unitary,
 )
 
@@ -129,6 +130,14 @@ def test_qubit_budget_enforced():
         check_equivalence(circuit(13), circuit(13), trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_equivalence_needs_a_trial(trials):
+    # zero trials would compare nothing and report a vacuous 0.0
+    circ = circuit(1, [Gate(GateKind.T, (0,))])
+    with pytest.raises(ValueError, match="trials"):
+        check_equivalence(circ, to_icm(circ), trials=trials)
+
+
 def test_frame_composition():
     a = PauliFrame(frozenset({1}), frozenset({2}))
     b = PauliFrame(frozenset({1, 3}), frozenset())
@@ -169,9 +178,75 @@ def test_two_t_blocks_through_cnot_exhaustive():
 @given(gate_circuits(max_qubits=2, max_gates=4))
 def test_random_circuits_icm_equivalent(circ):
     conv = to_icm(decompose_gates(circ))
-    if conv.circuit.qubit_count > 12 or 2 ** measurement_count(conv) > 1024:
+    if conv.circuit.qubit_count > 12:
         return
     assert check_equivalence(circ, conv, trials=2, seed=5) < TOL
+
+
+def test_equivalence_is_exhaustive_beyond_the_walk_cap():
+    # 12 rows and 11 measurements: 2**11 branches, every one scored
+    source = "qubits 1\nt 0\ntdg 0\np 0\n"
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    assert conv.circuit.qubit_count == 12
+    assert 2 ** measurement_count(conv) > EXHAUSTIVE_BRANCH_CAP
+    assert check_equivalence(circ, conv, trials=2, seed=5) < TOL
+    swapped = to_icm(decompose_gates(parse_circuit(source.replace("\nt ", "\ntdg "))))
+    assert check_equivalence(circ, swapped, trials=1, seed=5) > 1e-3
+
+
+def assert_branch_outputs_match_walk(conv, inp):
+    """``branch_outputs`` gives the walk's branches, in order, as unit vectors."""
+    with pytest.MonkeyPatch.context() as mp:
+        # lift the walk's cap so that it enumerates every branch too
+        mp.setattr(sim, "EXHAUSTIVE_BRANCH_CAP", 2 ** QUBIT_BUDGET)
+        walk = list(run_branches(conv, inp))
+    got = branch_outputs(conv, inp)
+    assert got.shape[0] == len(walk)
+    # raw outcomes read as a binary number, first measurement most significant
+    order = [sum(e.raw << (len(r.log) - 1 - i) for i, e in enumerate(r.log)) for r in walk]
+    feasible, _ = sim._deferred(conv, inp)
+    assert order == np.flatnonzero(feasible).tolist()
+    rows = sim._output_rows(conv)
+    want = np.array([r.frame_corrected(rows).reshape(-1) for r in walk])
+    # The walk renormalises by 1 - p at every fork, so its norms drift by up
+    # to about 1e-12; compare directions.
+    want /= np.linalg.norm(want, axis=1, keepdims=True)
+    assert np.allclose(np.linalg.norm(got, axis=1), 1, atol=1e-12)
+    overlap = np.abs(np.sum(want.conj() * got, axis=1)) ** 2
+    assert overlap.min() >= 1 - 1e-12
+    return got
+
+
+@settings(max_examples=20, deadline=None)
+@given(gate_circuits(max_qubits=2, max_gates=4))
+def test_branch_outputs_match_walk_on_random_circuits(circ):
+    conv = to_icm(decompose_gates(circ))
+    if conv.circuit.qubit_count > 12:
+        return
+    k = len(circ.open_inputs())
+    zero = np.zeros(2 ** k, dtype=complex)
+    zero[0] = 1
+    for inp in (zero, random_product_state(k, np.random.default_rng(5))):
+        assert_branch_outputs_match_walk(conv, inp)
+
+
+def test_branch_outputs_match_walk_on_two_t_blocks():
+    circ = circuit(2, [Gate(GateKind.T, (0,)), cnot(0, 1), Gate(GateKind.TDG, (1,))])
+    conv = to_icm(circ)
+    inp = random_product_state(2, np.random.default_rng(21))
+    assert len(assert_branch_outputs_match_walk(conv, inp)) == EXHAUSTIVE_BRANCH_CAP
+
+
+@pytest.mark.parametrize("source,branches", [
+    ("qubits 1\nmeasure 0 x\nt 0\ntdg 0\n", 2 ** 11),
+    ("qubits 2\nmeasure 0 z\nmeasure 1 x\nt 0\ncnot 0 1\nvdg 1\n", 256),
+])
+def test_branch_outputs_match_walk_with_measured_outputs(source, branches):
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    inp = random_product_state(circ.qubit_count, np.random.default_rng(4))
+    assert len(assert_branch_outputs_match_walk(conv, inp)) == branches
 
 
 def assert_walk_matches_replay(conv, inp, seed=0):
