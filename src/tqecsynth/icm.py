@@ -136,20 +136,10 @@ class TemplateInstance:
 
 @dataclass(frozen=True)
 class PauliFrame:
-    """Tracked X/Z byproduct flips per row; composition is a symmetric difference."""
+    """Tracked X/Z byproduct flips per row."""
 
     x_rows: frozenset[int] = frozenset()
     z_rows: frozenset[int] = frozenset()
-
-    @staticmethod
-    def identity() -> "PauliFrame":
-        return PauliFrame()
-
-    def compose(self, other: "PauliFrame") -> "PauliFrame":
-        return PauliFrame(self.x_rows ^ other.x_rows, self.z_rows ^ other.z_rows)
-
-    def is_identity(self) -> bool:
-        return not self.x_rows and not self.z_rows
 
 
 @dataclass(frozen=True)

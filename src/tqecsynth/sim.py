@@ -4,23 +4,21 @@ Little-endian by row index: row r is tensor axis r. Capped at 12 qubits;
 teleportation blocks are verified per gate instance, so the cap is never a
 constraint in practice.
 
-``branch_outputs`` checks every outcome branch of an ICM conversion at once
-by deferring its measurements: a measured row is never touched again, so
-its tensor axis is left in place and indexes that row's outcome. One pass
-over the conversion on the single (2,)*n tensor then holds every branch,
-with the Pauli frame and each T block's adaptive bases carried as bit arrays
-over the measured axes. ``check_equivalence`` is built on it and is always
+Every outcome branch of an ICM conversion is simulated at once by deferring
+its measurements: a measured row is never touched again, so its tensor axis
+is left in place and indexes that row's outcome. One pass over the
+conversion on the single (2,)*n tensor then holds every branch, with the
+Pauli frame and each T block's adaptive bases carried as bit arrays over the
+measured axes. ``branch_outputs`` and ``check_equivalence`` read every
+branch's corrected outputs from that pass; ``run_branches``, the per-branch
+inspection API, indexes one branch at a time out of it. All three are
 exhaustive.
-
-``run_branches`` is the per-branch inspection API: it walks the outcome tree
-depth first, forking the state at each measurement so branches share their
-common prefix, or follows one seeded draw per measurement when there are
-more than ``EXHAUSTIVE_BRANCH_CAP`` branches, which keeps it deterministic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from .icm import (
 )
 
 QUBIT_BUDGET = 12
-EXHAUSTIVE_BRANCH_CAP = 1024
 _FEASIBLE_TOL = 1e-12
 
 _SQRT2_INV = 1 / sqrt(2)
@@ -93,26 +90,15 @@ def apply_1q(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, 0, axis)
 
 
-def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
+def apply_cnot(state: np.ndarray, *qubits: int) -> np.ndarray:
+    """Flip the last of ``qubits`` where all the others are 1 (CNOT, Toffoli)."""
+    *controls, target = qubits
+    lo: list[object] = [slice(None)] * state.ndim
+    for c in controls:
+        lo[c] = 1
+    hi = list(lo)
+    lo[target], hi[target] = 0, 1
     out = state.copy()
-    idx10 = [slice(None)] * state.ndim
-    idx11 = [slice(None)] * state.ndim
-    idx10[control] = 1
-    idx11[control] = 1
-    idx10[target] = 0
-    idx11[target] = 1
-    out[tuple(idx10)], out[tuple(idx11)] = state[tuple(idx11)], state[tuple(idx10)]
-    return out
-
-
-def apply_toffoli(state: np.ndarray, c1: int, c2: int, target: int) -> np.ndarray:
-    out = state.copy()
-    lo = [slice(None)] * state.ndim
-    hi = [slice(None)] * state.ndim
-    lo[c1] = hi[c1] = 1
-    lo[c2] = hi[c2] = 1
-    lo[target] = 0
-    hi[target] = 1
     out[tuple(lo)], out[tuple(hi)] = state[tuple(hi)], state[tuple(lo)]
     return out
 
@@ -187,10 +173,8 @@ def simulate_plain(circ: Circuit, input_state: np.ndarray | None = None) -> np.n
         raise ValueError("plain simulation requires open outputs")
     state = assemble_state(circ.qubit_count, circ.inits, input_state)
     for g in circ.gates:
-        if g.kind is GateKind.CNOT:
-            state = apply_cnot(state, g.qubits[0], g.qubits[1])
-        elif g.kind is GateKind.TOFFOLI:
-            state = apply_toffoli(state, *g.qubits)
+        if g.kind in (GateKind.CNOT, GateKind.TOFFOLI):
+            state = apply_cnot(state, *g.qubits)
         elif g.kind is GateKind.H:
             state = apply_1q(state, H_MATRIX, g.qubits[0])
         else:
@@ -241,9 +225,9 @@ def _byproduct(kind: GateKind, eff):
     """X and Z flips a finished block leaves on its output row.
 
     ``eff`` holds the block's effective outcomes in measurement order, as
-    bits or as uint8 arrays of bits. Frame pendings have already been
-    conjugated through the block's CNOTs, so the rules work on effective
-    outcomes only.
+    uint8 arrays of bits over the measured axes. Frame pendings have already
+    been conjugated through the block's CNOTs, so the rules work on
+    effective outcomes only.
     """
     if kind in P_KINDS:
         return eff[0], eff[0]
@@ -258,87 +242,8 @@ def _byproduct(kind: GateKind, eff):
     return fx, fz
 
 
-def _walk(steps: list[tuple], at: int, state: np.ndarray, x: bytearray, z: bytearray,
-          log: list[MeasurementEvent], measured: dict[int, int],
-          rng: np.random.Generator | None):
-    """Yield the branches below step ``at``; ``x`` and ``z`` are this branch's own.
-
-    With ``rng`` None the state forks into every outcome of non-negligible
-    probability, 0 first; otherwise one outcome is drawn per measurement.
-    """
-    while at < len(steps) and steps[at][0] == "cnot":
-        _, c, t = steps[at]
-        state = apply_cnot(state, c, t)
-        x[t] ^= x[c]
-        z[c] ^= z[t]
-        at += 1
-    if at == len(steps):
-        live = [r for r in range(state.ndim) if r not in measured]
-        frame = PauliFrame(frozenset(r for r in live if x[r]),
-                           frozenset(r for r in live if z[r]))
-        yield SimResult(state, frame, tuple(log), measured)
-        return
-
-    row, basis, inst, pos = steps[at]
-    if pos:
-        # a T block's later bases follow its wire's effective Z outcome
-        basis = select_pattern(inst, log[-pos].effective)[row]
-    # X measurements rotate the outcome into the computational basis so the
-    # dead wire can be indexed out later.
-    if basis is MeasBasis.X:
-        state = apply_1q(state, H_MATRIX, row)
-    half = [(slice(None),) * row + (m,) for m in (0, 1)]
-    p_one = float(np.sum(np.abs(state[half[1]]) ** 2))
-    prob = (1.0 - p_one, p_one)
-    block_done = inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1
-    if rng is None:
-        outcomes = [m for m in (0, 1) if prob[m] >= _FEASIBLE_TOL]
-    else:
-        outcomes = [int(rng.random() < p_one)]
-    for m in outcomes:
-        collapsed = np.zeros_like(state)
-        collapsed[half[m]] = state[half[m]] / sqrt(prob[m])
-        # A pending X flips Z outcomes, a pending Z flips X outcomes; the
-        # effective outcome is the one the ideal (frame-free) circuit saw.
-        eff = m ^ (x[row] if basis is MeasBasis.Z else z[row])
-        bx, bz = bytearray(x), bytearray(z)
-        bx[row] = bz[row] = 0
-        blog = [*log, MeasurementEvent(row, basis, m, eff)]
-        if block_done:
-            fx, fz = _byproduct(inst.kind, [e.effective for e in blog[-pos - 1:]])
-            bx[inst.output_row] ^= fx
-            bz[inst.output_row] ^= fz
-        yield from _walk(steps, at + 1, collapsed, bx, bz, blog, {**measured, row: m}, rng)
-
-
 def measurement_count(conv: IcmConversion) -> int:
     return sum(1 for step in _steps(conv) if step[0] != "cnot")
-
-
-def run_branches(
-    conv: IcmConversion,
-    input_state: np.ndarray | None,
-    trials_rng: np.random.Generator | None = None,
-    sample_count: int = 64,
-):
-    """Yield SimResults over outcome branches.
-
-    Exhaustive when the branch count is at most EXHAUSTIVE_BRANCH_CAP,
-    otherwise ``sample_count`` seeded samples. Infeasible branches are
-    skipped.
-    """
-    circ = conv.circuit
-    n = circ.qubit_count
-    if n > QUBIT_BUDGET:
-        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
-    steps = _steps(conv)
-    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
-    if 2 ** measurement_count(conv) <= EXHAUSTIVE_BRANCH_CAP:
-        yield from _walk(steps, 0, state, bytearray(n), bytearray(n), [], {}, None)
-    else:
-        rng = trials_rng or np.random.default_rng(0)
-        for _ in range(sample_count):
-            yield from _walk(steps, 0, state, bytearray(n), bytearray(n), [], {}, rng)
 
 
 def _axis_bits(n: int, row: int) -> np.ndarray:
@@ -350,14 +255,31 @@ def _output_rows(conv: IcmConversion) -> list[int]:
     return [r for _, r in conv.qubit_rows if conv.circuit.meas[r] is MeasBasis.OPEN]
 
 
-def _deferred(conv: IcmConversion, input_state: np.ndarray | None):
-    """Every outcome branch of ``conv`` in one pass: (feasible, outputs).
+class _Branches(NamedTuple):
+    """Every outcome branch of a conversion at once.
 
-    Both are indexed by a branch's raw outcomes read as a binary number, the
-    first measurement most significant, which is ``run_branches`` order.
-    ``outputs`` holds each branch's frame-corrected output amplitudes,
-    scaled by the square root of the branch's probability.
+    Each measured axis of ``state`` (unnormalised, not frame-corrected)
+    indexes that row's raw outcome. ``events`` (a ``(row, is_x, effective)``
+    per measurement, in order), the final frame bits ``x``/``z`` per row and
+    ``feasible`` are arrays that broadcast over it.
     """
+
+    state: np.ndarray
+    feasible: np.ndarray
+    events: list[tuple[int, np.ndarray, np.ndarray]]
+    x: list[np.ndarray]
+    z: list[np.ndarray]
+
+    def by_branch(self, bits: np.ndarray) -> np.ndarray:
+        """``bits`` at every branch, indexed by the branch's raw outcomes read
+        as a binary number, the first measurement most significant."""
+        rows = [row for row, _, _ in self.events]
+        order = rows + [r for r in range(self.state.ndim) if r not in rows]
+        return np.transpose(np.broadcast_to(bits, self.feasible.shape), order).reshape(-1)
+
+
+def _deferred(conv: IcmConversion, input_state: np.ndarray | None) -> _Branches:
+    """Every outcome branch of ``conv`` in one pass over the (2,)*n tensor."""
     circ = conv.circuit
     n = circ.qubit_count
     if n > QUBIT_BUDGET:
@@ -367,6 +289,7 @@ def _deferred(conv: IcmConversion, input_state: np.ndarray | None):
     x, z = [no_flip] * n, [no_flip] * n
     weight = np.sum(np.abs(state) ** 2, keepdims=True)
     feasible = np.ones(weight.shape, dtype=bool)
+    events: list[tuple[int, np.ndarray, np.ndarray]] = []
     measured: list[int] = []
     for step in _steps(conv):
         if step[0] == "cnot":
@@ -386,8 +309,11 @@ def _deferred(conv: IcmConversion, input_state: np.ndarray | None):
         if is_x.any():
             state = np.where(is_x, apply_1q(state, H_MATRIX, row), state)
         # The measured row is never touched again, so its axis is left in
-        # place and indexes the raw outcome of every branch at once.
+        # place and indexes the raw outcome of every branch at once. A
+        # pending X flips Z outcomes, a pending Z flips X outcomes; the
+        # effective outcome is the one the ideal (frame-free) circuit saw.
         eff.append(_axis_bits(n, row) ^ np.where(is_x, z[row], x[row]))
+        events.append((row, is_x, eff[-1]))
         x[row] = z[row] = no_flip
         measured.append(row)
         free = tuple(r for r in range(n) if r not in measured)
@@ -398,13 +324,30 @@ def _deferred(conv: IcmConversion, input_state: np.ndarray | None):
             fx, fz = _byproduct(inst.kind, eff)
             x[inst.output_row] = x[inst.output_row] ^ fx
             z[inst.output_row] = z[inst.output_row] ^ fz
-    rows = _output_rows(conv)
-    for r in rows:
-        state = np.where(z[r] & _axis_bits(n, r), -state, state)
-        state = np.where(x[r], np.flip(state, r), state)
-    order = measured + rows
-    outputs = np.transpose(state, order).reshape(2 ** len(measured), 2 ** len(rows))
-    return np.transpose(feasible, order).reshape(-1), outputs
+    return _Branches(state, feasible, events, x, z)
+
+
+def run_branches(conv: IcmConversion, input_state: np.ndarray | None):
+    """Yield each feasible branch's SimResult, built on demand, in ``branch_outputs`` order."""
+    run = _deferred(conv, input_state)
+    rows = [row for row, _, _ in run.events]
+    is_x = [run.by_branch(bits) for _, bits, _ in run.events]
+    eff = [run.by_branch(bits) for _, _, bits in run.events]
+    x = [run.by_branch(bits) for bits in run.x]
+    z = [run.by_branch(bits) for bits in run.z]
+    for b in np.flatnonzero(run.by_branch(run.feasible)):
+        raw = [int(b >> (len(rows) - 1 - k)) & 1 for k in range(len(rows))]
+        cut: list[object] = [slice(None)] * run.state.ndim
+        for row, m in zip(rows, raw):
+            cut[row] = m
+        kept = run.state[tuple(cut)]
+        state = np.zeros_like(run.state)
+        state[tuple(cut)] = kept / np.linalg.norm(kept)
+        log = tuple(MeasurementEvent(row, MeasBasis.X if bx[b] else MeasBasis.Z, m, int(e[b]))
+                    for row, bx, m, e in zip(rows, is_x, raw, eff))
+        frame = PauliFrame(frozenset(r for r, f in enumerate(x) if f[b]),
+                           frozenset(r for r, f in enumerate(z) if f[b]))
+        yield SimResult(state, frame, log, dict(zip(rows, raw)))
 
 
 def branch_outputs(conv: IcmConversion, input_state: np.ndarray | None) -> np.ndarray:
@@ -413,8 +356,16 @@ def branch_outputs(conv: IcmConversion, input_state: np.ndarray | None) -> np.nd
     Shape (feasible branches, 2**outputs), in ``run_branches`` order (depth
     first, 0 first); output rows are in logical-qubit order.
     """
-    feasible, outputs = _deferred(conv, input_state)
-    outputs = outputs[feasible]
+    run = _deferred(conv, input_state)
+    state = run.state
+    n = state.ndim
+    rows = _output_rows(conv)
+    for r in rows:
+        state = np.where(run.z[r] & _axis_bits(n, r), -state, state)
+        state = np.where(run.x[r], np.flip(state, r), state)
+    order = [row for row, _, _ in run.events] + rows
+    outputs = np.transpose(state, order).reshape(-1, 2 ** len(rows))
+    outputs = outputs[np.transpose(run.feasible, order).reshape(-1)]
     return outputs / np.linalg.norm(outputs, axis=1, keepdims=True)
 
 
@@ -428,13 +379,13 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
-def _open_arity(target: Circuit | IcmConversion) -> tuple[int, int]:
-    if isinstance(target, Circuit):
-        return len(target.open_inputs()), len(target.open_outputs())
-    circ = target.circuit
-    ins = sum(1 for r, _ in target.qubit_rows if circ.inits[r] is InitBasis.OPEN)
-    outs = sum(1 for _, r in target.qubit_rows if circ.meas[r] is MeasBasis.OPEN)
-    return ins, outs
+def _logical_ends(side: Circuit | IcmConversion) -> tuple[list[InitBasis], list[MeasBasis]]:
+    """Each logical qubit's initialisation and final measurement basis."""
+    if isinstance(side, Circuit):
+        return list(side.inits), list(side.meas)
+    circ = side.circuit
+    return ([circ.inits[r] for r, _ in side.qubit_rows],
+            [circ.meas[r] for _, r in side.qubit_rows])
 
 
 def _outputs(side: Circuit | IcmConversion, inp: np.ndarray | None) -> np.ndarray:
@@ -454,14 +405,21 @@ def check_equivalence(
     The reference side is simulated unitarily; an ICM side is expanded over
     all its feasible outcome branches with the Pauli frame applied, and
     every pair of branches is scored. Both sides must agree on open
-    input/output arity.
+    input/output arity, and every logical output must be open: measured
+    outcomes are not compared.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    arity_a, arity_b = _open_arity(a), _open_arity(b)
-    if arity_a != arity_b:
-        raise ValueError(f"open-arity mismatch: {arity_a} vs {arity_b}")
-    n_in, _ = arity_a
+    arity = []
+    for inits, meas in map(_logical_ends, (a, b)):
+        measured = [q for q, basis in enumerate(meas) if basis is not MeasBasis.OPEN]
+        if measured:
+            raise ValueError(f"logical qubit {measured[0]} has a measured output; "
+                             "only open outputs can be compared")
+        arity.append((inits.count(InitBasis.OPEN), len(meas)))
+    if arity[0] != arity[1]:
+        raise ValueError(f"open-arity mismatch: {arity[0]} vs {arity[1]}")
+    n_in, _ = arity[0]
     size_a = a.qubit_count if isinstance(a, Circuit) else a.circuit.qubit_count
     size_b = b.qubit_count if isinstance(b, Circuit) else b.circuit.qubit_count
     if max(size_a, size_b) > QUBIT_BUDGET:

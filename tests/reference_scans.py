@@ -3,9 +3,9 @@
 These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``geometry.segment_overlaps``, the per-layer rescan version of
 ``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
-stream, and the replay version of ``sim.run_branches``
-(every outcome string run from scratch); the tests compare the indexed and
-tree-walking versions with them.
+stream, and the replay version of ``sim.run_branches`` (every outcome
+string run from scratch, one measurement collapsed at a time); the tests
+compare the indexed and one-tensor versions with them.
 """
 from __future__ import annotations
 
@@ -23,9 +23,13 @@ from tqecsynth.circuit import GateKind, MeasBasis
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
 from tqecsynth.icm import IcmConversion, PauliFrame, select_pattern
 from tqecsynth.sim import (
-    EXHAUSTIVE_BRANCH_CAP, H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult,
-    _conjugate_rows, apply_1q, apply_cnot, assemble_state,
+    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, apply_1q,
+    apply_cnot, assemble_state,
 )
+
+#: Most outcome strings ``run_branches`` replays; a test that needs more
+#: branches lifts it (at most ``2 ** QUBIT_BUDGET`` can exist).
+EXHAUSTIVE_BRANCH_CAP = 1024
 
 
 def segment_gap(a: Segment, b: Segment) -> int:
@@ -215,10 +219,6 @@ def _forced(bits: tuple[int, ...]):
     return next_bit
 
 
-def _sampled(rng: np.random.Generator):
-    return lambda p_one: int(rng.random() < p_one)
-
-
 def _measure(state, axis, basis, next_bit):
     if basis is MeasBasis.X:
         state = apply_1q(state, H_MATRIX, axis)
@@ -305,18 +305,16 @@ def measurement_count(conv: IcmConversion) -> int:
     return fixed + sum(5 if inst.selective else 1 for inst in conv.instances)
 
 
-def run_branches(conv: IcmConversion, input_state, trials_rng=None, sample_count: int = 64):
+def run_branches(conv: IcmConversion, input_state):
     """Every outcome string replayed from the start, infeasible ones skipped."""
     if conv.circuit.qubit_count > QUBIT_BUDGET:
         raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
     m = measurement_count(conv)
-    if 2 ** m <= EXHAUSTIVE_BRANCH_CAP:
-        for bits in itertools.product((0, 1), repeat=m):
-            try:
-                yield simulate_icm(conv, input_state, _forced(bits))
-            except InfeasibleBranch:
-                continue
-    else:
-        rng = trials_rng or np.random.default_rng(0)
-        for _ in range(sample_count):
-            yield simulate_icm(conv, input_state, _sampled(rng))
+    if 2 ** m > EXHAUSTIVE_BRANCH_CAP:
+        raise ValueError(f"{2 ** m} outcome strings exceed the replay cap "
+                         f"{EXHAUSTIVE_BRANCH_CAP}")
+    for bits in itertools.product((0, 1), repeat=m):
+        try:
+            yield simulate_icm(conv, input_state, _forced(bits))
+        except InfeasibleBranch:
+            continue

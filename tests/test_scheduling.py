@@ -14,7 +14,7 @@ from tqecsynth.geometry import (
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
 from tqecsynth.scheduling import (
-    Assignment, BoxDim, BoxStatus, DistillationExhausted, FillConfig,
+    Assignment, BoxDim, BoxInstance, BoxStatus, DistillationExhausted, FillConfig,
     PinPairReq, Region, SchedulingError, box_layout, connect_pins,
     default_box_dims, homogeneous_schedule, place_boxes, route_pins,
     schedule_boxes, simulate_failures, spare_count, validate_dims,
@@ -161,6 +161,25 @@ def test_binomial_spares_exhaust_at_most_epsilon(needed, state):
     for seed in range(runs):
         try:
             simulate_failures({state: boxes}, rate, {state: pairs}, np.random.default_rng(seed))
+        except DistillationExhausted:
+            exhausted += 1
+    assert exhausted / runs <= eps + 3 * math.sqrt(eps * (1 - eps) / runs)
+
+
+@pytest.mark.parametrize("needed,rate,eps", [(12, 0.8, 0.05), (30, 0.9, 0.01), (5, 0.5, 0.1)])
+def test_spare_count_exhaustion_rate_within_epsilon(needed, rate, eps):
+    # The policy's promise, checked on the failure draws themselves: with
+    # spare_count spares the queue runs dry in at most eps of the seeds, up to
+    # three binomial standard errors.
+    runs = 2000
+    pairs = [real_pair(InitBasis.A, 1 + 8 * k) for k in range(needed)]
+    boxes = [BoxInstance(DIMS[InitBasis.A], Coord(1, 1, 1), pairs[0].pins, spare=k >= needed)
+             for k in range(needed + spare_count(needed, rate, eps))]
+    exhausted = 0
+    for seed in range(runs):
+        try:
+            simulate_failures({InitBasis.A: boxes}, rate, {InitBasis.A: pairs},
+                              np.random.default_rng(seed))
         except DistillationExhausted:
             exhausted += 1
     assert exhausted / runs <= eps + 3 * math.sqrt(eps * (1 - eps) / runs)
