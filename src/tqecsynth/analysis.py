@@ -49,13 +49,13 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only. Both steps query one t-sweep index over the
-    segment boxes (``spatial.SegmentIndex``): first every pair less than a
-    cell apart, whose defects are merged, then every pair within
-    ``spatial.RADIUS`` lattice units, from which the closest pair in
-    different components is taken. If no such pair lies that close, the
-    radius widens until one is found or it covers the whole geometry, so
-    the result equals a scan over all segment pairs.
+    connected components only. One query of a t-sweep index over the
+    segment boxes (``spatial.SegmentIndex``) yields every pair within
+    ``spatial.RADIUS`` lattice units: the pairs less than a cell apart merge
+    their defects, and the closest of the others in different components
+    gives the separation. If no such pair lies that close, the radius
+    widens until one is found or it covers the whole geometry, so the
+    result equals a scan over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -72,20 +72,26 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
 
     index = SegmentIndex(defects)
     owner = index.owner
-    for a, b, _ in index.pairs_within(1):
-        parent[find(owner[a])] = find(owner[b])
+    # The defect pairs of each gap above one, flat: a, b, a, b, ...
+    near: list[list[int]] = [[] for _ in range(RADIUS + 1)]
+    for a, b, gap in index.pairs_within(RADIUS):
+        if gap <= 1:
+            parent[find(owner[a])] = find(owner[b])
+        elif owner[a] != owner[b]:
+            near[gap] += owner[a], owner[b]
 
     roots = {(d.kind, find(k)) for k, d in enumerate(defects)}
     if len(roots) == len({kind for kind, _ in roots}):
         return DistanceReport.from_params(d_f, None)   # one component per kind
-    root = [find(owner[k]) for k in range(len(owner))]
-    radius, span = RADIUS, index.span()
-    while True:
-        best = min((gap for a, b, gap in index.pairs_within(radius)
-                    if root[a] != root[b]), default=None)
-        if best is not None or radius >= span:
-            break
-        radius *= 4
+    best = next((gap for gap, ends in enumerate(near)
+                 if any(find(a) != find(b) for a, b in zip(ends[::2], ends[1::2]))), None)
+    if best is None:
+        root = [find(k) for k in owner]
+        radius, span = RADIUS, index.span()
+        while best is None and radius < span:
+            radius *= 4
+            best = min((gap for a, b, gap in index.pairs_within(radius)
+                        if root[a] != root[b]), default=None)
     return DistanceReport.from_params(d_f, None if best is None else best // 2)
 
 
@@ -222,7 +228,7 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
 
 
 def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
-                cell: Callable[[int, int, SiteBasis], V]) -> Iterator[Iterator[V]]:
+                cell: Callable[[int, int, SiteBasis], V]) -> Iterator[tuple[V, ...]]:
     """The marked sites of every layer, t = 1 .. 2T - 1, as ``cell(i, j, basis)`` values.
 
     ``lattice_cells`` is the hosting lattice extent (I, J, T) in unit
@@ -233,12 +239,19 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
     Sites inside a defect cross-section measure Z, injection vertices are
     marked injected, and configurable IO boundary cells stay unmeasured.
     Every mark is a stamp: segment cross-sections, then port caps, then
-    each injection's pins and its vertex. Each stamp's ``{site: value}``
-    fragment is computed once over its clipped rectangle and shared by
-    every layer it crosses. A layer overlays its stamps' fragments in stamp
-    order, so a later stamp overwrites an earlier one on shared sites, and
-    yields the values in (i, j) order. Layers are built one at a time as
-    the returned generator is consumed.
+    each injection's pins and its vertex. A sweep over one sorted event
+    list, two events per stamp, adds a stamp to the active set at its
+    clipped ``t_lo`` and drops it after its ``t_hi``. A layer overlays the
+    ``{site: value}`` fragments of its active stamps in stamp order, so a
+    later stamp overwrites an earlier one on shared sites, and yields the
+    values in (i, j) order as one tuple. ``cell`` runs once per distinct
+    (site, basis). A layer whose active set equals that of one of the last
+    two distinct layers before it (a run of equal layers counts once) is
+    the very same tuple as that layer, and only a new set is overlaid. An
+    injection vertex (one layer) or a cap or pin box (three layers) breaks
+    into a set and then restores it, and the restored set is still one of
+    those two, so a set rarely needs a second overlay. Layers are built one
+    at a time as the returned generator is consumed.
     """
     ci, cj, ct = lattice_cells
     if min(ci, cj, ct) < 1:
@@ -255,24 +268,61 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
                 or min(bbox.lo.as_list()) < 0:
             raise AnalysisError("lattice extent smaller than the geometry bounding box")
 
-    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order.
-    width = extent[1] + 1
-    buckets: list[list[dict[int, V]]] = [[] for _ in range(t_max)]
+    # Each stamp clipped to the lattice, with its events: (t, 1, k) adds
+    # stamp k at t and (t, 0, k) drops it there, one past its t_hi.
+    stamps: list[tuple[int, int, int, int, SiteBasis]] = []
+    events: list[tuple[int, int, int]] = []
     for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in _stamps(geometry):
-        fragment = {i * width + j: cell(i, j, basis)
-                    for i in range(max(i_lo, 0), min(i_hi, extent[0]) + 1)
-                    for j in range(max(j_lo, 0), min(j_hi, extent[1]) + 1)}
-        for t in range(max(t_lo, 1), min(t_hi, t_max - 1) + 1):
-            buckets[t].append(fragment)
-    return _overlay(buckets[1:])
+        box = (max(i_lo, 0), min(i_hi, extent[0]), max(j_lo, 0), min(j_hi, extent[1]), basis)
+        t_lo, t_hi = max(t_lo, 1), min(t_hi, t_max - 1)
+        if t_lo <= t_hi and box[0] <= box[1] and box[2] <= box[3]:
+            events += ((t_lo, 1, len(stamps)), (t_hi + 1, 0, len(stamps)))
+            stamps.append(box)
+    events.sort(reverse=True)
+    return _sweep_layers(stamps, events, t_max, extent[1] + 1, cell)
 
 
-def _overlay(buckets: list[list[dict[int, V]]]) -> Iterator[Iterator[V]]:
-    for fragments in buckets:
-        marks: dict[int, V] = {}
-        for fragment in fragments:
-            marks.update(fragment)
-        yield map(marks.__getitem__, sorted(marks))
+def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
+                  events: list[tuple[int, int, int]], t_max: int, width: int,
+                  cell: Callable[[int, int, SiteBasis], V]) -> Iterator[tuple[V, ...]]:
+    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order.
+    codes: dict[SiteBasis, dict[int, V]] = {basis: {} for basis in SiteBasis}
+
+    def fragment(k: int) -> dict[int, V]:
+        i_lo, i_hi, j_lo, j_hi, basis = stamps[k]
+        known = codes[basis]
+        out = {}
+        for i in range(i_lo, i_hi + 1):
+            for j in range(j_lo, j_hi + 1):
+                key = i * width + j
+                code = known.get(key)
+                if code is None:
+                    code = known[key] = cell(i, j, basis)
+                out[key] = code
+        return out
+
+    active: dict[int, dict[int, V]] = {}
+    # The last two distinct layers, latest last, each with the stamps that
+    # entered or left since it was active: a layer equals it when none did.
+    # Before t = 1 the active set is empty.
+    recent: list[tuple[tuple[V, ...], set[int]]] = [((), set())]
+    for t in range(1, t_max):
+        while events and events[-1][0] == t:
+            _, enters, k = events.pop()
+            if enters:
+                active[k] = fragment(k)
+            else:
+                del active[k]
+            for _, changed in recent:
+                changed ^= {k}
+        hit = next((entry for entry in recent if not entry[1]), None)
+        if hit is None:
+            overlay: dict[int, V] = {}
+            for k in sorted(active):
+                overlay.update(active[k])
+            hit = (tuple(map(overlay.__getitem__, sorted(overlay))), set())
+        recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
+        yield hit[0]
 
 
 def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
@@ -283,8 +333,7 @@ def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> lis
     """
     extent = (2 * lattice_cells[0], 2 * lattice_cells[1])
     marks = layer_marks(geometry, lattice_cells, lambda i, j, basis: ((i, j), basis))
-    return [Layer(t, layer_kind(t), extent, tuple(marked))
-            for t, marked in enumerate(marks, 1)]
+    return [Layer(t, layer_kind(t), extent, marked) for t, marked in enumerate(marks, 1)]
 
 
 class Op(Enum):

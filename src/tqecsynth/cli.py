@@ -219,43 +219,63 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def slice_lines(geometry: Geometry, cells: tuple[int, int, int]) -> Iterator[bytes]:
-    """The slice stream of ``geometry`` on a lattice of ``cells``, one JSON line per instruction.
+    """The slice stream of ``geometry`` on a lattice of ``cells``, as byte pieces.
 
-    The lattice is checked, and the stamps encoded, before this returns.
-    Each line holds the bytes ``json.dumps`` gives with sorted keys and
-    compact separators. Every marked site is encoded once per stamp, and
-    each layer once, from the encoded sites that ``layer_marks`` overlays.
+    The concatenated pieces are the stream: one JSON line per instruction,
+    each holding the bytes ``json.dumps`` gives with sorted keys and
+    compact separators. The lattice is checked, and the stamps set up,
+    before this returns. Every distinct (site, basis) is encoded once, and
+    the marks of each distinct layer ``layer_marks`` builds are joined
+    once; a repeated layer, which ``layer_marks`` gives as the same tuple,
+    shares its payload. Instructions are yielded piece by piece, so a
+    payload is written where it is needed and never copied into a line.
     """
     names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
     marks = layer_marks(geometry, cells,
                         lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]))
     head = b'{"default_basis":"x","extent":[%d,%d],' % (2 * cells[0], 2 * cells[1])
-    layers = (head + b'"index":%d,"kind":"%s","marked":[%s],"t":%d}' % (
-                  t - 1, layer_kind(t).value.encode("ascii"), b",".join(marked), t)
-              for t, marked in enumerate(marks, 1))
-    return _instruction_lines(layers, 2 * cells[2] - 1)
+    return _instruction_pieces(_layer_pieces(marks, head), 2 * cells[2] - 1)
 
 
-def _instruction_lines(layers: Iterator[bytes], count: int) -> Iterator[bytes]:
+def _layer_pieces(marks: Iterator[tuple[bytes, ...]],
+                  head: bytes) -> Iterator[tuple[bytes, bytes, bytes]]:
+    # A repeated layer is the same tuple as one of the last two distinct
+    # layers, so the payloads of those two serve every repeat.
+    recent: list[tuple[tuple[bytes, ...], bytes]] = []
+    for t, marked in enumerate(marks, 1):
+        hit = next((entry for entry in recent if entry[0] is marked), None)
+        if hit is None:
+            hit = (marked, b",".join(marked))
+        recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
+        yield (head + b'"index":%d,"kind":"%s","marked":[' % (
+                   t - 1, layer_kind(t).value.encode("ascii")),
+               hit[1], b'],"t":%d}' % t)
+
+
+def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
+                        count: int) -> Iterator[bytes]:
     # Instructions first name the layers in index order, and each one names
     # only the layers around its step, so a window of the three latest
     # layers serves every instruction and each layer is built once.
-    window: dict[int, bytes] = {}
+    window: dict[int, tuple[bytes, bytes, bytes]] = {}
     for ins in hardware_loop(count):
-        for idx in ins.layers:
+        yield b'{"layers":['
+        for n, idx in enumerate(ins.layers):
             if idx not in window:
                 window[idx] = next(layers)
                 window.pop(idx - 3, None)
-        yield (b'{"layers":[' + b",".join(map(window.__getitem__, ins.layers))
-               + b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n')
+            if n:
+                yield b","
+            yield from window[idx]
+        yield b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n'
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     cells = tuple(args.cells) if args.cells else lattice_cells_for(result.geometry)
-    lines = slice_lines(result.geometry, cells)
+    pieces = slice_lines(result.geometry, cells)
     with _output(args.out) as fh:
-        fh.writelines(lines)
+        fh.writelines(pieces)
     return EXIT_OK
 
 

@@ -181,37 +181,28 @@ def _schedule_report(result: PipelineResult) -> dict:
     return report
 
 
-def _cuboid(lo: tuple[int, int, int], hi: tuple[int, int, int],
-            name: str, vertex_base: int, lines: list[str]) -> int:
-    (x0, y0, z0), (x1, y1, z1) = lo, hi
-    lines.append(f"o {name}")
-    for x in (x0, x1):
-        for y in (y0, y1):
-            for z in (z0, z1):
-                lines.append(f"v {x} {y} {z}")
-    b = vertex_base
-    faces = [
-        (0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
-        (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3),
-    ]
-    for f in faces:
-        lines.append("f " + " ".join(str(b + v + 1) for v in f))
-    return b + 8
+# One OBJ cuboid: its name, the corners (x, y, z) in x-major order, and six
+# quad faces as 1-based indices of those corners, offset by earlier cuboids.
+_CUBOID = b"o %s_%d_%s\n" + b"v %d %d %d\n" * 8 + b"f %d %d %d %d\n" * 6
+_FACE_CORNERS = (1, 2, 4, 3, 5, 7, 8, 6, 1, 5, 6, 2, 3, 4, 8, 7, 1, 3, 7, 5, 2, 6, 8, 4)
 
 
 def export_obj(geometry: Geometry) -> bytes:
     """One cuboid per segment (inflated to cell width) and per box."""
-    lines: list[str] = []
-    base = 0
-    for idx, seg in enumerate(geometry.segments):
-        lo = tuple(seg.interval(ax)[0] - 1 for ax in ("i", "j", "t"))
-        hi = tuple(seg.interval(ax)[1] + 1 for ax in ("i", "j", "t"))
-        base = _cuboid(lo, hi, f"segment_{idx}_{seg.kind.value}", base, lines)
-    for idx, box in enumerate(geometry.boxes):
-        lo = tuple(box.extent(ax)[0] - 1 for ax in ("i", "j", "t"))
-        hi = tuple(box.extent(ax)[1] + 1 for ax in ("i", "j", "t"))
-        base = _cuboid(lo, hi, f"box_{idx}_{box.state.value}", base, lines)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    cuboids = [(b"segment", idx, seg.kind.value, [seg.interval(ax) for ax in "ijt"])
+               for idx, seg in enumerate(geometry.segments)]
+    cuboids += [(b"box", idx, box.state.value, [box.extent(ax) for ax in "ijt"])
+                for idx, box in enumerate(geometry.boxes)]
+    out = []
+    for n, (what, idx, kind, ((x0, x1), (y0, y1), (z0, z1))) in enumerate(cuboids):
+        x0, y0, z0, x1, y1, z1 = x0 - 1, y0 - 1, z0 - 1, x1 + 1, y1 + 1, z1 + 1
+        base = 8 * n
+        out.append(_CUBOID % (
+            what, idx, kind.encode("ascii"),
+            x0, y0, z0, x0, y0, z1, x0, y1, z0, x0, y1, z1,
+            x1, y0, z0, x1, y0, z1, x1, y1, z0, x1, y1, z1,
+            *[base + corner for corner in _FACE_CORNERS]))
+    return b"".join(out) or b"\n"
 
 
 def export_csv(geometry: Geometry) -> bytes:

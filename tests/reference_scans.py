@@ -3,9 +3,10 @@
 These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``geometry.segment_overlaps``, the per-layer rescan version of
 ``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
-stream, and the replay version of ``sim.run_branches`` (every outcome
-string run from scratch, one measurement collapsed at a time); the tests
-compare the indexed and one-tensor versions with them.
+stream, the line-by-line version of ``document.export_obj``, and the
+replay version of ``sim.run_branches`` (every outcome string run from
+scratch, one measurement collapsed at a time); the tests compare the
+indexed, templated and one-tensor versions with them.
 """
 from __future__ import annotations
 
@@ -202,6 +203,39 @@ def slice_stream(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> byt
         json.dumps({"layers": [layer_obj(idx) for idx in ins.layers], "op": ins.op.value},
                    sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
         for ins in execution_schedule(layers))
+
+
+def _cuboid(lo: tuple[int, int, int], hi: tuple[int, int, int],
+            name: str, vertex_base: int, lines: list[str]) -> int:
+    (x0, y0, z0), (x1, y1, z1) = lo, hi
+    lines.append(f"o {name}")
+    for x in (x0, x1):
+        for y in (y0, y1):
+            for z in (z0, z1):
+                lines.append(f"v {x} {y} {z}")
+    b = vertex_base
+    faces = [
+        (0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
+        (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3),
+    ]
+    for f in faces:
+        lines.append("f " + " ".join(str(b + v + 1) for v in f))
+    return b + 8
+
+
+def export_obj(geometry: Geometry) -> bytes:
+    """One cuboid per segment and per box, built line by line from f-strings."""
+    lines: list[str] = []
+    base = 0
+    for idx, seg in enumerate(geometry.segments):
+        lo = tuple(seg.interval(ax)[0] - 1 for ax in ("i", "j", "t"))
+        hi = tuple(seg.interval(ax)[1] + 1 for ax in ("i", "j", "t"))
+        base = _cuboid(lo, hi, f"segment_{idx}_{seg.kind.value}", base, lines)
+    for idx, box in enumerate(geometry.boxes):
+        lo = tuple(box.extent(ax)[0] - 1 for ax in ("i", "j", "t"))
+        hi = tuple(box.extent(ax)[1] + 1 for ax in ("i", "j", "t"))
+        base = _cuboid(lo, hi, f"box_{idx}_{box.state.value}", base, lines)
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 class InfeasibleBranch(RuntimeError):

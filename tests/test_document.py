@@ -1,11 +1,16 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
+import reference_scans as ref
 from tqecsynth.document import (
     build_document, canonical_json, config_digest, export, export_csv, export_obj,
 )
 from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
+
+CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
 
 P_SRC = "qubits 1\np 0\n"
 T_SRC = "qubits 1\nt 0\n"
@@ -90,6 +95,30 @@ def test_obj_one_cuboid_per_segment_and_box():
     count = len(result.geometry.segments) + len(result.geometry.boxes)
     assert vs == 8 * count
     assert fs == 6 * count
+
+
+@pytest.mark.parametrize("rate,seed", [(1.0, 0), (0.8, 53)])
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_obj_equals_reference_on_circuits(path, rate, seed):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
+    assert export_obj(geo) == ref.export_obj(geo)
+
+
+def test_obj_equals_reference_on_four_toffolis():
+    # 4 random Toffolis on 6 qubits, as the benchmark generates them
+    rng = random.Random(1)
+    source = "qubits 6\n" + "".join(
+        "toffoli {} {} {}\n".format(*rng.sample(range(6), 3)) for _ in range(4))
+    cfg = PipelineConfig(success_rate=0.9, seed=1, spares=SparePolicy("binomial", epsilon=1e-6))
+    geo = run_pipeline(source, cfg).geometry
+    assert geo.boxes and geo.segments
+    assert export_obj(geo) == ref.export_obj(geo)
+
+
+def test_obj_of_an_empty_geometry_is_one_newline():
+    geo = run_pipeline(P_SRC).geometry
+    empty = type(geo)(defects=(), pins=(), injections=(), ioports=(), layout=geo.layout)
+    assert export_obj(empty) == ref.export_obj(empty) == b"\n"
 
 
 def test_csv_flat_segment_table():

@@ -112,6 +112,45 @@ def test_far_apart_components_widen_the_radius():
     assert rep.min_separation == 30
 
 
+def sweep_count(monkeypatch) -> list[int]:
+    radii = []
+    sweep = SegmentIndex.pairs_within
+
+    def counted(index, radius):
+        radii.append(radius)
+        return sweep(index, radius)
+
+    monkeypatch.setattr(SegmentIndex, "pairs_within", counted)
+    return radii
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_one_sweep_when_a_pair_lies_within_the_radius(monkeypatch, path):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=0.8, seed=53)).geometry
+    want = ref.min_code_distance(geo)
+    radii = sweep_count(monkeypatch)
+    assert min_code_distance(geo) == want
+    assert want.min_separation is None or 2 * want.min_separation <= RADIUS
+    assert radii == [RADIUS]
+
+
+def test_hand_built_pair_within_the_radius_takes_one_sweep(monkeypatch):
+    # the first two strands touch and merge; the third lies 3 cells away
+    geo = bare_geometry([strand(1, 1, 1, 9), strand(1, 1, 9, 17), strand(7, 1, 1, 9)])
+    radii = sweep_count(monkeypatch)
+    rep = min_code_distance(geo)
+    assert radii == [RADIUS]
+    assert rep == ref.min_code_distance(geo)
+    assert rep.min_separation == 3
+
+
+def test_far_apart_components_sweep_again(monkeypatch):
+    geo = bare_geometry([strand(1, 1, 1, 9), strand(101, 1, 1, 17)])
+    radii = sweep_count(monkeypatch)
+    assert min_code_distance(geo) == ref.min_code_distance(geo)
+    assert radii == [RADIUS, 4 * RADIUS, 16 * RADIUS]
+
+
 def test_sixteen_toffolis_distance():
     # 16 random Toffolis on 6 qubits (rate 0.9, seed 1); the expected report
     # is the brute-force reference's, which takes about a minute to compute

@@ -1,0 +1,105 @@
+"""Time the Toffoli ladder: synthesis, slicing, stream size and peak memory per rung.
+
+Each rung is the benchmark's generated circuit
+``perfbench.workloads.toffoli_source(random.Random(1), n, 6)``, compiled
+at success rate 0.9, seed 1 and spare epsilon 1e-6. A rung runs in a child
+process whose address space is capped with ``resource.setrlimit``, so a
+rung that outgrows the cap fails on its own instead of exhausting the
+host. Per rung it records:
+
+- ``run_pipeline_s``: one ``run_pipeline`` call;
+- ``slice_s``: the whole ``tqecsynth slice SOURCE --out /dev/null``
+  command, pipeline included, as the CLI runs it;
+- ``peak_rss_mb``: the child's peak resident set after both;
+- ``stream_bytes`` and ``layers``: the size of that slice stream, counted
+  in a separate pass after the peak is read.
+
+Usage: ``python tools/ladder.py [RUNG ...]`` (default rungs 1 4 16). It
+prints one JSON document, and exits 1 if a rung failed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FLAGS = ["--success-rate", "0.9", "--seed", "1", "--spare-epsilon", "1e-6"]
+ADDRESS_SPACE_CAP = 4 * 2**30   # bytes per rung
+RUNG_TIMEOUT_S = 600
+
+
+def measure(toffolis: int) -> dict:
+    """One rung, in this process; call it from a child under the address-space cap."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from tqecsynth import cli, pipeline
+    from tqecsynth.analysis import lattice_cells_for
+    from workloads import toffoli_source
+
+    source = toffoli_source(random.Random(1), toffolis, 6)
+    config = pipeline.PipelineConfig(
+        success_rate=0.9, seed=1, spares=pipeline.SparePolicy("binomial", epsilon=1e-6))
+    start = time.perf_counter()
+    result = pipeline.run_pipeline(source, config)
+    run_s = time.perf_counter() - start
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"toffoli{toffolis}.tq"
+        path.write_text(source)
+        start = time.perf_counter()
+        code = cli.main(["slice", str(path), *FLAGS, "--out", os.devnull])
+        slice_s = time.perf_counter() - start
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"tqecsynth slice exited {code}")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+    cells = lattice_cells_for(result.geometry)
+    stream_bytes = sum(map(len, cli.slice_lines(result.geometry, cells)))
+    return {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
+            "slice_s": round(slice_s, 3), "peak_rss_mb": round(peak_mb, 1),
+            "stream_bytes": stream_bytes, "layers": 2 * cells[2] - 1}
+
+
+def run_rung(toffolis: int) -> dict:
+    """``measure`` in a capped child process; a failed rung reports its error."""
+    try:
+        proc = subprocess.run([sys.executable, __file__, "--child", str(toffolis)],
+                              capture_output=True, text=True, timeout=RUNG_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"toffolis": toffolis, "error": f"timed out after {RUNG_TIMEOUT_S} s"}
+    if proc.returncode != 0:
+        tail = (proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1]
+        return {"toffolis": toffolis, "error": tail}
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("rungs", type=int, nargs="*", default=[1, 4, 16],
+                        help="Toffoli counts to run")
+    parser.add_argument("--child", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child is not None:
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+        print(json.dumps(measure(args.child)))
+        return 0
+
+    doc = {
+        "circuit": "perfbench.workloads.toffoli_source(random.Random(1), n, 6)",
+        "flags": FLAGS,
+        "address_space_cap_mb": ADDRESS_SPACE_CAP // 2**20,
+        "rungs": [run_rung(n) for n in args.rungs],
+    }
+    print(json.dumps(doc, indent=2))
+    return 1 if any("error" in rung for rung in doc["rungs"]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
