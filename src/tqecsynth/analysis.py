@@ -354,13 +354,14 @@ def execution_schedule(layers: list[Layer]) -> list[Instruction]:
         want = LayerKind.PRIMAL if idx % 2 == 0 else LayerKind.DUAL
         if layer.kind is not want:
             raise AnalysisError(f"layer {idx} must be {want.value}")
-    return hardware_loop(len(layers))
+    return list(hardware_loop(len(layers)))
 
 
-def hardware_loop(layer_count: int) -> list[Instruction]:
+def hardware_loop(layer_count: int) -> Iterator[Instruction]:
     """Unrolled hardware loop: init/entangle/measure over alternating layers.
 
-    Layer 0 is primal and the kinds alternate, so a loop needs an odd count.
+    Layer 0 is primal and the kinds alternate, so a loop needs an odd count;
+    that is checked here, and the instructions are then yielded lazily.
     The stream follows the gradual-construction loop: bring up the first
     primal/dual pair, then repeatedly measure the primal layer, bring up
     the next one against the previous dual layer, measure that dual layer,
@@ -370,25 +371,26 @@ def hardware_loop(layer_count: int) -> list[Instruction]:
         raise AnalysisError("no layers to schedule")
     if layer_count % 2 == 0:
         raise AnalysisError("layer sequence must start and end with primal layers")
+    return _loop(layer_count // 2)
 
-    if layer_count == 1:
-        return [Instruction(Op.INIT, (0,)), Instruction(Op.MEASURE, (0,))]
 
-    n = layer_count // 2  # dual layer count
+def _loop(n: int) -> Iterator[Instruction]:
+    """The loop over ``n`` dual layers and the ``n + 1`` primal ones around them."""
+    if n == 0:
+        yield Instruction(Op.INIT, (0,))
+        yield Instruction(Op.MEASURE, (0,))
+        return
     p = lambda k: 2 * k
     d = lambda k: 2 * k + 1
-    stream = [
-        Instruction(Op.INIT, (p(0),)),
-        Instruction(Op.INIT, (d(0),)),
-        Instruction(Op.ENTANGLE, (p(0), d(0))),
-    ]
+    yield Instruction(Op.INIT, (p(0),))
+    yield Instruction(Op.INIT, (d(0),))
+    yield Instruction(Op.ENTANGLE, (p(0), d(0)))
     for i in range(n):
-        stream.append(Instruction(Op.MEASURE, (p(i),)))
-        stream.append(Instruction(Op.INIT, (p(i + 1),)))
-        stream.append(Instruction(Op.ENTANGLE, (p(i + 1), d(i))))
-        stream.append(Instruction(Op.MEASURE, (d(i),)))
+        yield Instruction(Op.MEASURE, (p(i),))
+        yield Instruction(Op.INIT, (p(i + 1),))
+        yield Instruction(Op.ENTANGLE, (p(i + 1), d(i)))
+        yield Instruction(Op.MEASURE, (d(i),))
         if i + 1 < n:
-            stream.append(Instruction(Op.INIT, (d(i + 1),)))
-            stream.append(Instruction(Op.ENTANGLE, (d(i + 1), p(i + 1))))
-    stream.append(Instruction(Op.MEASURE, (p(n),)))
-    return stream
+            yield Instruction(Op.INIT, (d(i + 1),))
+            yield Instruction(Op.ENTANGLE, (d(i + 1), p(i + 1)))
+    yield Instruction(Op.MEASURE, (p(n),))

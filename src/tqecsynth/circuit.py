@@ -111,10 +111,6 @@ class Circuit:
         if len(self.inits) != self.qubit_count or len(self.meas) != self.qubit_count:
             raise ValueError("inits/meas length must equal qubit_count")
 
-    @property
-    def cnot_count(self) -> int:
-        return sum(1 for g in self.gates if g.kind is GateKind.CNOT)
-
     def open_inputs(self) -> tuple[int, ...]:
         return tuple(q for q, b in enumerate(self.inits) if b is InitBasis.OPEN)
 

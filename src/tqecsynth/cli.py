@@ -23,7 +23,7 @@ from .circuit import (
     validate_circuit,
 )
 from .decompose import decompose_gates
-from .document import FORMATS, build_document, canonical_json, export
+from .document import FORMATS, canonical_json, export, reports
 from .geometry import Geometry
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, run_pipeline
@@ -214,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
-    sys.stdout.buffer.write(canonical_json(build_document(result)["reports"]))
+    sys.stdout.buffer.write(canonical_json(reports(result)))
     return EXIT_OK
 
 

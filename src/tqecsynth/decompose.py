@@ -6,21 +6,7 @@ Hadamards expanded through P,V,P as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Circuit, Gate, GateKind, NATIVE_KINDS, cnot
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """One rewrite rule: a composite gate and its native replacement."""
-
-    source_gate: Gate
-    replacement: tuple[Gate, ...]
-
-    def __post_init__(self) -> None:
-        if any(g.kind not in NATIVE_KINDS for g in self.replacement):
-            raise ValueError("replacement must use native gates only")
 
 
 def _pvp(q: int) -> list[Gate]:
@@ -50,17 +36,17 @@ def toffoli_sequence(c1: int, c2: int, t: int) -> list[Gate]:
     ]
 
 
-def decomposition_for(gate: Gate) -> Decomposition:
-    """Rewrite rule for a composite gate; native gates map to themselves."""
+def decomposition_for(gate: Gate) -> list[Gate]:
+    """Native replacement of one gate; a native gate maps to itself."""
     if gate.kind in NATIVE_KINDS:
-        return Decomposition(gate, (gate,))
+        return [gate]
     if gate.kind is GateKind.H:
-        return Decomposition(gate, tuple(_pvp(gate.qubits[0])))
+        return _pvp(gate.qubits[0])
     if gate.kind is GateKind.TOFFOLI:
         out: list[Gate] = []
         for g in toffoli_sequence(*gate.qubits):
             out.extend(_pvp(g.qubits[0]) if g.kind is GateKind.H else [g])
-        return Decomposition(gate, tuple(out))
+        return out
     raise ValueError(f"no decomposition for {gate.kind.value}")
 
 
@@ -68,5 +54,5 @@ def decompose_gates(circ: Circuit) -> Circuit:
     """Rewrite every gate into the native set, preserving gate order."""
     gates: list[Gate] = []
     for g in circ.gates:
-        gates.extend(decomposition_for(g).replacement)
+        gates.extend(decomposition_for(g))
     return Circuit(circ.qubit_count, circ.inits, tuple(gates), circ.meas, icm=False)

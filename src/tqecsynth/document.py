@@ -12,7 +12,7 @@ from dataclasses import asdict
 from typing import Any
 
 from . import __version__
-from .geometry import Coord, Geometry, Pin, Segment
+from .geometry import Coord, Geometry, LayoutParams, Pin, Segment
 from .pipeline import PipelineConfig, PipelineResult
 from .scheduling import RNG_ALGORITHM, BoxInstance, Connection
 
@@ -66,10 +66,13 @@ def _connection(c: Connection) -> dict:
 
 
 def config_digest(config: PipelineConfig) -> str:
+    # The layout is not a setting: box_layout derives it from the default
+    # LayoutParams. Those defaults stay in the hashed payload so that
+    # config_sha256 keeps the values documents and tests already carry.
     payload = {
         "success_rate": config.success_rate,
         "spares": asdict(config.spares),
-        "layout": asdict(config.layout),
+        "layout": asdict(LayoutParams()),
         "box_dims": {k.value: [d.ispan, d.jspan, d.tspan]
                      for k, d in sorted(config.box_dims.items(), key=lambda kv: kv[0].value)},
         "fill": asdict(config.fill),
@@ -142,23 +145,28 @@ def build_document(result: PipelineResult) -> dict:
         ],
         "boxes": [_box(b) for b in geo.boxes],
         "connections": [_connection(c) for c in result.connections],
-        "reports": {
-            "distance": asdict(result.distance),
-            "volume": {
-                "cube_side": result.volume.cube_side,
-                "bbox_in_cubes": list(result.volume.bbox_in_cubes),
-                "units_per_axis": list(result.volume.units_per_axis),
-                "volume_units": result.volume.volume_units,
-            },
-            "bbox": {
-                "lo": _coord(result.bbox.lo),
-                "hi": _coord(result.bbox.hi),
-                "cells": list(result.bbox.cells()),
-            },
-            "schedule": _schedule_report(result),
-        },
+        "reports": reports(result),
     }
     return doc
+
+
+def reports(result: PipelineResult) -> dict:
+    """The document's ``"reports"`` object: distance, volume, bbox and schedule."""
+    return {
+        "distance": asdict(result.distance),
+        "volume": {
+            "cube_side": result.volume.cube_side,
+            "bbox_in_cubes": list(result.volume.bbox_in_cubes),
+            "units_per_axis": list(result.volume.units_per_axis),
+            "volume_units": result.volume.volume_units,
+        },
+        "bbox": {
+            "lo": _coord(result.bbox.lo),
+            "hi": _coord(result.bbox.hi),
+            "cells": list(result.bbox.cells()),
+        },
+        "schedule": _schedule_report(result),
+    }
 
 
 def _schedule_report(result: PipelineResult) -> dict:
@@ -173,7 +181,7 @@ def _schedule_report(result: PipelineResult) -> dict:
         "boxes_total": len(boxes),
         "boxes_by_state": by_state,
         "spares_by_state": spare_by_state,
-        "assignments": len(result.assignments),
+        "assignments": len(result.failure.assignments) if result.failure else 0,
     }
     if result.failure is not None:
         report["failed_initial"] = dict(sorted(result.failure.failed_initial.items()))

@@ -149,23 +149,16 @@ class PortTemplate:
     mirrored: bool  # measurement-side templates mirror the init geometry
 
 
-def io_geometry(role: PortRole, basis: PortBasis,
-                qubit_kind: SegmentKind = SegmentKind.PRIMAL) -> PortTemplate:
-    """Boundary template for one port; dual qubits swap the Z and X shapes."""
+def io_geometry(role: PortRole, basis: PortBasis) -> PortTemplate:
+    """Boundary template for one port of a primal qubit."""
     mirrored = role is PortRole.OUTPUT
     if basis in (PortBasis.INJECT_A, PortBasis.INJECT_Y):
         if role is PortRole.OUTPUT:
             raise GeometryError("state injection is an input-side structure")
-        if qubit_kind is not SegmentKind.PRIMAL:
-            raise GeometryError("injections are supported on primal qubits only")
         return PortTemplate(CapShape.INJECT, mirrored=False)
     if basis is PortBasis.OPEN:
         return PortTemplate(CapShape.CONFIG, mirrored)
-    solid_for_z = qubit_kind is SegmentKind.PRIMAL
-    if basis is PortBasis.Z:
-        shape = CapShape.SOLID if solid_for_z else CapShape.SPLIT
-    else:
-        shape = CapShape.SPLIT if solid_for_z else CapShape.SOLID
+    shape = CapShape.SOLID if basis is PortBasis.Z else CapShape.SPLIT
     return PortTemplate(shape, mirrored)
 
 

@@ -38,7 +38,6 @@ class TeleportTemplate:
     corrective P is required), then the plain one.
     """
 
-    gate: GateKind
     ancilla_inits: tuple[InitBasis, ...]
     cnots: tuple[tuple[int, int], ...]
     measurement_patterns: tuple[tuple[tuple[int, MeasBasis], ...], ...]
@@ -63,7 +62,6 @@ _TEMPLATES: dict[GateKind, TeleportTemplate] = {}
 for _kind in ROTATION_KINDS:
     if _kind in P_KINDS:
         _TEMPLATES[_kind] = TeleportTemplate(
-            gate=_kind,
             ancilla_inits=(InitBasis.Y,),
             cnots=((1, 0),),
             measurement_patterns=_patterns({0: _Z}),
@@ -71,7 +69,6 @@ for _kind in ROTATION_KINDS:
         )
     elif _kind in V_KINDS:
         _TEMPLATES[_kind] = TeleportTemplate(
-            gate=_kind,
             ancilla_inits=(InitBasis.Y,),
             cnots=((0, 1),),
             measurement_patterns=_patterns({0: _X}),
@@ -79,7 +76,6 @@ for _kind in ROTATION_KINDS:
         )
     else:
         _TEMPLATES[_kind] = TeleportTemplate(
-            gate=_kind,
             ancilla_inits=(InitBasis.A, InitBasis.ZERO, InitBasis.Y,
                            InitBasis.PLUS, InitBasis.ZERO),
             cnots=((1, 0), (1, 2), (3, 1), (4, 2), (3, 5), (4, 5)),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import analysis
-from .circuit import Circuit, InitBasis, parse_circuit, validate_circuit
+from .circuit import InitBasis, parse_circuit, validate_circuit
 from .decompose import decompose_gates
 from .geometry import (
     Defect, Geometry, LayoutParams, SegmentKind, generate_geometry, validate_parity,
@@ -19,7 +19,7 @@ from .geometry import (
 from .icm import IcmConversion, to_icm
 from .matrix import INIT_A, INIT_Y, MatrixRep, to_matrix
 from .scheduling import (
-    MAX_SPARES, Assignment, BoxDim, BoxInstance, Connection, FailureReport,
+    MAX_SPARES, BoxDim, BoxInstance, Connection, FailureReport,
     FillConfig, PinPairReq, Schedule, box_layout, connect_pins, default_box_dims,
     place_boxes, simulate_failures, spare_count,
 )
@@ -59,7 +59,6 @@ class PipelineConfig:
     success_rate: float = 1.0
     seed: int = 0
     spares: SparePolicy = field(default_factory=SparePolicy)
-    layout: LayoutParams = field(default_factory=LayoutParams)
     box_dims: dict[InitBasis, BoxDim] = field(default_factory=default_box_dims)
     fill: FillConfig = field(default_factory=FillConfig)
     cube_side: int = 1
@@ -75,14 +74,11 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    source: str
-    circuit: Circuit
     conversion: IcmConversion
     matrix: MatrixRep
     geometry: Geometry
     schedules: list[Schedule]
     failure: FailureReport | None
-    assignments: list[Assignment]
     connections: list[Connection]
     distance: analysis.DistanceReport
     volume: analysis.VolumeReport
@@ -119,7 +115,7 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         needed = int((first_col == code).sum())
         if needed:
             spares[state] = config.spares.count(state, needed, config.success_rate)
-    layout = box_layout(config.layout, spares, config.box_dims)
+    layout = box_layout(LayoutParams(), spares, config.box_dims)
     geometry = generate_geometry(matrix, layout)
     parity = validate_parity(geometry)
     if parity:
@@ -127,7 +123,6 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
 
     schedules: list[Schedule] = []
     failure: FailureReport | None = None
-    assignments: list[Assignment] = []
     connections: list[Connection] = []
     boxes: list[BoxInstance] = []
 
@@ -141,8 +136,7 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         rng = np.random.default_rng(config.seed)
         failure = simulate_failures(_by_state(boxes), config.success_rate,
                                     _by_state(pairs), rng, seed=config.seed)
-        assignments = failure.assignments
-        connections = connect_pins(assignments)
+        connections = connect_pins(failure.assignments)
 
     connection_defects = tuple(
         Defect(SegmentKind.PRIMAL, c.segments, closed=False)
@@ -163,14 +157,11 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     volume = analysis.volume_units(geometry, config.cube_side)
 
     return PipelineResult(
-        source=source,
-        circuit=circ,
         conversion=conv,
         matrix=matrix,
         geometry=geometry,
         schedules=schedules,
         failure=failure,
-        assignments=assignments,
         connections=connections,
         distance=distance,
         volume=volume,

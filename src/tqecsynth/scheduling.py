@@ -10,7 +10,6 @@ circuit (:func:`box_layout`, :func:`place_boxes`).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -175,27 +174,11 @@ def _place_box(pair: PinPairReq, dims: dict[InitBasis, BoxDim], region: Region,
     return BoxInstance(dim, origin, pins, spare=pair.pins is None)
 
 
-def _face_t(t_in: int) -> int:
-    """The box layer's output face: the odd t slot just before the circuit's inputs."""
-    return t_in - 2
-
-
-def _fit_t_in(dims: Iterable[BoxDim], t_in: int = 1) -> int:
-    """Smallest t_in, at least ``t_in``, whose box face lets every box start at t >= 1."""
-    return max(t_in, 2 * max(d.tspan for d in dims) + 1)
-
-
-def schedule_boxes(
-    pin_pairs: list[PinPairReq],
-    dims: dict[InitBasis, BoxDim],
-    region: Region | None = None,
-    face_t: int | None = None,
-) -> Schedule:
-    """Place one box per pin pair (arrival order), pins aligned on the pair's j."""
+def schedule_boxes(pin_pairs: list[PinPairReq], dims: dict[InitBasis, BoxDim],
+                   region: Region, face_t: int) -> Schedule:
+    """Place one box per pin pair (arrival order), pins on ``face_t`` at the pair's j."""
     validate_dims(dims)
-    region = region if region is not None else Region()
-    face = face_t if face_t is not None else _face_t(_fit_t_in(dims.values()))
-    return Schedule([_place_box(pair, dims, region, face) for pair in pin_pairs])
+    return Schedule([_place_box(pair, dims, region, face_t) for pair in pin_pairs])
 
 
 def homogeneous_schedule(
@@ -203,8 +186,8 @@ def homogeneous_schedule(
     state: InitBasis,
     sj: int,
     dims: dict[InitBasis, BoxDim],
-    region: Region | None = None,
-    face_t: int | None = None,
+    region: Region,
+    face_t: int,
 ) -> Schedule:
     """Schedule ``n`` spare boxes in a row starting at j = sj, a box pitch apart.
 
@@ -235,7 +218,8 @@ def box_layout(layout: LayoutParams, spares: dict[InitBasis, int],
     """
     if not spares:
         return layout
-    t_in = _fit_t_in((dims[s] for s in spares), layout.t_in)
+    # the box layer's face sits at t_in - 2 and every box must start at t >= 1
+    t_in = max(layout.t_in, 2 * max(dims[s].tspan for s in spares) + 1)
     j_base = layout.j_base
     if spares.get(LOW_FLANK):
         j_base += _row_len(spares[LOW_FLANK]) * dims[LOW_FLANK].pitch
@@ -251,7 +235,8 @@ def place_boxes(pairs: list[PinPairReq], spares: dict[InitBasis, int],
     schedule followed by the spare rows, each row a single state.
     """
     region = Region(fill=fill)
-    face_t = _face_t(layout.t_in)
+    # the output face: the odd t slot just before the circuit's inputs
+    face_t = layout.t_in - 2
     initial = schedule_boxes(pairs, dims, region, face_t)
     # the high flank must clear the initial boxes, which extend past their
     # pins along j

@@ -24,7 +24,7 @@ from tqecsynth.icm import to_icm
 from tqecsynth.matrix import from_matrix, to_matrix
 from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
 from tqecsynth.scheduling import (
-    PinPairReq, default_box_dims, route_pins, schedule_boxes,
+    PinPairReq, Region, default_box_dims, route_pins, schedule_boxes,
 )
 from tqecsynth.sim import (
     H_MATRIX, TOFFOLI_MATRIX, check_equivalence, gate_matrix, run_branches,
@@ -93,11 +93,11 @@ def test_criterion_3_failure_pattern_reproduction():
     result = run_pipeline(TOFFOLI_SRC, cfg)
     assert result.failure is not None
     assert result.failure.failed_initial == {"a": 3, "y": 4}
-    assert len(result.assignments) == 21
+    assert len(result.failure.assignments) == 21
     # exactly the pairs whose own initial box failed are served from spares
     failed_js = sorted(b.origin.j for b in result.geometry.boxes
                        if not b.spare and b.status.value == "failed")
-    spare_served_js = sorted(a.pair.j for a in result.assignments if a.box.spare)
+    spare_served_js = sorted(a.pair.j for a in result.failure.assignments if a.box.spare)
     assert failed_js == spare_served_js
     assert len(spare_served_js) == 7
     report("3", f"seed {TOFFOLI_FAILURE_SEED}: 4 Y + 3 A initial boxes fail, "
@@ -260,7 +260,8 @@ def test_criterion_7d_schedule_disjointness():
                 Pin(Coord(9, j, 25), SegmentKind.PRIMAL, PinRole.INJECTION, state),
             )
             pairs.append(PinPairReq(state, j, pins))
-        boxes = schedule_boxes(pairs, dims).boxes
+        # every pin sits at t = 25, so the box face is the slot before it
+        boxes = schedule_boxes(pairs, dims, Region(), 23).boxes
         rects = [(b.extent("i"), b.extent("j")) for b in boxes]
         for x in range(len(rects)):
             for y in range(x + 1, len(rects)):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 
 import tqecsynth.analysis as analysis
 from tqecsynth.analysis import (
-    AnalysisError, DistanceReport, Layer, LayerKind, Op, SiteBasis,
+    AnalysisError, DistanceReport, Instruction, Layer, LayerKind, Op, SiteBasis,
     bounding_box, code_distance, execution_schedule, hardware_loop, lattice_cells_for,
     min_code_distance, slice_layers, volume_units,
 )
@@ -325,7 +327,7 @@ def test_execution_five_layers_structure():
 @pytest.mark.parametrize("count", [1, 3, 5, 7])
 def test_execution_schedule_is_the_count_loop(count):
     layers = [L(t, LayerKind.PRIMAL if t % 2 else LayerKind.DUAL) for t in range(1, count + 1)]
-    assert execution_schedule(layers) == hardware_loop(count)
+    assert execution_schedule(layers) == list(hardware_loop(count))
 
 
 def test_hardware_loop_rejects_empty_and_even_counts():
@@ -335,6 +337,19 @@ def test_hardware_loop_rejects_empty_and_even_counts():
     for count in (2, 8):
         with pytest.raises(AnalysisError, match="start and end with primal"):
             hardware_loop(count)
+
+
+def test_hardware_loop_is_lazy():
+    # a lattice this tall is within MAX_LAYERS; its 2 999 996 instructions
+    # must not be built before the first one is taken
+    tracemalloc.start()
+    try:
+        first = next(hardware_loop(999_999))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == Instruction(Op.INIT, (0,))
+    assert peak < 1_000_000
 
 
 def test_execution_rejects_bad_alternation():

@@ -150,6 +150,17 @@ def test_config_digest_sensitive_to_config():
     assert a == config_digest(PipelineConfig())
 
 
+def test_config_digest_pinned():
+    # documents already written carry these digests; the default layout is
+    # still part of the hashed payload
+    assert config_digest(PipelineConfig()) == (
+        "05458f12424b14b1ad4e625128ebd4a45fec28948a1c4990c928ddb27ce1edc4")
+    readme = PipelineConfig(success_rate=0.8, seed=53,
+                            spares=SparePolicy("explicit", y_count=12, a_count=8))
+    assert config_digest(readme) == (
+        "75299dcb494bf37bb6336eb42df4b9cf3addd816da04b13037b11c1ec296580f")
+
+
 def test_json_parses_and_reports_match():
     result = run_pipeline(P_SRC)
     doc = json.loads(export(result, "json"))

@@ -119,11 +119,6 @@ def test_io_geometry_templates():
     assert x_in.shape is CapShape.SPLIT
     z_out = io_geometry(PortRole.OUTPUT, PortBasis.Z)
     assert z_out.shape is CapShape.SOLID and z_out.mirrored
-    # dual qubits swap the Z/X shapes
-    dual_z = io_geometry(PortRole.INPUT, PortBasis.Z, SegmentKind.DUAL)
-    assert dual_z.shape is x_in.shape
-    dual_x = io_geometry(PortRole.INPUT, PortBasis.X, SegmentKind.DUAL)
-    assert dual_x.shape is z_in.shape
     inj = io_geometry(PortRole.INPUT, PortBasis.INJECT_A)
     assert inj.shape is CapShape.INJECT
 
@@ -131,8 +126,6 @@ def test_io_geometry_templates():
 def test_io_geometry_unsupported_combinations():
     with pytest.raises(GeometryError):
         io_geometry(PortRole.OUTPUT, PortBasis.INJECT_Y)
-    with pytest.raises(GeometryError):
-        io_geometry(PortRole.INPUT, PortBasis.INJECT_A, SegmentKind.DUAL)
 
 
 def test_validate_parity_accepts_valid_segments():

@@ -23,7 +23,7 @@ def test_binomial_spares_toffoli():
     a = sum(1 for b in spares if b.state is InitBasis.A)
     # binomial tails at 0.8/0.01: 14 pairs -> 9 spares, 7 pairs -> 6 spares
     assert (y, a) == (9, 6)
-    assert len(result.assignments) == 21
+    assert len(result.failure.assignments) == 21
 
 
 def test_boxes_sit_before_circuit_inputs():
@@ -61,7 +61,7 @@ def test_all_coordinates_non_negative():
 
 def test_assignments_follow_injection_row_order():
     result = run_pipeline("qubits 1\nh 0\n")
-    served_js = [a.pair.j for a in result.assignments]
+    served_js = [a.pair.j for a in result.failure.assignments]
     injection_js = [inj.pins[0].coord.j for inj in result.geometry.injections]
     assert served_js == injection_js
 
@@ -79,17 +79,17 @@ def test_heterogeneous_j_alignment_and_conservation():
                          spares=SparePolicy("explicit", y_count=12, a_count=8))
     result = run_pipeline("qubits 3\ntoffoli 0 1 2\n", cfg)
     # non-spare assignments share j with their circuit pins before routing
-    for asg in result.assignments:
+    for asg in result.failure.assignments:
         if not asg.box.spare:
             assert asg.box.output_pins[0].coord.j == asg.pair.pins[0].coord.j
     # one distinct box per pair
-    assert len(result.assignments) == len(result.geometry.injections)
-    assert len({id(a.box) for a in result.assignments}) == len(result.assignments)
+    assert len(result.failure.assignments) == len(result.geometry.injections)
+    assert len({id(a.box) for a in result.failure.assignments}) == len(result.failure.assignments)
     # every popped box carries a final status; unused spares stay pending
     from tqecsynth.scheduling import BoxStatus
     statuses = {b.status for b in result.geometry.boxes}
     assert BoxStatus.SUCCESS in statuses and BoxStatus.FAILED in statuses
-    assigned = {id(a.box) for a in result.assignments}
+    assigned = {id(a.box) for a in result.failure.assignments}
     for box in result.geometry.boxes:
         if id(box) in assigned:
             assert box.status is BoxStatus.SUCCESS

@@ -21,6 +21,8 @@ from tqecsynth.scheduling import (
 )
 
 DIMS = default_box_dims()
+# The output face of a box layer that fits both default box types.
+FACE_T = box_layout(LayoutParams(), {InitBasis.A: 0, InitBasis.Y: 0}, DIMS).t_in - 2
 
 
 def real_pair(state: InitBasis, j: int, t: int = 25) -> PinPairReq:
@@ -38,18 +40,18 @@ def injection_pairs(src: str) -> list[PinPairReq]:
 
 
 def test_t_gate_schedule_one_a_one_y():
-    sched = schedule_boxes(injection_pairs("qubits 1\nt 0\n"), DIMS)
+    sched = schedule_boxes(injection_pairs("qubits 1\nt 0\n"), DIMS, Region(), FACE_T)
     states = sorted(b.state.value for b in sched.boxes)
     assert states == ["a", "y"]
 
 
 def test_hadamard_schedule_three_y():
-    sched = schedule_boxes(injection_pairs("qubits 1\nh 0\n"), DIMS)
+    sched = schedule_boxes(injection_pairs("qubits 1\nh 0\n"), DIMS, Region(), FACE_T)
     assert [b.state for b in sched.boxes] == [InitBasis.Y] * 3
 
 
 def test_toffoli_schedule_21_boxes():
-    sched = schedule_boxes(injection_pairs("qubits 3\ntoffoli 0 1 2\n"), DIMS)
+    sched = schedule_boxes(injection_pairs("qubits 3\ntoffoli 0 1 2\n"), DIMS, Region(), FACE_T)
     assert len(sched.boxes) == 21
     assert sum(1 for b in sched.boxes if b.state is InitBasis.A) == 7
     assert sum(1 for b in sched.boxes if b.state is InitBasis.Y) == 14
@@ -58,7 +60,7 @@ def test_toffoli_schedule_21_boxes():
 def test_overlapping_j_boxes_stack_along_i():
     pairs = [real_pair(InitBasis.Y, 7), real_pair(InitBasis.Y, 9),
              real_pair(InitBasis.Y, 7)]
-    sched = schedule_boxes(pairs, DIMS)
+    sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
     origins = [b.origin for b in sched.boxes]
     assert origins[0].i == 1
     assert origins[1].i > origins[0].i        # overlapping j interval stacks
@@ -68,12 +70,12 @@ def test_overlapping_j_boxes_stack_along_i():
 
 def test_disjoint_j_boxes_share_lowest_i():
     pairs = [real_pair(InitBasis.Y, 1), real_pair(InitBasis.Y, 17)]
-    sched = schedule_boxes(pairs, DIMS)
+    sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
     assert [b.origin.i for b in sched.boxes] == [1, 1]
 
 
 def test_box_pins_on_circuit_face_share_j():
-    sched = schedule_boxes([real_pair(InitBasis.A, 11)], DIMS)
+    sched = schedule_boxes([real_pair(InitBasis.A, 11)], DIMS, Region(), FACE_T)
     (box,) = sched.boxes
     lo, hi = box.output_pins
     assert lo.coord.j == hi.coord.j == 11
@@ -99,13 +101,13 @@ def test_dims_invariant_a_wider_than_y():
 
 
 def test_homogeneous_empty():
-    sched = homogeneous_schedule(0, InitBasis.Y, 1, DIMS)
+    sched = homogeneous_schedule(0, InitBasis.Y, 1, DIMS, Region(), FACE_T)
     assert sched.boxes == []
 
 
 def test_homogeneous_row_of_four():
     region = Region()
-    sched = homogeneous_schedule(4, InitBasis.Y, 1, DIMS, region=region)
+    sched = homogeneous_schedule(4, InitBasis.Y, 1, DIMS, region=region, face_t=FACE_T)
     assert len(sched.boxes) == 4
     assert all(b.spare for b in sched.boxes)
     assert len({b.origin.i for b in sched.boxes}) == 1     # one row
@@ -115,8 +117,8 @@ def test_homogeneous_row_of_four():
 
 def test_homogeneous_repeat_builds_array():
     region = Region()
-    first = homogeneous_schedule(3, InitBasis.A, 1, DIMS, region=region)
-    second = homogeneous_schedule(3, InitBasis.A, 1, DIMS, region=region)
+    first = homogeneous_schedule(3, InitBasis.A, 1, DIMS, region=region, face_t=FACE_T)
+    second = homogeneous_schedule(3, InitBasis.A, 1, DIMS, region=region, face_t=FACE_T)
     i_rows = {b.origin.i for b in first.boxes} | {b.origin.i for b in second.boxes}
     assert len(i_rows) == 2                                 # stacked rows
     assert [b.origin.j for b in first.boxes] == [b.origin.j for b in second.boxes]
@@ -187,7 +189,7 @@ def test_spare_count_exhaustion_rate_within_epsilon(needed, rate, eps):
 
 def test_failures_rate_one_assigns_in_order():
     pairs = [real_pair(InitBasis.Y, 1), real_pair(InitBasis.Y, 17)]
-    sched = schedule_boxes(pairs, DIMS)
+    sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
     report = simulate_failures(
         {InitBasis.Y: list(sched.boxes)}, 1.0, {InitBasis.Y: pairs},
         np.random.default_rng(0))
@@ -198,7 +200,7 @@ def test_failures_rate_one_assigns_in_order():
 
 def test_failures_rate_zero_exhausts():
     pairs = [real_pair(InitBasis.Y, 1)]
-    sched = schedule_boxes(pairs, DIMS)
+    sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
     with pytest.raises(DistillationExhausted):
         simulate_failures({InitBasis.Y: list(sched.boxes)}, 0.0,
                           {InitBasis.Y: pairs}, np.random.default_rng(0))
@@ -207,8 +209,8 @@ def test_failures_rate_zero_exhausts():
 def test_failures_deterministic_for_seed():
     pairs = [real_pair(InitBasis.Y, 1 + 8 * k) for k in range(6)]
     def run(seed):
-        sched = schedule_boxes(pairs, DIMS)
-        spare = homogeneous_schedule(18, InitBasis.Y, 49, DIMS)
+        sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
+        spare = homogeneous_schedule(18, InitBasis.Y, 49, DIMS, Region(), FACE_T)
         boxes = list(sched.boxes) + list(spare.boxes)
         report = simulate_failures({InitBasis.Y: boxes}, 0.6,
                                    {InitBasis.Y: pairs},
@@ -252,7 +254,7 @@ def test_route_kind_mismatch():
 
 def test_connect_pins_pairs_inner_to_inner():
     pairs = [real_pair(InitBasis.Y, 7)]
-    sched = schedule_boxes(pairs, DIMS)
+    sched = schedule_boxes(pairs, DIMS, Region(), FACE_T)
     report = simulate_failures({InitBasis.Y: list(sched.boxes)}, 1.0,
                                {InitBasis.Y: pairs}, np.random.default_rng(0))
     conns = connect_pins(report.assignments)
@@ -268,7 +270,7 @@ def test_connect_pins_pairs_inner_to_inner():
 
 def test_connect_rejects_ghosts():
     pinless = PinPairReq(InitBasis.Y, 1)
-    box = schedule_boxes([real_pair(InitBasis.Y, 1)], DIMS).boxes[0]
+    box = schedule_boxes([real_pair(InitBasis.Y, 1)], DIMS, Region(), FACE_T).boxes[0]
     with pytest.raises(SchedulingError, match="without pins"):
         connect_pins([Assignment(pinless, box)])
 
