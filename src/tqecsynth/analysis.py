@@ -137,21 +137,30 @@ class VolumeReport:
     volume_units: int
 
 
-def lattice_cells_for(geometry: Geometry) -> tuple[int, int, int]:
-    """Smallest origin-anchored lattice extent (in cells) covering a geometry."""
-    hi = bounding_box(geometry).hi
+def lattice_cells(bbox: BBox) -> tuple[int, int, int]:
+    """Smallest origin-anchored lattice extent (in cells) covering ``bbox``."""
+    hi = bbox.hi
     return (max(1, math.ceil(hi.i / 2)), max(1, math.ceil(hi.j / 2)),
             max(1, math.ceil(hi.t / 2)))
 
 
-def volume_units(geometry: Geometry, d: int = 1) -> VolumeReport:
-    """Tile the bounding box with cubes of side d, then 5^3-cube volume units."""
+def lattice_cells_for(geometry: Geometry) -> tuple[int, int, int]:
+    """:func:`lattice_cells` of a geometry's bounding box."""
+    return lattice_cells(bounding_box(geometry))
+
+
+def bbox_volume(bbox: BBox, d: int = 1) -> VolumeReport:
+    """Tile ``bbox`` with cubes of side d, then 5^3-cube volume units."""
     if d < 1:
         raise AnalysisError("cube side must be at least 1")
-    cells = bounding_box(geometry).cells()
-    cubes = tuple(math.ceil(c / d) for c in cells)
+    cubes = tuple(math.ceil(c / d) for c in bbox.cells())
     units = tuple(math.ceil(c / 5) for c in cubes)
     return VolumeReport(d, cubes, units, units[0] * units[1] * units[2])
+
+
+def volume_units(geometry: Geometry, d: int = 1) -> VolumeReport:
+    """:func:`bbox_volume` of a geometry's bounding box."""
+    return bbox_volume(bounding_box(geometry), d)
 
 
 class SiteBasis(Enum):

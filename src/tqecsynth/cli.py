@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .analysis import (
-    AnalysisError, SiteBasis, hardware_loop, lattice_cells_for, layer_kind, layer_marks,
+    AnalysisError, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
 )
 from .circuit import (
     Gate, GateKind, InitBasis, ParseError, circuit as make_circuit, parse_circuit,
@@ -272,7 +272,7 @@ def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
 
 def cmd_slice(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
-    cells = tuple(args.cells) if args.cells else lattice_cells_for(result.geometry)
+    cells = tuple(args.cells) if args.cells else lattice_cells(result.bbox)
     pieces = slice_lines(result.geometry, cells)
     with _output(args.out) as fh:
         fh.writelines(pieces)

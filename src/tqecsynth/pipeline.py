@@ -14,7 +14,7 @@ from . import analysis
 from .circuit import InitBasis, parse_circuit, validate_circuit
 from .decompose import decompose_gates
 from .geometry import (
-    Defect, Geometry, LayoutParams, SegmentKind, generate_geometry, validate_parity,
+    Defect, Geometry, SegmentKind, generate_geometry, validate_parity,
 )
 from .icm import IcmConversion, to_icm
 from .matrix import INIT_A, INIT_Y, MatrixRep, to_matrix
@@ -115,7 +115,7 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         needed = int((first_col == code).sum())
         if needed:
             spares[state] = config.spares.count(state, needed, config.success_rate)
-    layout = box_layout(LayoutParams(), spares, config.box_dims)
+    layout = box_layout(spares, config.box_dims)
     geometry = generate_geometry(matrix, layout)
     parity = validate_parity(geometry)
     if parity:
@@ -154,7 +154,7 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         raise PipelineError("layout produced negative coordinates")
 
     distance = analysis.min_code_distance(geometry)
-    volume = analysis.volume_units(geometry, config.cube_side)
+    volume = analysis.bbox_volume(bbox, config.cube_side)
 
     return PipelineResult(
         conversion=conv,

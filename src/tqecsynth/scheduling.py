@@ -210,12 +210,13 @@ def _row_len(count: int) -> int:
     return math.ceil(math.sqrt(count))
 
 
-def box_layout(layout: LayoutParams, spares: dict[InitBasis, int],
-               dims: dict[InitBasis, BoxDim]) -> LayoutParams:
-    """Push t_in out to fit the box layer, and j_base past the low spare flank.
+def box_layout(spares: dict[InitBasis, int], dims: dict[InitBasis, BoxDim]) -> LayoutParams:
+    """The default layout with t_in pushed out to fit the box layer, and
+    j_base past the low spare flank.
 
     ``spares`` maps every injected state the circuit uses to its spare count.
     """
+    layout = LayoutParams()
     if not spares:
         return layout
     # the box layer's face sits at t_in - 2 and every box must start at t >= 1

@@ -7,12 +7,22 @@ constraint in practice.
 Every outcome branch of an ICM conversion is simulated at once by deferring
 its measurements: a measured row is never touched again, so its tensor axis
 is left in place and indexes that row's outcome. One pass over the
-conversion on the single (2,)*n tensor then holds every branch, with the
-Pauli frame and each T block's adaptive bases carried as bit arrays over the
-measured axes. ``branch_outputs`` and ``check_equivalence`` read every
-branch's corrected outputs from that pass; ``run_branches``, the per-branch
-inspection API, indexes one branch at a time out of it. All three are
-exhaustive.
+conversion on the single (2,)*n + (T,) tensor then holds every branch of
+every trial, with the Pauli frame and each T block's adaptive bases carried
+as bit arrays over the measured axes. The trailing axis holds T trials, one
+input state each; the branch weights, and so which branches are feasible,
+are per trial, while the frame bits depend on the outcomes alone and
+broadcast over it. ``check_equivalence`` runs each chunk of its random
+inputs through one pass per side; ``branch_outputs`` and ``run_branches``, the per-branch
+inspection API, are one-trial views of it, and ``to_unitary`` is one batch
+of basis columns through ``simulate_plain``. All are exhaustive.
+
+Trials go through in chunks of at most ``2**QUBIT_BUDGET // 2**n`` (at least
+one), so a chunk's state tensor never exceeds 4096 amplitudes: a 12-row
+conversion runs one trial at a time, a 6-row template up to 64.
+``check_equivalence`` also counts its overlap matrix, one entry per pair of
+branches per trial, as an n-row tensor, so comparing two conversions never
+scores more pairs at once than one trial alone does or 4096.
 """
 from __future__ import annotations
 
@@ -106,26 +116,33 @@ def apply_cnot(state: np.ndarray, *qubits: int) -> np.ndarray:
 def assemble_state(
     n: int,
     inits: tuple[InitBasis, ...],
-    input_state: np.ndarray | None,
+    inputs: np.ndarray | None,
     conjugate_rows: frozenset[int] = frozenset(),
 ) -> np.ndarray:
-    """Tensor fixed initialisations with the open-input state, in row order."""
+    """Tensor fixed initialisations with each trial's open-input state.
+
+    ``inputs`` holds the k open rows' amplitudes, one trial per column:
+    shape (2**k, T), and a single state of 2**k amplitudes is one trial.
+    Returns the (2,)*n + (T,) tensor, row r on axis r. Without open rows
+    ``inputs`` is not read and there is one trial.
+    """
     open_rows = [r for r in range(n) if inits[r] is InitBasis.OPEN]
     fixed_rows = [r for r in range(n) if inits[r] is not InitBasis.OPEN]
     k = len(open_rows)
     if k:
-        if input_state is None:
+        if inputs is None:
             raise ValueError(f"{k} open input(s) need an input state")
-        inp = np.asarray(input_state, dtype=complex).reshape((2,) * k)
+        inp = np.asarray(inputs, dtype=complex).reshape((2,) * k + (-1,))
     else:
-        inp = np.ones((), dtype=complex)
+        inp = np.ones(1, dtype=complex)
     fixed = np.ones((), dtype=complex)
     for r in fixed_rows:
         fixed = np.multiply.outer(fixed, init_vector(inits[r], r in conjugate_rows))
+    # axes of ``full``: the open rows, the trial, then the fixed rows
     full = np.multiply.outer(inp, fixed)
-    order = open_rows + fixed_rows
-    axes = [order.index(r) for r in range(n)]
-    return np.transpose(full, axes)
+    axis = {r: p for p, r in enumerate(open_rows)}
+    axis.update((r, k + 1 + p) for p, r in enumerate(fixed_rows))
+    return np.transpose(full, [axis[r] for r in range(n)] + [k])
 
 
 def _conjugate_rows(conv: IcmConversion) -> frozenset[int]:
@@ -167,11 +184,15 @@ class SimResult:
         return out
 
 
-def simulate_plain(circ: Circuit, input_state: np.ndarray | None = None) -> np.ndarray:
-    """Run a measurement-free gate circuit; returns the final state tensor."""
+def simulate_plain(circ: Circuit, inputs: np.ndarray | None = None) -> np.ndarray:
+    """Run a measurement-free gate circuit on every trial's input at once.
+
+    ``inputs`` is as for :func:`assemble_state`; returns the final
+    (2,)*n + (T,) state tensor.
+    """
     if any(b is not MeasBasis.OPEN for b in circ.meas):
         raise ValueError("plain simulation requires open outputs")
-    state = assemble_state(circ.qubit_count, circ.inits, input_state)
+    state = assemble_state(circ.qubit_count, circ.inits, inputs)
     for g in circ.gates:
         if g.kind in (GateKind.CNOT, GateKind.TOFFOLI):
             state = apply_cnot(state, *g.qubits)
@@ -182,20 +203,23 @@ def simulate_plain(circ: Circuit, input_state: np.ndarray | None = None) -> np.n
     return state
 
 
+def _chunk(n: int) -> int:
+    """Most trials one pass over an n-row tensor takes at once."""
+    return max(1, 2 ** QUBIT_BUDGET // 2 ** n)
+
+
 def to_unitary(circ: Circuit) -> np.ndarray:
-    """Full unitary of a measurement-free circuit (basis-column simulation)."""
+    """Full unitary of a measurement-free circuit: its basis columns as trials."""
     n = circ.qubit_count
     if n > QUBIT_BUDGET:
         raise ValueError(f"unitary extraction capped at {QUBIT_BUDGET} qubits")
     dim = 2 ** n
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[col] = 1.0
-        inits = tuple(InitBasis.OPEN for _ in range(n))
-        state = simulate_plain(
-            Circuit(n, inits, circ.gates, circ.meas, icm=circ.icm), basis)
-        u[:, col] = state.reshape(-1)
+    columns = Circuit(n, (InitBasis.OPEN,) * n, circ.gates, circ.meas, icm=circ.icm)
+    u = np.eye(dim, dtype=complex)
+    step = _chunk(n)
+    # each chunk of basis columns is replaced by its image
+    for lo in range(0, dim, step):
+        u[:, lo:lo + step] = simulate_plain(columns, u[:, lo:lo + step]).reshape(dim, -1)
     return u
 
 
@@ -246,9 +270,9 @@ def measurement_count(conv: IcmConversion) -> int:
     return sum(1 for step in _steps(conv) if step[0] != "cnot")
 
 
-def _axis_bits(n: int, row: int) -> np.ndarray:
-    """The bit that axis ``row`` indexes, shaped to broadcast over (2,)*n."""
-    return np.arange(2, dtype=np.uint8).reshape((1,) * row + (2,) + (1,) * (n - row - 1))
+def _axis_bits(ndim: int, row: int) -> np.ndarray:
+    """The bit that axis ``row`` indexes, shaped to broadcast over ``ndim`` axes."""
+    return np.arange(2, dtype=np.uint8).reshape((1,) * row + (2,) + (1,) * (ndim - row - 1))
 
 
 def _output_rows(conv: IcmConversion) -> list[int]:
@@ -256,12 +280,13 @@ def _output_rows(conv: IcmConversion) -> list[int]:
 
 
 class _Branches(NamedTuple):
-    """Every outcome branch of a conversion at once.
+    """Every outcome branch of a conversion for every trial at once.
 
     Each measured axis of ``state`` (unnormalised, not frame-corrected)
-    indexes that row's raw outcome. ``events`` (a ``(row, is_x, effective)``
-    per measurement, in order), the final frame bits ``x``/``z`` per row and
-    ``feasible`` are arrays that broadcast over it.
+    indexes that row's raw outcome, and its last axis the trial. ``events``
+    (a ``(row, is_x, effective)`` per measurement, in order), the final
+    frame bits ``x``/``z`` per row and ``feasible`` are arrays that
+    broadcast over it; only ``feasible`` varies along the trial axis.
     """
 
     state: np.ndarray
@@ -271,23 +296,27 @@ class _Branches(NamedTuple):
     z: list[np.ndarray]
 
     def by_branch(self, bits: np.ndarray) -> np.ndarray:
-        """``bits`` at every branch, indexed by the branch's raw outcomes read
-        as a binary number, the first measurement most significant."""
+        """``bits`` at every trial and branch, shape (trials, branches); a
+        branch is indexed by its raw outcomes read as a binary number, the
+        first measurement most significant."""
         rows = [row for row, _, _ in self.events]
-        order = rows + [r for r in range(self.state.ndim) if r not in rows]
-        return np.transpose(np.broadcast_to(bits, self.feasible.shape), order).reshape(-1)
+        n = self.state.ndim - 1
+        order = [n] + rows + [r for r in range(n) if r not in rows]
+        bits = np.broadcast_to(bits, self.feasible.shape)
+        return np.transpose(bits, order).reshape(-1, 2 ** len(rows))
 
 
-def _deferred(conv: IcmConversion, input_state: np.ndarray | None) -> _Branches:
-    """Every outcome branch of ``conv`` in one pass over the (2,)*n tensor."""
+def _deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
+    """Every outcome branch of ``conv`` for every trial of ``inputs`` (as for
+    :func:`assemble_state`) in one pass over the (2,)*n + (T,) tensor."""
     circ = conv.circuit
     n = circ.qubit_count
     if n > QUBIT_BUDGET:
         raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
-    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
-    no_flip = np.zeros((1,) * n, dtype=np.uint8)
+    state = assemble_state(n, circ.inits, inputs, _conjugate_rows(conv))
+    no_flip = np.zeros((1,) * (n + 1), dtype=np.uint8)
     x, z = [no_flip] * n, [no_flip] * n
-    weight = np.sum(np.abs(state) ** 2, keepdims=True)
+    weight = np.sum(np.abs(state) ** 2, axis=tuple(range(n)), keepdims=True)
     feasible = np.ones(weight.shape, dtype=bool)
     events: list[tuple[int, np.ndarray, np.ndarray]] = []
     measured: list[int] = []
@@ -312,7 +341,7 @@ def _deferred(conv: IcmConversion, input_state: np.ndarray | None) -> _Branches:
         # place and indexes the raw outcome of every branch at once. A
         # pending X flips Z outcomes, a pending Z flips X outcomes; the
         # effective outcome is the one the ideal (frame-free) circuit saw.
-        eff.append(_axis_bits(n, row) ^ np.where(is_x, z[row], x[row]))
+        eff.append(_axis_bits(n + 1, row) ^ np.where(is_x, z[row], x[row]))
         events.append((row, is_x, eff[-1]))
         x[row] = z[row] = no_flip
         measured.append(row)
@@ -330,18 +359,23 @@ def _deferred(conv: IcmConversion, input_state: np.ndarray | None) -> _Branches:
 def run_branches(conv: IcmConversion, input_state: np.ndarray | None):
     """Yield each feasible branch's SimResult, built on demand, in ``branch_outputs`` order."""
     run = _deferred(conv, input_state)
+
+    def by_branch(bits: np.ndarray) -> np.ndarray:
+        return run.by_branch(bits)[0]
+
     rows = [row for row, _, _ in run.events]
-    is_x = [run.by_branch(bits) for _, bits, _ in run.events]
-    eff = [run.by_branch(bits) for _, _, bits in run.events]
-    x = [run.by_branch(bits) for bits in run.x]
-    z = [run.by_branch(bits) for bits in run.z]
-    for b in np.flatnonzero(run.by_branch(run.feasible)):
+    is_x = [by_branch(bits) for _, bits, _ in run.events]
+    eff = [by_branch(bits) for _, _, bits in run.events]
+    x = [by_branch(bits) for bits in run.x]
+    z = [by_branch(bits) for bits in run.z]
+    one = run.state[..., 0]
+    for b in np.flatnonzero(by_branch(run.feasible)):
         raw = [int(b >> (len(rows) - 1 - k)) & 1 for k in range(len(rows))]
-        cut: list[object] = [slice(None)] * run.state.ndim
+        cut: list[object] = [slice(None)] * one.ndim
         for row, m in zip(rows, raw):
             cut[row] = m
-        kept = run.state[tuple(cut)]
-        state = np.zeros_like(run.state)
+        kept = one[tuple(cut)]
+        state = np.zeros_like(one)
         state[tuple(cut)] = kept / np.linalg.norm(kept)
         log = tuple(MeasurementEvent(row, MeasBasis.X if bx[b] else MeasBasis.Z, m, int(e[b]))
                     for row, bx, m, e in zip(rows, is_x, raw, eff))
@@ -350,23 +384,39 @@ def run_branches(conv: IcmConversion, input_state: np.ndarray | None):
         yield SimResult(state, frame, log, dict(zip(rows, raw)))
 
 
+def _trial_outputs(conv: IcmConversion,
+                   inputs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Frame-corrected output vectors of every trial and branch, and which are feasible.
+
+    The outputs have shape (trials, branches, 2**outputs), the mask
+    (trials, branches); feasible vectors are normalised, the others are
+    left as they are and must not be read. The outputs are C-contiguous,
+    so each trial's overlap product in ``check_equivalence`` takes the
+    BLAS path, and rounds, as a lone trial's does.
+    """
+    run = _deferred(conv, inputs)
+    state = run.state
+    n = state.ndim - 1
+    rows = _output_rows(conv)
+    for r in rows:
+        state = np.where(run.z[r] & _axis_bits(n + 1, r), -state, state)
+        state = np.where(run.x[r], np.flip(state, r), state)
+    measured = [row for row, _, _ in run.events]
+    outputs = np.ascontiguousarray(np.transpose(state, [n] + measured + rows)).reshape(
+        state.shape[-1], 2 ** len(measured), 2 ** len(rows))
+    feasible = run.by_branch(run.feasible)
+    norm = np.linalg.norm(outputs, axis=2, keepdims=True)
+    return outputs / np.where(feasible[..., None], norm, 1.0), feasible
+
+
 def branch_outputs(conv: IcmConversion, input_state: np.ndarray | None) -> np.ndarray:
     """Normalised, frame-corrected output vector of every feasible branch.
 
     Shape (feasible branches, 2**outputs), in ``run_branches`` order (depth
     first, 0 first); output rows are in logical-qubit order.
     """
-    run = _deferred(conv, input_state)
-    state = run.state
-    n = state.ndim
-    rows = _output_rows(conv)
-    for r in rows:
-        state = np.where(run.z[r] & _axis_bits(n, r), -state, state)
-        state = np.where(run.x[r], np.flip(state, r), state)
-    order = [row for row, _, _ in run.events] + rows
-    outputs = np.transpose(state, order).reshape(-1, 2 ** len(rows))
-    outputs = outputs[np.transpose(run.feasible, order).reshape(-1)]
-    return outputs / np.linalg.norm(outputs, axis=1, keepdims=True)
+    outputs, feasible = _trial_outputs(conv, input_state)
+    return outputs[0, feasible[0]]
 
 
 def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -388,10 +438,14 @@ def _logical_ends(side: Circuit | IcmConversion) -> tuple[list[InitBasis], list[
             [circ.meas[r] for _, r in side.qubit_rows])
 
 
-def _outputs(side: Circuit | IcmConversion, inp: np.ndarray | None) -> np.ndarray:
+def _outputs(side: Circuit | IcmConversion,
+             inputs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """As :func:`_trial_outputs`; a plain circuit has one branch."""
     if isinstance(side, Circuit):
-        return simulate_plain(side, inp).reshape(1, -1)
-    return branch_outputs(side, inp)
+        state = simulate_plain(side, inputs)
+        outputs = np.ascontiguousarray(np.moveaxis(state, -1, 0)).reshape(state.shape[-1], 1, -1)
+        return outputs, np.ones(outputs.shape[:2], dtype=bool)
+    return _trial_outputs(side, inputs)
 
 
 def check_equivalence(
@@ -404,9 +458,14 @@ def check_equivalence(
 
     The reference side is simulated unitarily; an ICM side is expanded over
     all its feasible outcome branches with the Pauli frame applied, and
-    every pair of branches is scored. Both sides must agree on open
-    input/output arity, and every logical output must be open: measured
-    outcomes are not compared.
+    every pair of branches feasible on its trial is scored. Both sides must
+    agree on open input/output arity, and every logical output must be
+    open: measured outcomes are not compared.
+
+    Each trial's input is drawn from ``default_rng(seed)`` in trial order,
+    and each side runs every trial of a chunk in one pass (see the module
+    docstring). Without open inputs every trial sees the same state, so it
+    is simulated once.
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
@@ -419,17 +478,27 @@ def check_equivalence(
         arity.append((inits.count(InitBasis.OPEN), len(meas)))
     if arity[0] != arity[1]:
         raise ValueError(f"open-arity mismatch: {arity[0]} vs {arity[1]}")
-    n_in, _ = arity[0]
+    n_in, n_out = arity[0]
     size_a = a.qubit_count if isinstance(a, Circuit) else a.circuit.qubit_count
     size_b = b.qubit_count if isinstance(b, Circuit) else b.circuit.qubit_count
     if max(size_a, size_b) > QUBIT_BUDGET:
         raise ValueError(f"qubit budget {QUBIT_BUDGET} exceeded")
 
     rng = np.random.default_rng(seed)
+    count = trials if n_in else 1
+    # The overlap matrix holds one entry per pair of branches per trial, so
+    # it bounds the chunk as the state tensors do. Every row but the open
+    # outputs is measured once, so a side has 2**(rows - n_out) branches.
+    chunk = _chunk(max(size_a, size_b, size_a + size_b - 2 * n_out))
     worst = 0.0
-    for _ in range(trials):
-        inp = random_product_state(n_in, rng) if n_in else None
-        out_a, out_b = _outputs(a, inp), _outputs(b, inp)
-        overlap = np.abs(out_a.conj() @ out_b.T) ** 2
-        worst = max(worst, 1.0 - float(overlap.min()))
+    for lo in range(0, count, chunk):
+        inputs = None
+        if n_in:
+            inputs = np.stack([random_product_state(n_in, rng).reshape(-1)
+                               for _ in range(min(chunk, count - lo))], axis=1)
+        (out_a, ok_a), (out_b, ok_b) = _outputs(a, inputs), _outputs(b, inputs)
+        # overlap[t, i, j]: branch i of a against branch j of b on trial t
+        overlap = np.abs(out_a.conj() @ out_b.transpose(0, 2, 1)) ** 2
+        scored = ok_a[:, :, None] & ok_b[:, None, :]
+        worst = max(worst, 1.0 - float(overlap.min(where=scored, initial=1.0)))
     return worst

@@ -3,10 +3,12 @@
 These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``geometry.segment_overlaps``, the per-layer rescan version of
 ``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
-stream, the line-by-line version of ``document.export_obj``, and the
+stream, the line-by-line version of ``document.export_obj``, the
 replay version of ``sim.run_branches`` (every outcome string run from
-scratch, one measurement collapsed at a time); the tests compare the
-indexed, templated and one-tensor versions with them.
+scratch, one measurement collapsed at a time), and the per-trial loop
+version of ``sim.check_equivalence`` (each trial's input drawn, simulated
+and scored on its own); the tests compare the indexed, templated,
+one-tensor and trial-batched versions with them.
 """
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Layer, LayerKind, SiteBasis, bounding_box,
     execution_schedule,
 )
-from tqecsynth.circuit import GateKind, MeasBasis
+from tqecsynth.circuit import Circuit, GateKind, InitBasis, MeasBasis
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
 from tqecsynth.icm import IcmConversion, PauliFrame, select_pattern
 from tqecsynth.sim import (
-    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, apply_1q,
-    apply_cnot, assemble_state,
+    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, _logical_ends,
+    apply_1q, apply_cnot, assemble_state, branch_outputs, random_product_state,
+    simulate_plain,
 )
 
 #: Most outcome strings ``run_branches`` replays; a test that needs more
@@ -273,7 +276,7 @@ def simulate_icm(conv: IcmConversion, input_state, next_bit) -> SimResult:
     """One branch of ``conv``, its outcomes drawn from ``next_bit(p_one)``."""
     circ = conv.circuit
     n = circ.qubit_count
-    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))
+    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))[..., 0]
     x = bytearray(n)
     z = bytearray(n)
     log: list[MeasurementEvent] = []
@@ -352,3 +355,23 @@ def run_branches(conv: IcmConversion, input_state):
             yield simulate_icm(conv, input_state, _forced(bits))
         except InfeasibleBranch:
             continue
+
+
+def _outputs(side, inp) -> np.ndarray:
+    if isinstance(side, Circuit):
+        return simulate_plain(side, inp).reshape(1, -1)
+    return branch_outputs(side, inp)
+
+
+def check_equivalence(a, b, trials: int = 8, seed: int = 7) -> float:
+    """Maximum infidelity, one trial at a time: draw the input, run both
+    sides on it alone and score every pair of their branches."""
+    n_in = _logical_ends(a)[0].count(InitBasis.OPEN)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        inp = random_product_state(n_in, rng) if n_in else None
+        out_a, out_b = _outputs(a, inp), _outputs(b, inp)
+        overlap = np.abs(out_a.conj() @ out_b.T) ** 2
+        worst = max(worst, 1.0 - float(overlap.min()))
+    return worst

@@ -22,7 +22,7 @@ from tqecsynth.scheduling import (
 
 DIMS = default_box_dims()
 # The output face of a box layer that fits both default box types.
-FACE_T = box_layout(LayoutParams(), {InitBasis.A: 0, InitBasis.Y: 0}, DIMS).t_in - 2
+FACE_T = box_layout({InitBasis.A: 0, InitBasis.Y: 0}, DIMS).t_in - 2
 
 
 def real_pair(state: InitBasis, j: int, t: int = 25) -> PinPairReq:
@@ -126,7 +126,7 @@ def test_homogeneous_repeat_builds_array():
 
 def test_place_boxes_initial_schedule_then_flank_rows():
     spares = {InitBasis.Y: 5, InitBasis.A: 3}
-    layout = box_layout(LayoutParams(), spares, DIMS)
+    layout = box_layout(spares, DIMS)
     # t_in fits the tallest (A) box; j_base clears three Y boxes a pitch apart
     assert (layout.t_in, layout.j_base) == (2 * 12 + 1, 1 + 3 * 8)
     pairs = [real_pair(InitBasis.Y, layout.row_j(0), layout.t_in),
@@ -147,7 +147,7 @@ def test_place_boxes_initial_schedule_then_flank_rows():
 
 
 def test_box_layout_without_injections_keeps_layout():
-    assert box_layout(LayoutParams(), {}, DIMS) == LayoutParams()
+    assert box_layout({}, DIMS) == LayoutParams()
 
 
 @pytest.mark.parametrize("state", [InitBasis.Y, InitBasis.A])
@@ -155,7 +155,7 @@ def test_box_layout_without_injections_keeps_layout():
 def test_binomial_spares_exhaust_at_most_epsilon(needed, state):
     rate, eps, runs = 0.8, 0.01, 4000
     spares = {state: spare_count(needed, rate, eps)}
-    layout = box_layout(LayoutParams(), spares, DIMS)
+    layout = box_layout(spares, DIMS)
     pairs = [real_pair(state, layout.row_j(k), layout.t_in) for k in range(needed)]
     boxes = [b for s in place_boxes(pairs, spares, DIMS, layout, FillConfig()) for b in s.boxes]
     assert len(boxes) == needed + spares[state]

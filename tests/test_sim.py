@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -308,3 +310,216 @@ def test_walk_matches_replay_on_random_circuits(circ):
         return
     inp = random_product_state(len(circ.open_inputs()), np.random.default_rng(5))
     assert_walk_matches_replay(conv, inp)
+
+
+# -- the trial axis: one pass per side for every trial of a chunk --------------
+
+# 150 trials span three chunks of a 6-row template (64 trials each); an
+# 11-row conversion takes 2 trials a chunk.
+TRIAL_COUNTS = (1, 4, 8, 150)
+SEEDS = (3, 11)
+KINDS = ("p", "pdg", "v", "vdg", "t", "tdg")
+SWAP = {"p": "pdg", "pdg": "p", "v": "vdg", "vdg": "v", "t": "tdg", "tdg": "t"}
+
+
+def assert_matches_trial_loop(a, b, trials, seed):
+    """The batched check gives the per-trial loop's value and verdict."""
+    got = check_equivalence(a, b, trials=trials, seed=seed)
+    want = ref.check_equivalence(a, b, trials=trials, seed=seed)
+    assert abs(got - want) <= 1e-15
+    assert (got < TOL) == (want < TOL)
+    return got
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("trials", TRIAL_COUNTS)
+def test_batched_check_matches_trial_loop_on_every_template(kind, trials):
+    plain = circuit(1, [Gate(GateKind(kind), (0,))])
+    conv = to_icm(plain)
+    swapped = to_icm(circuit(1, [Gate(GateKind(SWAP[kind]), (0,))]))
+    for seed in SEEDS:
+        assert assert_matches_trial_loop(plain, conv, trials, seed) < TOL
+        assert assert_matches_trial_loop(conv, plain, trials, seed) < TOL
+        # the wrong template's infidelity depends on every input drawn
+        assert assert_matches_trial_loop(plain, swapped, trials, seed) > 1e-3
+
+
+@settings(max_examples=15, deadline=None)
+@given(gate_circuits(max_qubits=2, max_gates=4))
+def test_batched_check_matches_trial_loop_on_random_circuits(circ):
+    conv = to_icm(decompose_gates(circ))
+    if conv.circuit.qubit_count > 12:
+        return
+    for trials in (1, 4, 8):
+        for seed in SEEDS:
+            assert assert_matches_trial_loop(circ, conv, trials, seed) < TOL
+
+
+def oracle_source(rng, t_kind: str) -> str:
+    """A two-qubit circuit of one T-type gate and six small gates, shuffled."""
+    kinds = [t_kind, "p", "pdg", "v", "vdg", "cnot", "cnot"]
+    rng.shuffle(kinds)
+    lines = ["qubits 2"]
+    for kind in kinds:
+        if kind == "cnot":
+            lines.append("cnot {} {}".format(*rng.sample(range(2), 2)))
+        else:
+            lines.append(f"{kind} {rng.randrange(2)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_batched_check_matches_trial_loop_on_oracle_circuits(k):
+    source = oracle_source(random.Random(k), "t" if k % 2 == 0 else "tdg")
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    assert conv.circuit.qubit_count <= 12
+    swap = {"\nt ": "\ntdg ", "\ntdg ": "\nt "}
+    old = next(key for key in swap if key in source)
+    wrong = to_icm(decompose_gates(parse_circuit(source.replace(old, swap[old]))))
+    for trials in (1, 4, 8):
+        for seed in SEEDS:
+            assert assert_matches_trial_loop(circ, conv, trials, seed) < TOL
+            assert assert_matches_trial_loop(circ, wrong, trials, seed) > 1e-3
+
+
+def record_passes(monkeypatch):
+    """The (2,)*n + (T,) shape of every state the simulator assembles."""
+    shapes = []
+    assemble = sim.assemble_state
+
+    def recording(*args, **kwargs):
+        state = assemble(*args, **kwargs)
+        shapes.append(state.shape)
+        return state
+
+    monkeypatch.setattr(sim, "assemble_state", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("kind,trials,passes", [
+    ("t", 150, 3), ("t", 64, 1), ("t", 65, 2), ("p", 200, 1),
+])
+def test_trials_go_through_in_bounded_chunks(monkeypatch, kind, trials, passes):
+    plain = circuit(1, [Gate(GateKind(kind), (0,))])
+    conv = to_icm(plain)
+    rows = conv.circuit.qubit_count
+    chunk = max(1, 2 ** QUBIT_BUDGET // 2 ** rows)
+    shapes = record_passes(monkeypatch)
+    check_equivalence(plain, conv, trials=trials, seed=3)
+    # each side takes one pass per chunk; the chunks cover every trial once
+    assert len(shapes) == 2 * passes
+    assert sum(shape[-1] for shape in shapes) == 2 * trials
+    assert max(np.prod(shape) for shape in shapes) <= 2 ** QUBIT_BUDGET
+    assert all(shape[-1] <= chunk for shape in shapes)
+
+
+@pytest.mark.parametrize("kind,chunk", [("t", 4), ("v", 1024)])
+def test_two_conversions_bound_the_overlap_too(monkeypatch, kind, chunk):
+    # t: 6 rows and 5 measurements a side, so 2**10 branch pairs per trial
+    # and 4 trials per pass; v: 2 rows and 1 measurement a side
+    conv = to_icm(circuit(1, [Gate(GateKind(kind), (0,))]))
+    pairs = 4 ** measurement_count(conv)
+    assert chunk == max(1, 2 ** QUBIT_BUDGET // max(pairs, 2 ** conv.circuit.qubit_count))
+    shapes = record_passes(monkeypatch)
+    assert check_equivalence(conv, conv, trials=2 * chunk, seed=3) < TOL
+    assert [shape[-1] for shape in shapes] == [chunk] * 4
+
+
+def test_twelve_rows_run_one_trial_at_a_time(monkeypatch):
+    circ = circuit(2, [Gate(GateKind.T, (0,)), cnot(0, 1), Gate(GateKind.TDG, (1,))])
+    conv = to_icm(circ)
+    shapes = record_passes(monkeypatch)
+    check_equivalence(circ, conv, trials=3, seed=21)
+    assert [shape[-1] for shape in shapes] == [1] * 6
+    assert max(np.prod(shape) for shape in shapes) == 2 ** QUBIT_BUDGET
+
+
+def test_closed_inputs_are_simulated_once(monkeypatch):
+    # no open input: every trial sees the same state, so one trial stands
+    # for all of them
+    circ = Circuit(2, (InitBasis.ZERO, InitBasis.PLUS),
+                   (Gate(GateKind.T, (1,)), cnot(1, 0), Gate(GateKind.H, (0,))),
+                   (MeasBasis.OPEN, MeasBasis.OPEN))
+    conv = to_icm(decompose_gates(circ))
+    want = ref.check_equivalence(circ, conv, trials=5, seed=2)
+    shapes = record_passes(monkeypatch)
+    assert check_equivalence(circ, conv, trials=5, seed=2) == want < TOL
+    assert [shape[-1] for shape in shapes] == [1, 1]
+
+
+@pytest.mark.parametrize("source", [
+    "qubits 1\nmeasure 0 z\np 0\n",
+    "qubits 2\nmeasure 0 z\nt 0\ncnot 0 1\nvdg 1\n",
+])
+def test_feasibility_is_per_trial(source):
+    # The measured output's outcome follows the input: |0> and |1> in one
+    # batch must each keep their own branches, as if run alone.
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    k = len(circ.open_inputs())
+    basis = np.eye(2 ** k, dtype=complex)
+    inputs = basis[:, [0, 2 ** (k - 1)]]        # qubit 0 in |0> and in |1>
+    run = sim._deferred(conv, inputs)
+    outputs, feasible = sim._trial_outputs(conv, inputs)
+    branch_sets = []
+    for t in range(2):
+        alone = sim._deferred(conv, inputs[:, t])
+        want = np.flatnonzero(alone.by_branch(alone.feasible)[0])
+        assert np.flatnonzero(run.by_branch(run.feasible)[t]).tolist() == want.tolist()
+        assert np.flatnonzero(feasible[t]).tolist() == want.tolist()
+        np.testing.assert_array_equal(outputs[t, feasible[t]],
+                                      branch_outputs(conv, inputs[:, t]))
+        assert len(replay(conv, inputs[:, t])) == len(want)
+        branch_sets.append(want.tolist())
+    assert branch_sets[0] != branch_sets[1]
+
+
+@pytest.mark.parametrize("kind", ["t", "v"])
+def test_infeasible_branches_are_not_scored(monkeypatch, kind):
+    # Teleported outcomes are uniform, so every branch of an open-output
+    # conversion is feasible; add a zero-weight branch to every trial to see
+    # that the mask, not the vector, decides what is scored.
+    plain = circuit(1, [Gate(GateKind(kind), (0,))])
+    conv = to_icm(plain)
+    want = check_equivalence(plain, conv, trials=8, seed=3)
+    outputs = sim._trial_outputs
+
+    def with_dead_branch(*args):
+        out, ok = outputs(*args)
+        trials, _, dim = out.shape
+        return (np.concatenate([out, np.zeros((trials, 1, dim))], axis=1),
+                np.concatenate([ok, np.zeros((trials, 1), dtype=bool)], axis=1))
+
+    monkeypatch.setattr(sim, "_trial_outputs", with_dead_branch)
+    assert check_equivalence(plain, conv, trials=8, seed=3) == want < TOL
+    assert check_equivalence(conv, conv, trials=8, seed=3) < TOL
+
+
+def test_assemble_state_trial_axis():
+    inits = (InitBasis.OPEN, InitBasis.ZERO, InitBasis.OPEN)
+    rng = np.random.default_rng(9)
+    inputs = np.stack([random_product_state(2, rng).reshape(-1) for _ in range(3)], axis=1)
+    batch = sim.assemble_state(3, inits, inputs)
+    assert batch.shape == (2, 2, 2, 3)
+    for t in range(3):
+        np.testing.assert_array_equal(batch[..., t], sim.assemble_state(3, inits, inputs[:, t])[..., 0])
+        # row 1 is |0>; rows 0 and 2 carry the open input in row order
+        np.testing.assert_array_equal(batch[:, 1, :, t], 0)
+        np.testing.assert_array_equal(batch[:, 0, :, t], inputs[:, t].reshape(2, 2))
+    closed = sim.assemble_state(1, (InitBasis.PLUS,), None)
+    assert closed.shape == (2, 1)
+
+
+def test_to_unitary_across_chunks():
+    # 7 qubits: 128 basis columns in chunks of 32
+    gates = [Gate(GateKind.H, (q,)) for q in range(7)]
+    gates += [cnot(q, q + 1) for q in range(6)] + [Gate(GateKind.T, (3,)), Gate(GateKind.V, (6,))]
+    circ = circuit(7, gates)
+    u = to_unitary(circ)
+    for col in (0, 31, 32, 127):
+        basis = np.zeros(128, dtype=complex)
+        basis[col] = 1
+        np.testing.assert_allclose(u[:, col], sim.simulate_plain(circ, basis).reshape(-1),
+                                   rtol=0, atol=1e-15)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(128))) < 1e-12
