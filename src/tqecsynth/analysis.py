@@ -237,13 +237,16 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
 
 
 def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
-                cell: Callable[[int, int, SiteBasis], V]) -> Iterator[tuple[V, ...]]:
+                cell: Callable[[int, int, SiteBasis], V],
+                bbox: BBox | None = None) -> Iterator[tuple[V, ...]]:
     """The marked sites of every layer, t = 1 .. 2T - 1, as ``cell(i, j, basis)`` values.
 
     ``lattice_cells`` is the hosting lattice extent (I, J, T) in unit
     cells; it must cover the geometry and stay within ``MAX_LAYER_SITES``
     and ``MAX_LAYERS``. Both checks and the stamp set-up run before this
-    returns, so a caller can fail before it writes anything.
+    returns, so a caller can fail before it writes anything. The cover is
+    checked against ``bbox``, the geometry's ``bounding_box``: a caller
+    that already holds it passes it in, and it is measured here otherwise.
 
     Sites inside a defect cross-section measure Z, injection vertices are
     marked injected, and configurable IO boundary cells stay unmeasured.
@@ -271,11 +274,12 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
         raise AnalysisError(
             f"lattice of {ci} x {cj} x {ct} cells is too large: at most {MAX_LAYER_SITES} "
             f"sites per layer and {MAX_LAYERS} layers")
-    if geometry.segments or geometry.pins or geometry.injections or geometry.boxes:
+    if bbox is None and (geometry.segments or geometry.pins or geometry.injections
+                         or geometry.boxes):
         bbox = bounding_box(geometry)
-        if bbox.hi.i > extent[0] or bbox.hi.j > extent[1] or bbox.hi.t > t_max \
-                or min(bbox.lo.as_list()) < 0:
-            raise AnalysisError("lattice extent smaller than the geometry bounding box")
+    if bbox is not None and (bbox.hi.i > extent[0] or bbox.hi.j > extent[1]
+                             or bbox.hi.t > t_max or min(bbox.lo.as_list()) < 0):
+        raise AnalysisError("lattice extent smaller than the geometry bounding box")
 
     # Each stamp clipped to the lattice, with its events: (t, 1, k) adds
     # stamp k at t and (t, 0, k) drops it there, one past its t_hi.

@@ -13,10 +13,10 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 from .analysis import (
-    AnalysisError, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
+    AnalysisError, BBox, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
 )
 from .circuit import (
     Gate, GateKind, InitBasis, ParseError, circuit as make_circuit, parse_circuit,
@@ -218,21 +218,23 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def slice_lines(geometry: Geometry, cells: tuple[int, int, int]) -> Iterator[bytes]:
+def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
+                bbox: BBox | None = None) -> Iterator[bytes]:
     """The slice stream of ``geometry`` on a lattice of ``cells``, as byte pieces.
 
     The concatenated pieces are the stream: one JSON line per instruction,
     each holding the bytes ``json.dumps`` gives with sorted keys and
-    compact separators. The lattice is checked, and the stamps set up,
-    before this returns. Every distinct (site, basis) is encoded once, and
-    the marks of each distinct layer ``layer_marks`` builds are joined
-    once; a repeated layer, which ``layer_marks`` gives as the same tuple,
-    shares its payload. Instructions are yielded piece by piece, so a
-    payload is written where it is needed and never copied into a line.
+    compact separators. The lattice is checked against ``bbox`` (see
+    ``layer_marks``), and the stamps set up, before this returns. Every
+    distinct (site, basis) is encoded once, and the marks of each distinct
+    layer ``layer_marks`` builds are joined once; a repeated layer, which
+    ``layer_marks`` gives as the same tuple, shares its payload.
+    Instructions are yielded piece by piece, so a payload is never copied
+    into a line; ``cmd_slice`` copies each piece once, into its write buffer.
     """
     names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
     marks = layer_marks(geometry, cells,
-                        lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]))
+                        lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]), bbox)
     head = b'{"default_basis":"x","extent":[%d,%d],' % (2 * cells[0], 2 * cells[1])
     return _instruction_pieces(_layer_pieces(marks, head), 2 * cells[2] - 1)
 
@@ -270,12 +272,45 @@ def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
         yield b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n'
 
 
+# Bytes the slice stream gathers before each write. Its pieces run from a
+# few bytes to a layer's whole payload, and one write call per piece costs
+# more than copying them into one buffer.
+WRITE_BYTES = 1 << 20
+
+
+def _write_runs(fh: BinaryIO, pieces: Iterator[bytes], size: int = WRITE_BYTES) -> None:
+    """Write the concatenated ``pieces`` to ``fh`` in runs of ``size`` bytes.
+
+    The pieces are copied into one buffer, allocated once, and every write
+    but the last hands over the whole buffer; a piece that reaches past its
+    end is split across runs.
+    """
+    buf = memoryview(bytearray(size))
+    held = 0
+    for piece in pieces:
+        end = held + len(piece)
+        if end < size:   # most pieces: copied without a memoryview of their own
+            buf[held:end] = piece
+            held = end
+            continue
+        rest = memoryview(piece)
+        while held + len(rest) >= size:
+            take = size - held
+            buf[held:] = rest[:take]
+            fh.write(buf)
+            rest, held = rest[take:], 0
+        held = len(rest)
+        buf[:held] = rest
+    if held:
+        fh.write(buf[:held])
+
+
 def cmd_slice(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     cells = tuple(args.cells) if args.cells else lattice_cells(result.bbox)
-    pieces = slice_lines(result.geometry, cells)
+    pieces = slice_lines(result.geometry, cells, result.bbox)
     with _output(args.out) as fh:
-        fh.writelines(pieces)
+        _write_runs(fh, pieces)
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ algorithm identifier is recorded in the output metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +81,18 @@ class PipelineResult:
     schedules: list[Schedule]
     failure: FailureReport | None
     connections: list[Connection]
-    distance: analysis.DistanceReport
     volume: analysis.VolumeReport
     bbox: analysis.BBox
     config: PipelineConfig
+
+    @cached_property
+    def distance(self) -> analysis.DistanceReport:
+        """The code-distance report, measured on first read and then kept.
+
+        Only the reports read it, so a run that writes none (``slice``)
+        never pays for the segment-pair scan.
+        """
+        return analysis.min_code_distance(self.geometry)
 
 
 def _by_state(items: list) -> dict[InitBasis, list]:
@@ -153,7 +162,6 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     if min(bbox.lo.as_list()) < 0:
         raise PipelineError("layout produced negative coordinates")
 
-    distance = analysis.min_code_distance(geometry)
     volume = analysis.bbox_volume(bbox, config.cube_side)
 
     return PipelineResult(
@@ -163,7 +171,6 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         schedules=schedules,
         failure=failure,
         connections=connections,
-        distance=distance,
         volume=volume,
         bbox=bbox,
         config=config,

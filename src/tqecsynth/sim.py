@@ -21,8 +21,9 @@ Trials go through in chunks of at most ``2**QUBIT_BUDGET // 2**n`` (at least
 one), so a chunk's state tensor never exceeds 4096 amplitudes: a 12-row
 conversion runs one trial at a time, a 6-row template up to 64.
 ``check_equivalence`` also counts its overlap matrix, one entry per pair of
-branches per trial, as an n-row tensor, so comparing two conversions never
-scores more pairs at once than one trial alone does or 4096.
+branches per trial, as an n-row tensor when it sizes a chunk, and scores it
+in blocks of at most 4096 pairs per trial: two 12-row conversions with 2**11
+branches each never hold their 2**22 pairs at once.
 """
 from __future__ import annotations
 
@@ -497,8 +498,13 @@ def check_equivalence(
             inputs = np.stack([random_product_state(n_in, rng).reshape(-1)
                                for _ in range(min(chunk, count - lo))], axis=1)
         (out_a, ok_a), (out_b, ok_b) = _outputs(a, inputs), _outputs(b, inputs)
-        # overlap[t, i, j]: branch i of a against branch j of b on trial t
-        overlap = np.abs(out_a.conj() @ out_b.transpose(0, 2, 1)) ** 2
-        scored = ok_a[:, :, None] & ok_b[:, None, :]
-        worst = max(worst, 1.0 - float(overlap.min(where=scored, initial=1.0)))
+        # Score a block of a's branches at a time, so that a block holds at
+        # most 2**QUBIT_BUDGET pairs per trial, as large as one state.
+        rows = max(1, 2 ** QUBIT_BUDGET // out_b.shape[1])
+        cols_b = out_b.transpose(0, 2, 1)
+        for r in range(0, out_a.shape[1], rows):
+            # overlap[t, i, j]: branch r + i of a against branch j of b on trial t
+            overlap = np.abs(out_a[:, r:r + rows].conj() @ cols_b) ** 2
+            scored = ok_a[:, r:r + rows, None] & ok_b[:, None, :]
+            worst = max(worst, 1.0 - float(overlap.min(where=scored, initial=1.0)))
     return worst

@@ -1,0 +1,21 @@
+"""tools/ladder.py exits 1 when a rung fails or lacks one of its fields."""
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+import ladder  # noqa: E402
+
+WHOLE = {field: 1 for field in ladder.FIELDS}
+
+
+@pytest.mark.parametrize("rung,code", [
+    (WHOLE, 0),
+    ({k: v for k, v in WHOLE.items() if k != "distance_s"}, 1),
+    ({"toffolis": 1, "error": "timed out after 600 s"}, 1),
+])
+def test_ladder_exit_code(monkeypatch, capsys, rung, code):
+    monkeypatch.setattr(ladder, "run_rung", lambda toffolis: rung)
+    assert ladder.main(["1", "4"]) == code
+    assert '"rungs"' in capsys.readouterr().out

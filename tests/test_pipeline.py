@@ -1,5 +1,7 @@
 import pytest
 
+import reference_scans as ref
+from tqecsynth import analysis
 from tqecsynth.circuit import InitBasis
 from tqecsynth.pipeline import (
     PipelineConfig, PipelineError, SparePolicy, run_pipeline,
@@ -139,3 +141,16 @@ def test_empty_circuit_minimal_document():
     assert doc["icm"]["cnots"] == 0
     assert len(doc["defects"]) == 2
     assert doc["connections"] == []
+
+
+def test_distance_is_measured_once_on_first_read(monkeypatch):
+    calls = []
+    measure = analysis.min_code_distance
+    monkeypatch.setattr(analysis, "min_code_distance",
+                        lambda geometry: calls.append(geometry) or measure(geometry))
+    result = run_pipeline("qubits 3\ntoffoli 0 1 2\n", PipelineConfig(success_rate=0.8, seed=53))
+    assert calls == []
+    first = result.distance
+    assert result.distance is first
+    assert len(calls) == 1 and calls[0] is result.geometry
+    assert first == measure(result.geometry) == ref.min_code_distance(result.geometry)

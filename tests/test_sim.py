@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -523,3 +524,36 @@ def test_to_unitary_across_chunks():
         np.testing.assert_allclose(u[:, col], sim.simulate_plain(circ, basis).reshape(-1),
                                    rtol=0, atol=1e-15)
     assert np.max(np.abs(u.conj().T @ u - np.eye(128))) < 1e-12
+
+
+# -- the overlap matrix: scored in blocks of a's branches -----------------------
+
+def test_two_twelve_row_conversions_stay_small():
+    # 2**11 branches a side: the whole overlap matrix would hold 2**22
+    # complex entries (64 MiB) and its absolute squares as much again
+    conv = to_icm(decompose_gates(parse_circuit("qubits 1\nt 0\ntdg 0\np 0\n")))
+    assert conv.circuit.qubit_count == 12 and measurement_count(conv) == 11
+    tracemalloc.start()
+    try:
+        got = check_equivalence(conv, conv, trials=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got < TOL
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("k", range(2))
+def test_blocked_scores_match_trial_loop_between_conversions(k):
+    # 11 rows and 9 measurements a side: 2**9 x 2**9 pairs per trial, scored
+    # 8 branches of a (4096 pairs) a block
+    source = oracle_source(random.Random(k), "t" if k % 2 == 0 else "tdg")
+    conv = to_icm(decompose_gates(parse_circuit(source)))
+    assert measurement_count(conv) == 9
+    swap = {"\nt ": "\ntdg ", "\ntdg ": "\nt "}
+    old = next(key for key in swap if key in source)
+    wrong = to_icm(decompose_gates(parse_circuit(source.replace(old, swap[old]))))
+    for seed in SEEDS:
+        assert assert_matches_trial_loop(conv, conv, 2, seed) < TOL
+        assert assert_matches_trial_loop(conv, wrong, 2, seed) > 1e-3
+        assert assert_matches_trial_loop(wrong, conv, 2, seed) > 1e-3

@@ -1,12 +1,20 @@
 """The stamp-overlay slicer and its byte stream against the per-layer reference rescan."""
+import io
 import json
+import math
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import reference_scans as ref
-from tqecsynth.analysis import SiteBasis, _stamps, lattice_cells_for, layer_marks, slice_layers
-from tqecsynth.cli import EXIT_OK, main, slice_lines
+from tqecsynth import analysis, cli
+from tqecsynth.analysis import (
+    AnalysisError, BBox, SiteBasis, _stamps, bounding_box, lattice_cells_for, layer_marks,
+    slice_layers,
+)
+from tqecsynth.cli import EXIT_OK, EXIT_PARSE, WRITE_BYTES, main, slice_lines
 from tqecsynth.circuit import InitBasis
 from tqecsynth.geometry import (
     CapShape, Coord, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole,
@@ -208,3 +216,127 @@ def test_stream_joins_each_distinct_payload_once(name):
     overlays = [marked for marked in layer_marks(geo, cells, pairs) if marked]
     built = len({id(marked) for marked in overlays})
     assert len({id(piece) for piece in payloads}) == built < len(payloads) // 4
+
+
+class Recording:
+    """A binary handle that records the size of every write it is handed."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def record_slice(monkeypatch, tmp_path, *argv: str) -> tuple[list[Recording], bytes, bytes]:
+    """``slice`` to stdout and to ``--out``: both handles, then both streams."""
+    stdout = Recording(io.BytesIO())
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=stdout))
+    assert main(["slice", *argv]) == EXIT_OK
+    out = tmp_path / "layers.jsonl"
+    opened = []
+
+    def recording_open(name, mode="r"):
+        assert (name, mode) == (str(out), "wb")
+        opened.append(Recording(open(name, mode)))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    assert main(["slice", *argv, "--out", str(out)]) == EXIT_OK
+    monkeypatch.undo()
+    return [stdout, *opened], stdout.fh.getvalue(), out.read_bytes()
+
+
+def test_slice_stream_goes_out_in_megabyte_writes(tmp_path, monkeypatch):
+    path = CIRCUIT_DIR / "toffoli.tq"
+    geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
+    want = ref.slice_stream(geo, lattice_cells_for(geo))
+    assert len(want) > 8 * WRITE_BYTES
+    handles, stdout, out = record_slice(monkeypatch, tmp_path, str(path))
+    assert stdout == out == want
+    assert len(handles) == 2
+    for handle in handles:
+        assert 2 < len(handle.sizes) <= math.ceil(len(want) / WRITE_BYTES) + 2
+
+
+def test_short_slice_stream_is_one_write(tmp_path, monkeypatch):
+    path = CIRCUIT_DIR / "t_gate.tq"
+    geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
+    want = ref.slice_stream(geo, lattice_cells_for(geo))
+    assert len(want) < WRITE_BYTES
+    handles, stdout, out = record_slice(monkeypatch, tmp_path, str(path))
+    assert stdout == out == want
+    assert [handle.sizes for handle in handles] == [[len(want)]] * 2
+
+
+@pytest.mark.parametrize("lengths", [[], [0], [8], [8, 8], [3, 5, 8, 0, 21, 1], [7] * 9,
+                                     [2, 30]])
+def test_write_runs_hand_over_whole_buffers(lengths):
+    pieces = [bytes([65 + k]) * n for k, n in enumerate(lengths)]
+    handle = Recording(io.BytesIO())
+    cli._write_runs(handle, iter(pieces), size=8)
+    total = sum(lengths)
+    assert handle.fh.getvalue() == b"".join(pieces)
+    # every write but the last is a whole buffer, and none is empty
+    assert handle.sizes == [8] * (total // 8) + ([total % 8] if total % 8 else [])
+
+
+def test_slice_never_measures_the_code_distance(tmp_path, monkeypatch):
+    path = str(CIRCUIT_DIR / "t_gate.tq")
+    flags = ("--success-rate", "0.8", "--seed", "53")
+    want = cli_slice(tmp_path, path, *flags)
+
+    def refuse(geometry):
+        raise AssertionError("the code distance was measured")
+
+    monkeypatch.setattr(analysis, "min_code_distance", refuse)
+    assert cli_slice(tmp_path, path, *flags) == want
+    # the reports still read it
+    with pytest.raises(AssertionError, match="code distance was measured"):
+        main(["metrics", path, *flags])
+
+
+def test_slice_measures_the_bounding_box_once(tmp_path, monkeypatch):
+    path = CIRCUIT_DIR / "cnot.tq"
+    geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
+    boxes = []
+    measure = analysis.bounding_box
+    monkeypatch.setattr(analysis, "bounding_box",
+                        lambda geometry: boxes.append(geometry) or measure(geometry))
+    got = cli_slice(tmp_path, path)
+    assert len(boxes) == 1   # the pipeline's, which the slicer reuses
+    assert got == ref.slice_stream(geo, lattice_cells_for(geo))
+
+
+def test_held_bounding_box_decides_the_cover():
+    geo = HAND_BUILT["io-over-z"]
+    cells = (6, 6, 6)
+    box = bounding_box(geo)
+    assert list(layer_marks(geo, cells, pairs, box)) == list(layer_marks(geo, cells, pairs))
+    # a box past the lattice is refused although the geometry itself fits
+    wide = BBox(box.lo, Coord(13, box.hi.j, box.hi.t))
+    with pytest.raises(AnalysisError, match="lattice extent smaller than the geometry"):
+        layer_marks(geo, cells, pairs, wide)
+    with pytest.raises(AnalysisError, match="lattice extent smaller than the geometry"):
+        slice_lines(geo, cells, wide)
+
+
+def test_lattice_smaller_than_the_geometry_exit_code(tmp_path, capsys):
+    out = tmp_path / "layers.jsonl"
+    rc = main(["slice", str(CIRCUIT_DIR / "cnot.tq"), "--cells", "1", "1", "1",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE and captured.out == "" and not out.exists()
+    assert captured.err == "error: lattice extent smaller than the geometry bounding box\n"

@@ -8,14 +8,17 @@ rung that outgrows the cap fails on its own instead of exhausting the
 host. Per rung it records:
 
 - ``run_pipeline_s``: one ``run_pipeline`` call;
+- ``distance_s``: the first read of that result's ``distance``, which
+  measures the code distance (``run_pipeline`` leaves it to that read), so
+  ``run_pipeline_s + distance_s`` is the whole synthesis with its reports;
 - ``slice_s``: the whole ``tqecsynth slice SOURCE --out /dev/null``
   command, pipeline included, as the CLI runs it;
-- ``peak_rss_mb``: the child's peak resident set after both;
+- ``peak_rss_mb``: the child's peak resident set after all three;
 - ``stream_bytes`` and ``layers``: the size of that slice stream, counted
   in a separate pass after the peak is read.
 
 Usage: ``python tools/ladder.py [RUNG ...]`` (default rungs 1 4 16). It
-prints one JSON document, and exits 1 if a rung failed.
+prints one JSON document, and exits 1 if a rung failed or lacks a field.
 """
 from __future__ import annotations
 
@@ -34,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 FLAGS = ["--success-rate", "0.9", "--seed", "1", "--spare-epsilon", "1e-6"]
 ADDRESS_SPACE_CAP = 4 * 2**30   # bytes per rung
 RUNG_TIMEOUT_S = 600
+# What every rung reports.
+FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "slice_s", "peak_rss_mb",
+          "stream_bytes", "layers"}
 
 
 def measure(toffolis: int) -> dict:
@@ -49,6 +55,9 @@ def measure(toffolis: int) -> dict:
     start = time.perf_counter()
     result = pipeline.run_pipeline(source, config)
     run_s = time.perf_counter() - start
+    start = time.perf_counter()
+    result.distance  # measured on its first read
+    distance_s = time.perf_counter() - start
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"toffoli{toffolis}.tq"
@@ -61,9 +70,10 @@ def measure(toffolis: int) -> dict:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     cells = lattice_cells_for(result.geometry)
-    stream_bytes = sum(map(len, cli.slice_lines(result.geometry, cells)))
+    stream_bytes = sum(map(len, cli.slice_lines(result.geometry, cells, result.bbox)))
     return {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
-            "slice_s": round(slice_s, 3), "peak_rss_mb": round(peak_mb, 1),
+            "distance_s": round(distance_s, 3), "slice_s": round(slice_s, 3),
+            "peak_rss_mb": round(peak_mb, 1),
             "stream_bytes": stream_bytes, "layers": 2 * cells[2] - 1}
 
 
@@ -98,7 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         "rungs": [run_rung(n) for n in args.rungs],
     }
     print(json.dumps(doc, indent=2))
-    return 1 if any("error" in rung for rung in doc["rungs"]) else 0
+    whole = all("error" not in rung and FIELDS <= rung.keys() for rung in doc["rungs"])
+    return 0 if whole else 1
 
 
 if __name__ == "__main__":
