@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .geometry import CapShape, Coord, Geometry
 from .spatial import RADIUS, SegmentIndex
 
 V = TypeVar("V")
+L = TypeVar("L")
 
 
 class AnalysisError(ValueError):
@@ -238,7 +239,8 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
 
 def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
                 cell: Callable[[int, int, SiteBasis], V],
-                bbox: BBox | None = None) -> Iterator[tuple[V, ...]]:
+                bbox: BBox | None = None, *,
+                layer: Callable[[Iterable[V]], L] = tuple) -> Iterator[L]:
     """The marked sites of every layer, t = 1 .. 2T - 1, as ``cell(i, j, basis)`` values.
 
     ``lattice_cells`` is the hosting lattice extent (I, J, T) in unit
@@ -255,11 +257,12 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
     list, two events per stamp, adds a stamp to the active set at its
     clipped ``t_lo`` and drops it after its ``t_hi``. A layer overlays the
     ``{site: value}`` fragments of its active stamps in stamp order, so a
-    later stamp overwrites an earlier one on shared sites, and yields the
-    values in (i, j) order as one tuple. ``cell`` runs once per distinct
-    (site, basis). A layer whose active set equals that of one of the last
-    two distinct layers before it (a run of equal layers counts once) is
-    the very same tuple as that layer, and only a new set is overlaid. An
+    later stamp overwrites an earlier one on shared sites, and yields
+    ``layer`` of the values in (i, j) order, a tuple by default. ``cell``
+    runs once per distinct (site, basis) and ``layer`` once per overlay. A
+    layer whose active set equals that of one of the last two distinct
+    layers before it (a run of equal layers counts once) yields that
+    layer's value again, and only a new set is overlaid. An
     injection vertex (one layer) or a cap or pin box (three layers) breaks
     into a set and then restores it, and the restored set is still one of
     those two, so a set rarely needs a second overlay. Layers are built one
@@ -292,12 +295,13 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
             events += ((t_lo, 1, len(stamps)), (t_hi + 1, 0, len(stamps)))
             stamps.append(box)
     events.sort(reverse=True)
-    return _sweep_layers(stamps, events, t_max, extent[1] + 1, cell)
+    return _sweep_layers(stamps, events, t_max, extent[1] + 1, cell, layer)
 
 
 def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
                   events: list[tuple[int, int, int]], t_max: int, width: int,
-                  cell: Callable[[int, int, SiteBasis], V]) -> Iterator[tuple[V, ...]]:
+                  cell: Callable[[int, int, SiteBasis], V],
+                  layer: Callable[[Iterable[V]], L]) -> Iterator[L]:
     # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order.
     codes: dict[SiteBasis, dict[int, V]] = {basis: {} for basis in SiteBasis}
 
@@ -317,8 +321,7 @@ def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
     active: dict[int, dict[int, V]] = {}
     # The last two distinct layers, latest last, each with the stamps that
     # entered or left since it was active: a layer equals it when none did.
-    # Before t = 1 the active set is empty.
-    recent: list[tuple[tuple[V, ...], set[int]]] = [((), set())]
+    recent: list[tuple[L, set[int]]] = []
     for t in range(1, t_max):
         while events and events[-1][0] == t:
             _, enters, k = events.pop()
@@ -333,7 +336,7 @@ def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
             overlay: dict[int, V] = {}
             for k in sorted(active):
                 overlay.update(active[k])
-            hit = (tuple(map(overlay.__getitem__, sorted(overlay))), set())
+            hit = (layer(map(overlay.__getitem__, sorted(overlay))), set())
         recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
         yield hit[0]
 

@@ -15,20 +15,19 @@ import sys
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
+import numpy as np
+
 from .analysis import (
     AnalysisError, BBox, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
 )
-from .circuit import (
-    Gate, GateKind, InitBasis, ParseError, circuit as make_circuit, parse_circuit,
-    validate_circuit,
-)
-from .decompose import decompose_gates
+from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
+from .decompose import toffoli_sequence
 from .document import FORMATS, canonical_json, export, reports
 from .geometry import Geometry
 from .icm import to_icm
-from .pipeline import PipelineConfig, PipelineError, SparePolicy, run_pipeline
+from .pipeline import PipelineConfig, PipelineError, SparePolicy, icm_conversion, run_pipeline
 from .scheduling import BoxDim, DistillationExhausted, SchedulingError, default_box_dims
-from .sim import check_equivalence
+from .sim import H_MATRIX, TOFFOLI_MATRIX, check_equivalence, gate_matrix, to_unitary
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -165,12 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise PipelineError("trials must be a positive integer")
     if not 0 <= args.tolerance < math.inf:
         raise PipelineError("tolerance must be a finite non-negative number")
-    circ = parse_circuit(_read_source(args.source))
-    diags = validate_circuit(circ)
-    if diags:
-        raise PipelineError(diags[0].message)
-
-    conv = to_icm(decompose_gates(circ))
+    circ, conv = icm_conversion(_read_source(args.source))
     tol = args.tolerance
     per_kind: dict[GateKind, float] = {}
     for inst in conv.instances:
@@ -180,17 +174,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 plain, to_icm(plain), trials=args.trials, seed=args.seed)
     identities: dict[str, float] = {}
     kinds = {g.kind for g in circ.gates}
-    if GateKind.H in kinds or GateKind.TOFFOLI in kinds:
-        import numpy as np
-        from .decompose import toffoli_sequence
-        from .sim import H_MATRIX, TOFFOLI_MATRIX, gate_matrix, to_unitary
-        if GateKind.H in kinds:
-            pvp = gate_matrix(GateKind.P) @ gate_matrix(GateKind.V) @ gate_matrix(GateKind.P)
-            identities["h_equals_pvp"] = float(np.max(np.abs(pvp - H_MATRIX)))
-        if GateKind.TOFFOLI in kinds:
-            u = to_unitary(make_circuit(3, toffoli_sequence(0, 1, 2)))
-            fid = abs(np.trace(TOFFOLI_MATRIX.conj().T @ u)) / 8
-            identities["toffoli_sequence"] = float(1 - fid ** 2)
+    if GateKind.H in kinds:
+        pvp = gate_matrix(GateKind.P) @ gate_matrix(GateKind.V) @ gate_matrix(GateKind.P)
+        identities["h_equals_pvp"] = float(np.max(np.abs(pvp - H_MATRIX)))
+    if GateKind.TOFFOLI in kinds:
+        u = to_unitary(make_circuit(3, toffoli_sequence(0, 1, 2)))
+        fid = abs(np.trace(TOFFOLI_MATRIX.conj().T @ u)) / 8
+        identities["toffoli_sequence"] = float(1 - fid ** 2)
 
     instances = [
         {"gate": inst.kind.value, "qubit": inst.qubit,
@@ -226,32 +216,20 @@ def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
     each holding the bytes ``json.dumps`` gives with sorted keys and
     compact separators. The lattice is checked against ``bbox`` (see
     ``layer_marks``), and the stamps set up, before this returns. Every
-    distinct (site, basis) is encoded once, and the marks of each distinct
-    layer ``layer_marks`` builds are joined once; a repeated layer, which
-    ``layer_marks`` gives as the same tuple, shares its payload.
+    distinct (site, basis) is encoded once, and ``layer_marks`` joins the
+    marks of each distinct layer once, into the payload its repeats share.
     Instructions are yielded piece by piece, so a payload is never copied
     into a line; ``cmd_slice`` copies each piece once, into its write buffer.
     """
     names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
-    marks = layer_marks(geometry, cells,
-                        lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]), bbox)
+    payloads = layer_marks(geometry, cells,
+                           lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]), bbox,
+                           layer=b",".join)
     head = b'{"default_basis":"x","extent":[%d,%d],' % (2 * cells[0], 2 * cells[1])
-    return _instruction_pieces(_layer_pieces(marks, head), 2 * cells[2] - 1)
-
-
-def _layer_pieces(marks: Iterator[tuple[bytes, ...]],
-                  head: bytes) -> Iterator[tuple[bytes, bytes, bytes]]:
-    # A repeated layer is the same tuple as one of the last two distinct
-    # layers, so the payloads of those two serve every repeat.
-    recent: list[tuple[tuple[bytes, ...], bytes]] = []
-    for t, marked in enumerate(marks, 1):
-        hit = next((entry for entry in recent if entry[0] is marked), None)
-        if hit is None:
-            hit = (marked, b",".join(marked))
-        recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
-        yield (head + b'"index":%d,"kind":"%s","marked":[' % (
-                   t - 1, layer_kind(t).value.encode("ascii")),
-               hit[1], b'],"t":%d}' % t)
+    layers = ((head + b'"index":%d,"kind":"%s","marked":[' % (
+                  t - 1, layer_kind(t).value.encode("ascii")), payload, b'],"t":%d}' % t)
+              for t, payload in enumerate(payloads, 1))
+    return _instruction_pieces(layers, 2 * cells[2] - 1)
 
 
 def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],

@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis
-from .circuit import InitBasis, parse_circuit, validate_circuit
+from .circuit import Circuit, InitBasis, parse_circuit, validate_circuit
 from .decompose import decompose_gates
 from .geometry import (
     Defect, Geometry, SegmentKind, generate_geometry, validate_parity,
@@ -103,6 +103,18 @@ def _by_state(items: list) -> dict[InitBasis, list]:
     return out
 
 
+def icm_conversion(source: str) -> tuple[Circuit, IcmConversion]:
+    """Parse and validate ``source``, then decompose it into its ICM conversion.
+
+    Raises ParseError, or PipelineError naming every validation diagnostic.
+    """
+    circ = parse_circuit(source)
+    diags = validate_circuit(circ)
+    if diags:
+        raise PipelineError("; ".join(d.message for d in diags))
+    return circ, to_icm(decompose_gates(circ))
+
+
 def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineResult:
     """Synthesise a geometry document from circuit source text.
 
@@ -110,12 +122,7 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     when the spare schedule cannot serve every injection.
     """
     config = config or PipelineConfig()
-    circ = parse_circuit(source)
-    diags = validate_circuit(circ)
-    if diags:
-        raise PipelineError("; ".join(d.message for d in diags))
-
-    conv = to_icm(decompose_gates(circ))
+    _, conv = icm_conversion(source)
     matrix = to_matrix(conv.circuit)
 
     first_col = matrix.cells[:, 0]

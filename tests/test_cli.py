@@ -364,6 +364,14 @@ def test_verify_negative_seed_exit_code(src_file, capsys):
     assert err == "error: seed must be a non-negative integer\n"
 
 
+def test_verify_reports_every_validation_diagnostic_as_synth_does(src_file, capsys):
+    path = src_file("two.tq", "qubits 2\ninit 0 a\ninit 1 y\n")
+    runs = [run_cli(capsys, command, path) for command in ("synth", "metrics", "slice", "verify")]
+    err = ("error: qubit 0: injection-initialised qubit carries an open output; "
+           "qubit 1: injection-initialised qubit carries an open output\n")
+    assert runs == [(EXIT_PARSE, "", err)] * 4
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--trials", "0"), ("--trials", "-3"), ("--tolerance", "nan"),
     ("--tolerance", "inf"), ("--tolerance", "-inf"), ("--tolerance", "-1e-9"),
@@ -419,8 +427,8 @@ def test_slice_encodes_each_layer_once(capsys, monkeypatch):
     import tqecsynth.cli as cli
     pulled = []
 
-    def counting_marks(*args):
-        for marked in layer_marks(*args):
+    def counting_marks(*args, **kwargs):
+        for marked in layer_marks(*args, **kwargs):
             pulled.append(len(pulled))
             yield marked
 

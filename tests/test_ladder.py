@@ -1,4 +1,4 @@
-"""tools/ladder.py exits 1 when a rung fails or lacks one of its fields."""
+"""tools/ladder.py: one rung's figures, and exit 1 when a rung fails or lacks one of its fields."""
 import sys
 from pathlib import Path
 
@@ -19,3 +19,10 @@ def test_ladder_exit_code(monkeypatch, capsys, rung, code):
     monkeypatch.setattr(ladder, "run_rung", lambda toffolis: rung)
     assert ladder.main(["1", "4"]) == code
     assert '"rungs"' in capsys.readouterr().out
+
+
+def test_measure_counts_the_stream_of_the_timed_slice(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    rung = ladder.measure(1)
+    assert rung.keys() == ladder.FIELDS
+    assert rung["stream_bytes"] == 15_126_945 and rung["layers"] == 361

@@ -180,14 +180,19 @@ def test_cells_beyond_the_geometry_give_empty_tail_layers(tmp_path):
     assert last["t"] == 2 * cells[2] - 1 and last["marked"] == []
 
 
+def active_sets(geo, cells) -> list[frozenset[int]]:
+    """The indices of the stamps active at each layer, t = 1 .. 2T - 1."""
+    stamps = _stamps(geo)
+    return [frozenset(k for k, stamp in enumerate(stamps) if stamp[0] <= t <= stamp[1])
+            for t in range(1, 2 * cells[2])]
+
+
 @pytest.mark.parametrize("name", ["cnot", "toffoli"])
 def test_overlays_once_per_distinct_active_set(name):
     geo = run_pipeline((CIRCUIT_DIR / f"{name}.tq").read_text(), PipelineConfig()).geometry
     cells = lattice_cells_for(geo)
-    t_max = 2 * cells[2]
     stamps = _stamps(geo)
-    active = [frozenset(k for k, stamp in enumerate(stamps) if stamp[0] <= t <= stamp[1])
-              for t in range(1, t_max)]
+    active = active_sets(geo, cells)
     encoded = []
     marks = list(layer_marks(geo, cells, lambda i, j, basis: encoded.append((i, j, basis))
                              or ((i, j), basis)))
@@ -203,6 +208,27 @@ def test_overlays_once_per_distinct_active_set(name):
              for j in range(max(j_lo, 0), min(j_hi, 2 * cells[1]) + 1)}
     assert len(encoded) == len(set(encoded)) and set(encoded) == sites
     assert [layer.marked for layer in ref.slice_layers(geo, cells)] == marks
+    # the default layer is a tuple, and slice_layers keeps the shared tuples
+    assert all(type(marked) is tuple for marked in marks)
+    shared = [layer.marked for layer in slice_layers(geo, cells)]
+    assert shared == marks and len({id(marked) for marked in shared}) == len(built)
+
+
+@pytest.mark.parametrize("name", ["cnot", "toffoli"])
+def test_layer_runs_once_per_distinct_active_set(name):
+    geo = run_pipeline((CIRCUIT_DIR / f"{name}.tq").read_text(), PipelineConfig()).geometry
+    cells = lattice_cells_for(geo)
+    active = active_sets(geo, cells)
+    built = []
+
+    def record(marks):
+        built.append(tuple(marks))
+        return len(built) - 1
+
+    calls = list(layer_marks(geo, cells, pairs, layer=record))
+    # each layer yields the one call made for its active set
+    assert len(built) == len(set(active)) == len(set(zip(active, calls)))
+    assert [built[k] for k in calls] == [layer.marked for layer in ref.slice_layers(geo, cells)]
 
 
 @pytest.mark.parametrize("name", ["cnot", "toffoli"])

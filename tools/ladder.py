@@ -11,11 +11,12 @@ host. Per rung it records:
 - ``distance_s``: the first read of that result's ``distance``, which
   measures the code distance (``run_pipeline`` leaves it to that read), so
   ``run_pipeline_s + distance_s`` is the whole synthesis with its reports;
-- ``slice_s``: the whole ``tqecsynth slice SOURCE --out /dev/null``
-  command, pipeline included, as the CLI runs it;
+- ``slice_s``: the whole ``tqecsynth slice SOURCE`` command, pipeline
+  included, as the CLI runs it, with its stdout replaced by a sink that
+  counts the bytes it is handed and keeps none;
 - ``peak_rss_mb``: the child's peak resident set after all three;
-- ``stream_bytes`` and ``layers``: the size of that slice stream, counted
-  in a separate pass after the peak is read.
+- ``stream_bytes`` and ``layers``: the size of that slice stream, as the
+  sink counted it, and its layer count.
 
 Usage: ``python tools/ladder.py [RUNG ...]`` (default rungs 1 4 16). It
 prints one JSON document, and exits 1 if a rung failed or lacks a field.
@@ -23,8 +24,8 @@ prints one JSON document, and exits 1 if a rung failed or lacks a field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import random
 import resource
 import subprocess
@@ -32,6 +33,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAGS = ["--success-rate", "0.9", "--seed", "1", "--spare-epsilon", "1e-6"]
@@ -42,11 +44,22 @@ FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "slice_s", "peak_rss_mb",
           "stream_bytes", "layers"}
 
 
+class ByteCount:
+    """A binary sink that counts the bytes written to it."""
+
+    def __init__(self) -> None:
+        self.bytes = 0
+
+    def write(self, data) -> int:
+        self.bytes += len(data)
+        return len(data)
+
+
 def measure(toffolis: int) -> dict:
     """One rung, in this process; call it from a child under the address-space cap."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from tqecsynth import cli, pipeline
-    from tqecsynth.analysis import lattice_cells_for
+    from tqecsynth.analysis import lattice_cells
     from workloads import toffoli_source
 
     source = toffoli_source(random.Random(1), toffolis, 6)
@@ -59,22 +72,23 @@ def measure(toffolis: int) -> dict:
     result.distance  # measured on its first read
     distance_s = time.perf_counter() - start
 
+    sink = ByteCount()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"toffoli{toffolis}.tq"
         path.write_text(source)
         start = time.perf_counter()
-        code = cli.main(["slice", str(path), *FLAGS, "--out", os.devnull])
+        with contextlib.redirect_stdout(SimpleNamespace(buffer=sink)):
+            code = cli.main(["slice", str(path), *FLAGS])
         slice_s = time.perf_counter() - start
     if code != cli.EXIT_OK:
         raise RuntimeError(f"tqecsynth slice exited {code}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
-    cells = lattice_cells_for(result.geometry)
-    stream_bytes = sum(map(len, cli.slice_lines(result.geometry, cells, result.bbox)))
     return {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
             "distance_s": round(distance_s, 3), "slice_s": round(slice_s, 3),
             "peak_rss_mb": round(peak_mb, 1),
-            "stream_bytes": stream_bytes, "layers": 2 * cells[2] - 1}
+            "stream_bytes": sink.bytes, "layers": 2 * lattice_cells(result.bbox)[2] - 1}
+
 
 
 def run_rung(toffolis: int) -> dict:
