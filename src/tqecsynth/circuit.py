@@ -29,11 +29,6 @@ NATIVE_KINDS = frozenset(
      GateKind.PDG, GateKind.V, GateKind.VDG}
 )
 
-#: Single-qubit rotation kinds implemented through teleportation.
-ROTATION_KINDS = frozenset(
-    {GateKind.T, GateKind.TDG, GateKind.P, GateKind.PDG, GateKind.V, GateKind.VDG}
-)
-
 _ARITY = {
     GateKind.CNOT: 2,
     GateKind.TOFFOLI: 3,
@@ -113,9 +108,6 @@ class Circuit:
 
     def open_inputs(self) -> tuple[int, ...]:
         return tuple(q for q, b in enumerate(self.inits) if b is InitBasis.OPEN)
-
-    def open_outputs(self) -> tuple[int, ...]:
-        return tuple(q for q, b in enumerate(self.meas) if b is MeasBasis.OPEN)
 
 
 def circuit(

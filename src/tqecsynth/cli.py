@@ -150,8 +150,9 @@ def _output(out: str | None):
 def cmd_synth(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     formats = args.format or ["json"]
+    out = None if args.out == "-" else args.out
     for fmt in formats:
-        path = args.out if not args.out or len(formats) == 1 else f"{args.out}.{fmt}"
+        path = out if not out or len(formats) == 1 else f"{out}.{fmt}"
         with _output(path) as fh:
             fh.write(export(result, fmt))
     return EXIT_OK

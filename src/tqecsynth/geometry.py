@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
-from . import matrix as mx
-from .circuit import InitBasis
-from .matrix import MatrixRep
+from .circuit import InitBasis, MeasBasis
+from .matrix import MatrixRep, from_matrix
 from .spatial import SegmentIndex
 
 if TYPE_CHECKING:
@@ -241,20 +240,16 @@ class Geometry:
 
 
 _INPUT_BASIS = {
-    mx.INPUT_OPEN: PortBasis.OPEN,
-    mx.INIT_ZERO: PortBasis.Z,
-    mx.INIT_PLUS: PortBasis.X,
+    InitBasis.OPEN: PortBasis.OPEN,
+    InitBasis.ZERO: PortBasis.Z,
+    InitBasis.PLUS: PortBasis.X,
 }
 
 _OUTPUT_BASIS = {
-    mx.OUTPUT_OPEN: PortBasis.OPEN,
-    mx.MEAS_Z: PortBasis.Z,
-    mx.MEAS_X: PortBasis.X,
-    mx.MEAS_A: PortBasis.Z,   # protocol measurement of an |A> row
-    mx.MEAS_Y: PortBasis.X,   # protocol measurement of a |Y> row
+    MeasBasis.OPEN: PortBasis.OPEN,
+    MeasBasis.Z: PortBasis.Z,
+    MeasBasis.X: PortBasis.X,
 }
-
-_INJECT_STATE = {mx.INIT_A: InitBasis.A, mx.INIT_Y: InitBasis.Y}
 
 
 def cnot_braid_template(control_row: int, target_row: int, column: int,
@@ -289,27 +284,26 @@ def cnot_braid_template(control_row: int, target_row: int, column: int,
 
 
 def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> Geometry:
-    """Build the single-layer geometry for an ICM matrix."""
+    """Build the single-layer geometry for an ICM matrix.
+
+    The matrix is decoded through ``matrix.from_matrix``; a matrix it
+    rejects raises GeometryError with its message.
+    """
+    try:
+        circ = from_matrix(matrix)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from exc
     params = params or LayoutParams()
-    n = matrix.qubit_count
-    k = matrix.cnot_count
     t_in = params.t_in
-    t_out = params.t_out(k)
+    t_out = params.t_out(len(circ.gates))
 
     defects: list[Defect] = []
     pins: list[Pin] = []
     injections: list[Injection] = []
     ports: list[IOPort] = []
 
-    for row in range(n):
+    for row, (init, meas) in enumerate(zip(circ.inits, circ.meas)):
         j = params.row_j(row)
-        in_code = int(matrix.cells[row, 0])
-        out_code = int(matrix.cells[row, -1])
-        if in_code not in mx.INPUT_CODES:
-            raise GeometryError(f"row {row} has no input code (found {in_code})")
-        if out_code not in mx.OUTPUT_CODES:
-            raise GeometryError(f"row {row} has no output code (found {out_code})")
-
         for i in (params.i_inner, params.i_outer):
             strand = Segment(SegmentKind.PRIMAL, Coord(i, j, t_in), Coord(i, j, t_out))
             defects.append(Defect(SegmentKind.PRIMAL, (strand,), closed=False))
@@ -323,28 +317,26 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
             Pin(Coord(params.i_outer, j, t_out), SegmentKind.PRIMAL, PinRole.IO),
         )
 
-        if in_code in _INJECT_STATE:
-            state = _INJECT_STATE[in_code]
+        if init.is_injection:
             inj_pins = tuple(
-                replace(p, role=PinRole.INJECTION, state=state) for p in in_pins)
+                replace(p, role=PinRole.INJECTION, state=init) for p in in_pins)
             # the pyramid tips meet on the first dual plane beside the pins
             vertex = Coord(params.vertex_i, j, t_in + 1)
-            injections.append(Injection(vertex, state, inj_pins, row))
+            injections.append(Injection(vertex, init, inj_pins, row))
             pins.extend(inj_pins)
         else:
-            basis = _INPUT_BASIS[in_code]
+            basis = _INPUT_BASIS[init]
             ports.append(IOPort(PortRole.INPUT, basis, in_pins, row,
                                 io_geometry(PortRole.INPUT, basis)))
             pins.extend(in_pins)
 
-        out_basis = _OUTPUT_BASIS[out_code]
+        out_basis = _OUTPUT_BASIS[meas]
         ports.append(IOPort(PortRole.OUTPUT, out_basis, out_pins, row,
                             io_geometry(PortRole.OUTPUT, out_basis)))
         pins.extend(out_pins)
 
-    for col in range(k):
-        ctrl, tgt = matrix.column_cnot(col)
-        loop = cnot_braid_template(ctrl, tgt, col, params)
+    for col, gate in enumerate(circ.gates):
+        loop = cnot_braid_template(gate.control, gate.target, col, params)
         defects.append(Defect(SegmentKind.DUAL, tuple(loop), closed=True))
 
     return Geometry(

@@ -17,9 +17,10 @@ inserted as gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .circuit import (
-    Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS, ROTATION_KINDS,
+    Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS,
 )
 
 P_KINDS = frozenset({GateKind.P, GateKind.PDG})
@@ -58,30 +59,30 @@ _Z, _X = MeasBasis.Z, MeasBasis.X
 T_PATTERN_CORRECTION = {0: _Z, 1: _Z, 2: _X, 3: _X, 4: _Z}
 T_PATTERN_PLAIN = {0: _Z, 1: _X, 2: _Z, 3: _Z, 4: _X}
 
-_TEMPLATES: dict[GateKind, TeleportTemplate] = {}
-for _kind in ROTATION_KINDS:
-    if _kind in P_KINDS:
-        _TEMPLATES[_kind] = TeleportTemplate(
-            ancilla_inits=(InitBasis.Y,),
-            cnots=((1, 0),),
-            measurement_patterns=_patterns({0: _Z}),
-            output_qubit=1,
-        )
-    elif _kind in V_KINDS:
-        _TEMPLATES[_kind] = TeleportTemplate(
-            ancilla_inits=(InitBasis.Y,),
-            cnots=((0, 1),),
-            measurement_patterns=_patterns({0: _X}),
-            output_qubit=1,
-        )
-    else:
-        _TEMPLATES[_kind] = TeleportTemplate(
-            ancilla_inits=(InitBasis.A, InitBasis.ZERO, InitBasis.Y,
-                           InitBasis.PLUS, InitBasis.ZERO),
-            cnots=((1, 0), (1, 2), (3, 1), (4, 2), (3, 5), (4, 5)),
-            measurement_patterns=_patterns(T_PATTERN_CORRECTION, T_PATTERN_PLAIN),
-            output_qubit=5,
-        )
+_P_TEMPLATE = TeleportTemplate(
+    ancilla_inits=(InitBasis.Y,),
+    cnots=((1, 0),),
+    measurement_patterns=_patterns({0: _Z}),
+    output_qubit=1,
+)
+_V_TEMPLATE = TeleportTemplate(
+    ancilla_inits=(InitBasis.Y,),
+    cnots=((0, 1),),
+    measurement_patterns=_patterns({0: _X}),
+    output_qubit=1,
+)
+_T_TEMPLATE = TeleportTemplate(
+    ancilla_inits=(InitBasis.A, InitBasis.ZERO, InitBasis.Y,
+                   InitBasis.PLUS, InitBasis.ZERO),
+    cnots=((1, 0), (1, 2), (3, 1), (4, 2), (3, 5), (4, 5)),
+    measurement_patterns=_patterns(T_PATTERN_CORRECTION, T_PATTERN_PLAIN),
+    output_qubit=5,
+)
+_TEMPLATES = {
+    **dict.fromkeys(P_KINDS, _P_TEMPLATE),
+    **dict.fromkeys(V_KINDS, _V_TEMPLATE),
+    **dict.fromkeys(T_KINDS, _T_TEMPLATE),
+}
 
 
 def template_for(kind: GateKind) -> TeleportTemplate:
@@ -148,77 +149,50 @@ class IcmConversion:
     qubit_rows: tuple[tuple[int, int], ...]
 
 
-class _Row:
-    __slots__ = ("init", "meas", "index")
-
-    def __init__(self, init: InitBasis):
-        self.init = init
-        self.meas: MeasBasis | None = None
-        self.index = -1
-
-
 def to_icm(circ: Circuit) -> IcmConversion:
     """Convert a decomposed circuit to ICM form.
 
-    Template rows are inserted directly below the acted-on wire, so repeated
-    gates on one logical qubit walk monotonically down the row (and later j)
-    axis. Raises on gates outside the native set.
+    A block's ancillas go directly below the acted-on wire, and the wire
+    moves to the block's output row, its last ancilla. So each logical qubit
+    owns one contiguous run of rows, in qubit order: its input row, then the
+    ancillas of its blocks in gate order, and ``qubit_rows[q]`` holds the
+    run's first and last rows. Repeated gates on one logical qubit walk
+    monotonically down the row (and later j) axis. Raises on gates outside
+    the native set.
     """
     for idx, g in enumerate(circ.gates):
         if g.kind not in NATIVE_KINDS:
             raise ValueError(f"gate {idx}: {g.kind.value} is not decomposed")
 
-    rows: list[_Row] = [_Row(b) for b in circ.inits]
-    original: list[_Row] = list(rows)
-    current: list[_Row] = list(rows)
-    cnots: list[tuple[_Row, _Row]] = []
-    raw_instances: list[tuple[GateKind, int, list[_Row], list[int]]] = []
+    runs = [[init] for init in circ.inits]
+    for g in circ.gates:
+        if g.kind is not GateKind.CNOT:
+            runs[g.qubits[0]].extend(template_for(g.kind).ancilla_inits)
+    inits = tuple(chain.from_iterable(runs))
+    starts = [0, *accumulate(map(len, runs[:-1]))]
 
-    def insert_after(anchor: _Row, new_rows: list[_Row]) -> None:
-        at = rows.index(anchor) + 1
-        rows[at:at] = new_rows
-
+    meas = [MeasBasis.OPEN] * len(inits)
+    wire = list(starts)
+    gates: list[Gate] = []
+    instances: list[TemplateInstance] = []
     for g in circ.gates:
         if g.kind is GateKind.CNOT:
-            cnots.append((current[g.control], current[g.target]))
+            gates.append(Gate(GateKind.CNOT, (wire[g.control], wire[g.target])))
             continue
         q = g.qubits[0]
-        cur = current[q]
         tpl = template_for(g.kind)
-        ancillas = [_Row(b) for b in tpl.ancilla_inits]
-        insert_after(cur, ancillas)
-        local = [cur, *ancillas]
-        slots = []
-        for c_loc, t_loc in tpl.cnots:
-            slots.append(len(cnots))
-            cnots.append((local[c_loc], local[t_loc]))
+        rows = tuple(range(wire[q], wire[q] + 1 + len(tpl.ancilla_inits)))
+        slots = tuple(range(len(gates), len(gates) + len(tpl.cnots)))
+        gates.extend(Gate(GateKind.CNOT, (rows[c], rows[t])) for c, t in tpl.cnots)
         for loc, basis in tpl.measurement_patterns[0]:
-            local[loc].meas = basis
-        current[q] = local[tpl.output_qubit]
-        raw_instances.append((g.kind, q, local, slots))
+            meas[rows[loc]] = basis
+        wire[q] = rows[tpl.output_qubit]
+        instances.append(TemplateInstance(g.kind, q, rows, slots))
+    for q, row in enumerate(wire):
+        meas[row] = circ.meas[q]
 
-    for q, row in enumerate(current):
-        row.meas = circ.meas[q]
-
-    for index, row in enumerate(rows):
-        row.index = index
-
-    gates = tuple(Gate(GateKind.CNOT, (c.index, t.index)) for c, t in cnots)
-    icm_circuit = Circuit(
-        qubit_count=len(rows),
-        inits=tuple(r.init for r in rows),
-        gates=gates,
-        meas=tuple(r.meas if r.meas is not None else MeasBasis.OPEN for r in rows),
-        icm=True,
-    )
-    instances = tuple(
-        TemplateInstance(kind, q, tuple(r.index for r in local), tuple(slots))
-        for kind, q, local, slots in raw_instances
-    )
-    qubit_rows = tuple(
-        (original[q].index, current[q].index) for q in range(circ.qubit_count)
-    )
-    return IcmConversion(icm_circuit, instances, qubit_rows)
+    icm_circuit = Circuit(len(inits), inits, tuple(gates), tuple(meas), icm=True)
+    return IcmConversion(icm_circuit, tuple(instances), tuple(zip(starts, wire)))
 
 
 def select_pattern(instance: TemplateInstance, outcome: int) -> dict[int, MeasBasis]:

@@ -43,9 +43,9 @@ _MEAS_CODE = {
     MeasBasis.Z: MEAS_Z,
     MeasBasis.X: MEAS_X,
 }
-
-INPUT_CODES = frozenset(_INIT_CODE.values())
-OUTPUT_CODES = frozenset(_MEAS_CODE.values()) | {MEAS_A, MEAS_Y}
+# Protocol terminals decode to their canonical bases: an |A> row measures
+# in Z (the default T-block pattern) and a |Y> row measures in X.
+_CODE_MEAS = {v: k for k, v in _MEAS_CODE.items()} | {MEAS_A: MeasBasis.Z, MEAS_Y: MeasBasis.X}
 
 
 @dataclass(frozen=True)
@@ -112,29 +112,18 @@ def to_matrix(circ: Circuit) -> MatrixRep:
 def from_matrix(m: MatrixRep) -> Circuit:
     """Decode a matrix back into an ICM circuit.
 
-    Protocol terminals decode to their canonical bases: an |A> row measures
-    in Z (the default T-block pattern) and a |Y> row measures in X.
+    Raises ValueError naming the first row with an unknown code, or the
+    first malformed CNOT column.
     """
-    n = m.qubit_count
     inits = []
     meas = []
-    for q in range(n):
-        in_code = int(m.cells[q, 0])
-        out_code = int(m.cells[q, -1])
+    for q, (in_code, out_code) in enumerate(
+            zip(m.cells[:, 0].tolist(), m.cells[:, -1].tolist())):
         if in_code not in _CODE_INIT:
             raise ValueError(f"row {q}: unknown input code {in_code}")
-        if out_code not in OUTPUT_CODES:
+        if out_code not in _CODE_MEAS:
             raise ValueError(f"row {q}: unknown output code {out_code}")
         inits.append(_CODE_INIT[in_code])
-        if out_code == MEAS_A:
-            meas.append(MeasBasis.Z)
-        elif out_code == MEAS_Y:
-            meas.append(MeasBasis.X)
-        elif out_code == OUTPUT_OPEN:
-            meas.append(MeasBasis.OPEN)
-        elif out_code == MEAS_Z:
-            meas.append(MeasBasis.Z)
-        else:
-            meas.append(MeasBasis.X)
+        meas.append(_CODE_MEAS[out_code])
     gates = [Gate(GateKind.CNOT, m.column_cnot(c)) for c in range(m.cnot_count)]
-    return Circuit(n, tuple(inits), tuple(gates), tuple(meas), icm=True)
+    return Circuit(m.qubit_count, tuple(inits), tuple(gates), tuple(meas), icm=True)

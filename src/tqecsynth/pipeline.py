@@ -18,7 +18,7 @@ from .geometry import (
     Defect, Geometry, SegmentKind, generate_geometry, validate_parity,
 )
 from .icm import IcmConversion, to_icm
-from .matrix import INIT_A, INIT_Y, MatrixRep, to_matrix
+from .matrix import MatrixRep, to_matrix
 from .scheduling import (
     MAX_SPARES, BoxDim, BoxInstance, Connection, FailureReport,
     FillConfig, PinPairReq, Schedule, box_layout, connect_pins, default_box_dims,
@@ -125,10 +125,9 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
     _, conv = icm_conversion(source)
     matrix = to_matrix(conv.circuit)
 
-    first_col = matrix.cells[:, 0]
     spares: dict[InitBasis, int] = {}
-    for state, code in ((InitBasis.Y, INIT_Y), (InitBasis.A, INIT_A)):
-        needed = int((first_col == code).sum())
+    for state in (InitBasis.Y, InitBasis.A):
+        needed = conv.circuit.inits.count(state)
         if needed:
             spares[state] = config.spares.count(state, needed, config.success_rate)
     layout = box_layout(spares, config.box_dims)

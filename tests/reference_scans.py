@@ -7,8 +7,10 @@ stream, the line-by-line version of ``document.export_obj``, the
 replay version of ``sim.run_branches`` (every outcome string run from
 scratch, one measurement collapsed at a time), and the per-trial loop
 version of ``sim.check_equivalence`` (each trial's input drawn, simulated
-and scored on its own); the tests compare the indexed, templated,
-one-tensor and trial-batched versions with them.
+and scored on its own), and the row-object version of ``icm.to_icm``
+(every block's ancillas inserted into one row list by search, rows
+numbered at the end); the tests compare the indexed, templated,
+one-tensor, trial-batched and run-offset versions with them.
 """
 from __future__ import annotations
 
@@ -22,9 +24,11 @@ from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Layer, LayerKind, SiteBasis, bounding_box,
     execution_schedule,
 )
-from tqecsynth.circuit import Circuit, GateKind, InitBasis, MeasBasis
+from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
-from tqecsynth.icm import IcmConversion, PauliFrame, select_pattern
+from tqecsynth.icm import (
+    IcmConversion, PauliFrame, TemplateInstance, select_pattern, template_for,
+)
 from tqecsynth.sim import (
     H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, _logical_ends,
     apply_1q, apply_cnot, assemble_state, branch_outputs, random_product_state,
@@ -375,3 +379,76 @@ def check_equivalence(a, b, trials: int = 8, seed: int = 7) -> float:
         overlap = np.abs(out_a.conj() @ out_b.T) ** 2
         worst = max(worst, 1.0 - float(overlap.min()))
     return worst
+
+
+class _Row:
+    __slots__ = ("init", "meas", "index")
+
+    def __init__(self, init: InitBasis):
+        self.init = init
+        self.meas: MeasBasis | None = None
+        self.index = -1
+
+
+def to_icm(circ: Circuit) -> IcmConversion:
+    """Convert a decomposed circuit to ICM form, one row object per row.
+
+    Each block's ancilla rows are inserted into the row list directly below
+    the acted-on wire, found by search; rows are numbered once every gate
+    is placed.
+    """
+    for idx, g in enumerate(circ.gates):
+        if g.kind not in NATIVE_KINDS:
+            raise ValueError(f"gate {idx}: {g.kind.value} is not decomposed")
+
+    rows: list[_Row] = [_Row(b) for b in circ.inits]
+    original: list[_Row] = list(rows)
+    current: list[_Row] = list(rows)
+    cnots: list[tuple[_Row, _Row]] = []
+    raw_instances: list[tuple[GateKind, int, list[_Row], list[int]]] = []
+
+    def insert_after(anchor: _Row, new_rows: list[_Row]) -> None:
+        at = rows.index(anchor) + 1
+        rows[at:at] = new_rows
+
+    for g in circ.gates:
+        if g.kind is GateKind.CNOT:
+            cnots.append((current[g.control], current[g.target]))
+            continue
+        q = g.qubits[0]
+        cur = current[q]
+        tpl = template_for(g.kind)
+        ancillas = [_Row(b) for b in tpl.ancilla_inits]
+        insert_after(cur, ancillas)
+        local = [cur, *ancillas]
+        slots = []
+        for c_loc, t_loc in tpl.cnots:
+            slots.append(len(cnots))
+            cnots.append((local[c_loc], local[t_loc]))
+        for loc, basis in tpl.measurement_patterns[0]:
+            local[loc].meas = basis
+        current[q] = local[tpl.output_qubit]
+        raw_instances.append((g.kind, q, local, slots))
+
+    for q, row in enumerate(current):
+        row.meas = circ.meas[q]
+
+    for index, row in enumerate(rows):
+        row.index = index
+
+    gates = tuple(Gate(GateKind.CNOT, (c.index, t.index)) for c, t in cnots)
+    icm_circuit = Circuit(
+        qubit_count=len(rows),
+        inits=tuple(r.init for r in rows),
+        gates=gates,
+        meas=tuple(r.meas if r.meas is not None else MeasBasis.OPEN for r in rows),
+        icm=True,
+    )
+    instances = tuple(
+        TemplateInstance(kind, q, tuple(r.index for r in local), tuple(slots))
+        for kind, q, local, slots in raw_instances
+    )
+    qubit_rows = tuple(
+        (original[q].index, current[q].index) for q in range(circ.qubit_count)
+    )
+    return IcmConversion(icm_circuit, instances, qubit_rows)

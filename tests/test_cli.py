@@ -48,6 +48,18 @@ def test_synth_writes_file_formats(src_file, tmp_path, capsys):
     assert len(doc["boxes"]) == 2
 
 
+def test_synth_out_dash_writes_every_format_to_stdout(monkeypatch, tmp_path, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    path = str(CIRCUITS / "t_gate.tq")
+    singles = []
+    for fmt in ("json", "obj"):
+        assert main(["synth", path, "--format", fmt]) == EXIT_OK
+        singles.append(capsysbinary.readouterr().out)
+    assert main(["synth", path, "--out", "-", "--format", "json", "--format", "obj"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b"".join(singles)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_parse_error_exit_code(src_file, capsys):
     path = src_file("bad.tq", "qubits 1\nwat 0\n")
     rc, _, err = run_cli(capsys, "synth", path)

@@ -192,7 +192,10 @@ def test_malformed_matrix_rejected():
     import numpy as np
     from tqecsynth.matrix import MatrixRep
     cells = np.array([[7, -101], [-100, -101]])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="row 0: unknown input code 7"):
+        generate_geometry(MatrixRep(cells), PARAMS)
+    cells = np.array([[-100, -101], [-100, 5]])
+    with pytest.raises(GeometryError, match="row 1: unknown output code 5"):
         generate_geometry(MatrixRep(cells), PARAMS)
 
 

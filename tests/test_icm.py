@@ -1,12 +1,27 @@
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_scans as ref
 from conftest import gate_circuits
 from tqecsynth.circuit import (
-    Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, validate_circuit,
+    Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, parse_circuit, validate_circuit,
 )
 from tqecsynth.decompose import decompose_gates
 from tqecsynth.icm import select_pattern, template_for, to_icm
+
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+SOURCES = {path.stem: path.read_text() for path in sorted((ROOT / "circuits").glob("*.tq"))}
+SOURCES.update({f"{n} toffolis": workloads.toffoli_source(random.Random(1), n, 6)
+                for n in (1, 4, 16)})
 
 
 def test_p_gate_block_shape():
@@ -103,6 +118,7 @@ def test_templates_have_single_unmeasured_output():
         tpl = template_for(kind)
         measured = {loc for pattern in tpl.measurement_patterns for loc, _ in pattern}
         assert tpl.output_qubit not in measured
+        assert tpl.output_qubit == len(tpl.ancilla_inits)  # the wire ends its qubit's run
         assert tpl.selective == (kind in (GateKind.T, GateKind.TDG))
         assert len(tpl.measurement_patterns) == (2 if tpl.selective else 1)
 
@@ -131,3 +147,46 @@ def test_ancilla_accounting_matches_gate_counts(circ):
     assert a_count == t_like
     assert y_count == rot + t_like
     assert all(g.kind is GateKind.CNOT for g in conv.circuit.gates)
+
+
+def assert_runs_tile(conv):
+    """Each qubit's run follows the previous one, and its blocks stay inside it."""
+    starts = [start for start, _ in conv.qubit_rows]
+    ends = [end for _, end in conv.qubit_rows]
+    assert starts == [0] + [end + 1 for end in ends[:-1]]
+    assert ends[-1] == conv.circuit.qubit_count - 1
+    for inst in conv.instances:
+        start, end = conv.qubit_rows[inst.qubit]
+        assert start <= min(inst.rows) and max(inst.rows) <= end
+
+
+@pytest.mark.parametrize("name", SOURCES)
+def test_to_icm_matches_reference_on_circuits_and_rungs(name):
+    native = decompose_gates(parse_circuit(SOURCES[name]))
+    conv = to_icm(native)
+    assert conv == ref.to_icm(native)
+    assert_runs_tile(conv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_circuits(), st.data())
+def test_to_icm_matches_reference(circ, data):
+    n = circ.qubit_count
+    circ = replace(
+        circ,
+        inits=tuple(data.draw(st.lists(st.sampled_from(InitBasis), min_size=n, max_size=n))),
+        meas=tuple(data.draw(st.lists(st.sampled_from(MeasBasis), min_size=n, max_size=n))))
+    native = decompose_gates(circ)
+    conv = to_icm(native)
+    assert conv == ref.to_icm(native)
+    assert_runs_tile(conv)
+
+
+def test_runs_follow_qubit_order_not_gate_order():
+    # qubit 1 is acted on first, yet its rows follow all of qubit 0's
+    conv = to_icm(circuit(2, [Gate(GateKind.P, (1,)), Gate(GateKind.T, (0,)),
+                              cnot(0, 1), Gate(GateKind.V, (1,))]))
+    assert conv.qubit_rows == ((0, 5), (6, 8))
+    assert [inst.rows for inst in conv.instances] == [(6, 7), (0, 1, 2, 3, 4, 5), (7, 8)]
+    assert conv.circuit.gates[7] == cnot(5, 7)
+    assert_runs_tile(conv)
