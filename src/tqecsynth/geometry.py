@@ -6,6 +6,14 @@ Each matrix row becomes a primal defect pair running along the t axis; each
 CNOT column becomes a closed dual loop in a constant-t plane that encircles
 the inner strands of its control and target rows and detours around any row
 between them.
+
+A pair spans only the t-range where its row is live. A row prepared in |0>
+or |+> starts 3 units before its first braid plane, and a row measured in Z
+or X ends 3 units after its last one; open inputs and outputs, injected rows
+(whose pins meet the box routes at ``t_in``) and rows without a CNOT keep
+the faces ``t_in`` and ``t_out``. The paper runs every pair from face to
+face; trimming a row to its live span is the first step of wire recycling
+(Paler, Wille & Devitt, Phys. Rev. A 94, 042337, 2016).
 """
 from __future__ import annotations
 
@@ -14,6 +22,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .circuit import InitBasis, MeasBasis
+from .icm import cnot_spans
 from .matrix import MatrixRep, from_matrix
 from .spatial import SegmentIndex
 
@@ -251,6 +260,10 @@ _OUTPUT_BASIS = {
     MeasBasis.X: PortBasis.X,
 }
 
+# How far a prepared or measured row's strand reaches past its outer braid
+# planes: odd, so the strand ends around the even planes stay all-odd.
+_LIVE_MARGIN = 3
+
 
 def cnot_braid_template(control_row: int, target_row: int, column: int,
                         params: LayoutParams) -> list[Segment]:
@@ -287,7 +300,10 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
     """Build the single-layer geometry for an ICM matrix.
 
     The matrix is decoded through ``matrix.from_matrix``; a matrix it
-    rejects raises GeometryError with its message.
+    rejects raises GeometryError with its message. Each row's pair, and the
+    pins of its ports, span the row's live range (see the module docstring),
+    and a CNOT loop whose plane lies outside the span of its control or
+    target row raises GeometryError.
     """
     try:
         circ = from_matrix(matrix)
@@ -302,19 +318,28 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
     injections: list[Injection] = []
     ports: list[IOPort] = []
 
-    for row, (init, meas) in enumerate(zip(circ.inits, circ.meas)):
+    live: list[tuple[int, int]] = []
+    for row, (init, meas, span) in enumerate(zip(circ.inits, circ.meas, cnot_spans(circ))):
         j = params.row_j(row)
+        t_lo, t_hi = t_in, t_out
+        if span is not None:
+            if init in (InitBasis.ZERO, InitBasis.PLUS):
+                t_lo = params.braid_t(span[0]) - _LIVE_MARGIN
+            if meas is not MeasBasis.OPEN:
+                # a t_pitch of 2 puts t_out 1 unit past the last braid plane
+                t_hi = min(t_out, params.braid_t(span[1]) + _LIVE_MARGIN)
+        live.append((t_lo, t_hi))
         for i in (params.i_inner, params.i_outer):
-            strand = Segment(SegmentKind.PRIMAL, Coord(i, j, t_in), Coord(i, j, t_out))
+            strand = Segment(SegmentKind.PRIMAL, Coord(i, j, t_lo), Coord(i, j, t_hi))
             defects.append(Defect(SegmentKind.PRIMAL, (strand,), closed=False))
 
         in_pins = (
-            Pin(Coord(params.i_inner, j, t_in), SegmentKind.PRIMAL, PinRole.IO),
-            Pin(Coord(params.i_outer, j, t_in), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_inner, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
         )
         out_pins = (
-            Pin(Coord(params.i_inner, j, t_out), SegmentKind.PRIMAL, PinRole.IO),
-            Pin(Coord(params.i_outer, j, t_out), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_inner, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
         )
 
         if init.is_injection:
@@ -336,6 +361,13 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
         pins.extend(out_pins)
 
     for col, gate in enumerate(circ.gates):
+        t = params.braid_t(col)
+        for row in gate.qubits:
+            t_lo, t_hi = live[row]
+            if not t_lo < t < t_hi:
+                raise GeometryError(
+                    f"CNOT column {col} at t={t} lies outside the strand of row {row} "
+                    f"(t {t_lo}..{t_hi})")
         loop = cnot_braid_template(gate.control, gate.target, col, params)
         defects.append(Defect(SegmentKind.DUAL, tuple(loop), closed=True))
 

@@ -195,6 +195,18 @@ def to_icm(circ: Circuit) -> IcmConversion:
     return IcmConversion(icm_circuit, tuple(instances), tuple(zip(starts, wire)))
 
 
+def cnot_spans(circ: Circuit) -> list[tuple[int, int] | None]:
+    """Each row's first and last CNOT column, or None for a row no CNOT touches."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for col, gate in enumerate(circ.gates):
+        for row in gate.qubits:
+            first.setdefault(row, col)
+            last[row] = col
+    return [(first[row], last[row]) if row in first else None
+            for row in range(circ.qubit_count)]
+
+
 def select_pattern(instance: TemplateInstance, outcome: int) -> dict[int, MeasBasis]:
     """Measurement map (circuit row -> basis) selected by the wire's Z outcome.
 

@@ -112,6 +112,8 @@ def to_matrix(circ: Circuit) -> MatrixRep:
 def from_matrix(m: MatrixRep) -> Circuit:
     """Decode a matrix back into an ICM circuit.
 
+    One scan of the interior columns finds every CONTROL and TARGET cell,
+    and a column is a CNOT when it holds exactly one of each.
     Raises ValueError naming the first row with an unknown code, or the
     first malformed CNOT column.
     """
@@ -125,5 +127,20 @@ def from_matrix(m: MatrixRep) -> Circuit:
             raise ValueError(f"row {q}: unknown output code {out_code}")
         inits.append(_CODE_INIT[in_code])
         meas.append(_CODE_MEAS[out_code])
-    gates = [Gate(GateKind.CNOT, m.column_cnot(c)) for c in range(m.cnot_count)]
+    # Every occupied interior cell, sorted by column: once each column holds
+    # one cell of each role, the control rows and the target rows come out
+    # in column order. (A flat scan of the cells is many times faster than
+    # np.nonzero's two-dimensional one.)
+    k = m.cnot_count
+    rows, cols = np.divmod(np.flatnonzero(m.cells[:, 1:-1] > EMPTY), k)
+    by_col = np.argsort(cols, kind="stable")
+    rows, cols = rows[by_col], cols[by_col]
+    roles = m.cells[rows, cols + 1]
+    is_ctrl, is_tgt = roles == CONTROL, roles == TARGET
+    bad = np.flatnonzero((np.bincount(cols[is_ctrl], minlength=k) != 1)
+                         | (np.bincount(cols[is_tgt], minlength=k) != 1))
+    if bad.size:
+        raise ValueError(f"malformed CNOT column {bad[0]}")
+    gates = [Gate(GateKind.CNOT, pair)
+             for pair in zip(rows[is_ctrl].tolist(), rows[is_tgt].tolist())]
     return Circuit(m.qubit_count, tuple(inits), tuple(gates), tuple(meas), icm=True)

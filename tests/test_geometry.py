@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import given, settings
 
+from pathlib import Path
+
 from conftest import icm_circuits, winding_ray_cast
+from tqecsynth import geometry
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
+from tqecsynth.decompose import decompose_gates
 from tqecsynth.geometry import (
     CapShape, Coord, GeometryError, LayoutParams, PortBasis, PortRole, Segment,
     SegmentKind, cnot_braid_template, generate_geometry, io_geometry,
@@ -12,6 +16,7 @@ from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
 
 PARAMS = LayoutParams()
+CIRCUIT_DIR = Path(__file__).parent.parent / "circuits"
 
 
 def icm(src: str) -> Circuit:
@@ -236,3 +241,89 @@ def test_toffoli_scale_structure():
 def test_parity_clean_on_random_geometries(circ):
     geo = generate_geometry(to_matrix(circ), PARAMS)
     assert validate_parity(geo) == []
+
+
+def strand_spans(geo) -> dict[tuple[int, int], tuple[int, int]]:
+    """(row, i) -> the t-interval of that primal strand."""
+    out = {}
+    for defect in geo.primal_defects():
+        (seg,) = defect.segments
+        out[(seg.a.j - PARAMS.j_base) // PARAMS.j_pitch, seg.a.i] = seg.interval("t")
+    return out
+
+
+def test_strands_span_only_their_live_rows():
+    geo = geometry_for("qubits 4\ninit 1 zero\ninit 2 plus\ninit 3 zero\n"
+                       "cnot 0 1\ncnot 1 2\ncnot 2 0\n"
+                       "measure 1 x\nmeasure 2 z\nmeasure 3 z\n")
+    faces = (PARAMS.t_in, PARAMS.t_out(3))
+    want = {
+        0: faces,                                              # open in and out
+        1: (PARAMS.braid_t(0) - 3, PARAMS.braid_t(1) + 3),     # |0>, measured X
+        2: (PARAMS.braid_t(1) - 3, PARAMS.braid_t(2) + 3),     # |+>, measured Z
+        3: faces,                                              # no CNOT
+    }
+    spans = strand_spans(geo)
+    assert spans == {(row, i): want[row] for row in want
+                     for i in (PARAMS.i_inner, PARAMS.i_outer)}
+    for port in geo.ioports:
+        end = want[port.qubit_row][port.role is PortRole.OUTPUT]
+        assert [pin.coord.t for pin in port.pins] == [end, end]
+    assert validate_parity(geo) == []
+
+
+@pytest.mark.parametrize("t_pitch", [2, 4])
+def test_live_spans_stay_between_the_faces(t_pitch):
+    params = LayoutParams(t_pitch=t_pitch)
+    circ = icm("qubits 3\ninit 1 zero\ninit 2 plus\ncnot 0 1\ncnot 2 1\n"
+               "measure 1 z\nmeasure 2 x\n")
+    geo = generate_geometry(to_matrix(circ), params)
+    for defect in geo.primal_defects():
+        lo, hi = defect.segments[0].interval("t")
+        assert params.t_in <= lo < hi <= params.t_out(2)
+    assert validate_parity(geo) == []
+
+
+def test_injected_rows_keep_the_input_face():
+    conv = to_icm(circuit(1, [Gate(GateKind.T, (0,))]))
+    geo = generate_geometry(to_matrix(conv.circuit), PARAMS)
+    spans = strand_spans(geo)
+    for inj in geo.injections:
+        assert spans[inj.qubit_row, PARAMS.i_inner][0] == PARAMS.t_in
+        assert {pin.coord.t for pin in inj.pins} == {PARAMS.t_in}
+
+
+@settings(max_examples=60, deadline=None)
+@given(icm_circuits(max_qubits=6, max_cnots=10))
+def test_every_loop_links_exactly_its_two_inner_strands(circ):
+    geo = generate_geometry(to_matrix(circ), PARAMS)
+    strands = [(d.segments[0].a, d.segments) for d in geo.primal_defects()]
+    for gate, loop in zip(circ.gates, geo.dual_defects()):
+        linked = {(a.i, a.j): linking_number(loop.segments, segs) for a, segs in strands}
+        want = {(PARAMS.i_inner, PARAMS.row_j(row)) for row in gate.qubits}
+        assert {key for key, wn in linked.items() if wn} == want
+        assert all(abs(linked[key]) == 1 for key in want)
+
+
+def test_loop_outside_its_rows_strand_is_rejected(monkeypatch):
+    spans = geometry.cnot_spans
+    # every row's CNOTs claimed to end one column early: the |0> row's strand
+    # then ends before the second loop's plane
+    monkeypatch.setattr(geometry, "cnot_spans", lambda circ: [
+        None if span is None else (span[0], span[1] - 1) for span in spans(circ)])
+    with pytest.raises(GeometryError, match="CNOT column 1 at t=.* outside the strand of row 1"):
+        geometry_for("qubits 2\ninit 1 zero\ncnot 0 1\ncnot 0 1\nmeasure 1 z\n")
+
+
+@pytest.mark.parametrize("name", ["t_gate", "toffoli"])
+def test_t_block_wire_row_ends_before_its_other_measured_rows(name):
+    # the wire's Z outcome selects the block's pattern, so it is read first
+    conv = to_icm(decompose_gates(parse_circuit((CIRCUIT_DIR / f"{name}.tq").read_text())))
+    geo = generate_geometry(to_matrix(conv.circuit), PARAMS)
+    ends = {row: hi for (row, _), (_, hi) in strand_spans(geo).items()}
+    blocks = [inst for inst in conv.instances if inst.selective]
+    assert blocks
+    for inst in blocks:
+        wire, *others = (inst.rows[loc] for loc, _ in inst.template.measurement_patterns[0])
+        assert wire == inst.source_row and len(others) == 4
+        assert all(ends[wire] < ends[row] for row in others)

@@ -13,7 +13,7 @@ from tqecsynth.circuit import (
     Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, parse_circuit, validate_circuit,
 )
 from tqecsynth.decompose import decompose_gates
-from tqecsynth.icm import select_pattern, template_for, to_icm
+from tqecsynth.icm import cnot_spans, select_pattern, template_for, to_icm
 
 ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -190,3 +190,8 @@ def test_runs_follow_qubit_order_not_gate_order():
     assert [inst.rows for inst in conv.instances] == [(6, 7), (0, 1, 2, 3, 4, 5), (7, 8)]
     assert conv.circuit.gates[7] == cnot(5, 7)
     assert_runs_tile(conv)
+
+
+def test_cnot_spans_are_each_rows_first_and_last_columns():
+    circ = parse_circuit("qubits 4\ncnot 0 1\ncnot 2 1\ncnot 0 2\n")
+    assert cnot_spans(circ) == [(0, 2), (0, 1), (1, 2), None]

@@ -114,3 +114,17 @@ def test_malformed_column_detected():
     cells = np.array([[INPUT_OPEN, 1, OUTPUT_OPEN], [INPUT_OPEN, 1, OUTPUT_OPEN]])
     with pytest.raises(ValueError):
         MatrixRep(cells).column_cnot(0)
+
+
+def test_decode_names_the_first_malformed_column():
+    # column 0 is one CNOT, column 1 has two controls, column 2 no target
+    cells = np.array([
+        [INPUT_OPEN, CONTROL, CONTROL, CONTROL, OUTPUT_OPEN],
+        [INPUT_OPEN, TARGET, CONTROL, 0, OUTPUT_OPEN],
+        [INPUT_OPEN, 0, TARGET, 0, OUTPUT_OPEN],
+    ])
+    with pytest.raises(ValueError, match="^malformed CNOT column 1$"):
+        from_matrix(MatrixRep(cells))
+    with pytest.raises(ValueError, match="^malformed CNOT column 2$"):
+        from_matrix(MatrixRep(cells[:, [0, 1, 1, 3, 4]]))
+    assert from_matrix(MatrixRep(cells[:, [0, 1, 4]])).gates == (cnot(0, 1),)

@@ -286,7 +286,9 @@ def record_slice(monkeypatch, tmp_path, *argv: str) -> tuple[list[Recording], by
 
 
 def test_slice_stream_goes_out_in_megabyte_writes(tmp_path, monkeypatch):
-    path = CIRCUIT_DIR / "toffoli.tq"
+    # two Toffolis: a stream of about 17 MiB, so more than 8 whole buffers
+    path = tmp_path / "toffoli2.tq"
+    path.write_text("qubits 3\ntoffoli 0 1 2\ntoffoli 1 2 0\n")
     geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
     want = ref.slice_stream(geo, lattice_cells_for(geo))
     assert len(want) > 8 * WRITE_BYTES
