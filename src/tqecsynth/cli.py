@@ -209,18 +209,25 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Version of the slice stream, carried by its first record.
+STREAM_VERSION = 2
+
+
 def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
                 bbox: BBox | None = None) -> Iterator[bytes]:
     """The slice stream of ``geometry`` on a lattice of ``cells``, as byte pieces.
 
     The concatenated pieces are the stream: one JSON line per instruction,
     each holding the bytes ``json.dumps`` gives with sorted keys and
-    compact separators. The lattice is checked against ``bbox`` (see
-    ``layer_marks``), and the stamps set up, before this returns. Every
-    distinct (site, basis) is encoded once, and ``layer_marks`` joins the
-    marks of each distinct layer once, into the payload its repeats share.
-    Instructions are yielded piece by piece, so a payload is never copied
-    into a line; ``cmd_slice`` copies each piece once, into its write buffer.
+    compact separators. The first line also carries ``"stream_version"``.
+    Each layer is written in full once, in the first instruction that names
+    it, and as ``{"index":n}`` in every later one. The lattice is checked
+    against ``bbox`` (see ``layer_marks``), and the stamps set up, before
+    this returns. Every distinct (site, basis) is encoded once, and
+    ``layer_marks`` joins the marks of each distinct layer once, into the
+    payload the layers equal to it share. Instructions are yielded piece by
+    piece, so a payload is never copied into a line; ``cmd_slice`` copies
+    each piece once, into its write buffer.
     """
     names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
     payloads = layer_marks(geometry, cells,
@@ -235,20 +242,23 @@ def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
 
 def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
                         count: int) -> Iterator[bytes]:
-    # Instructions first name the layers in index order, and each one names
-    # only the layers around its step, so a window of the three latest
-    # layers serves every instruction and each layer is built once.
-    window: dict[int, tuple[bytes, bytes, bytes]] = {}
+    # Instructions first name the layers in index order, so the next layer
+    # to write in full is always the next fresh index, and every other
+    # layer an instruction names has been written and goes as its index.
+    fresh = 0
+    version = b',"stream_version":%d' % STREAM_VERSION
     for ins in hardware_loop(count):
         yield b'{"layers":['
         for n, idx in enumerate(ins.layers):
-            if idx not in window:
-                window[idx] = next(layers)
-                window.pop(idx - 3, None)
             if n:
                 yield b","
-            yield from window[idx]
-        yield b'],"op":"' + ins.op.value.encode("ascii") + b'"}\n'
+            if idx == fresh:
+                yield from next(layers)
+                fresh += 1
+            else:
+                yield b'{"index":%d}' % idx
+        yield b'],"op":"' + ins.op.value.encode("ascii") + b'"' + version + b'}\n'
+        version = b""
 
 
 # Bytes the slice stream gathers before each write. Its pieces run from a

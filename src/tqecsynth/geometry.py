@@ -200,6 +200,8 @@ class LayoutParams:
             raise GeometryError("strand i coordinates must be odd")
         if self.i_outer < self.i_inner + 4:
             raise GeometryError("outer strand must sit at least 4 units beyond inner")
+        if self.j_pitch < 1 or self.t_pitch < 1:
+            raise GeometryError("pitches must be positive")
         if self.j_pitch % 2 or self.t_pitch % 2:
             raise GeometryError("pitches must be even")
         if self.t_in % 2 == 0 or self.j_base % 2 == 0:

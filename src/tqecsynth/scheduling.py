@@ -24,6 +24,11 @@ RNG_ALGORITHM = "numpy-pcg64"
 # schedule is too large to place, so it is an error rather than a layout.
 MAX_SPARES = 10_000
 
+# Largest box span along any axis, in unit cells (the defaults are 4 to 12).
+# Routes and the spatial index grow with the spans, so a larger one is an
+# error before anything is placed.
+MAX_BOX_SPAN = 1_000
+
 
 class SchedulingError(ValueError):
     pass
@@ -52,6 +57,8 @@ class BoxDim:
             raise SchedulingError("box state must be A or Y")
         if min(self.ispan, self.jspan, self.tspan) < 1:
             raise SchedulingError("box spans must be positive")
+        if max(self.ispan, self.jspan, self.tspan) > MAX_BOX_SPAN:
+            raise SchedulingError(f"box spans must be at most {MAX_BOX_SPAN} cells")
 
     @property
     def pitch(self) -> int:

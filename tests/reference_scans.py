@@ -3,11 +3,13 @@
 These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``geometry.segment_overlaps``, the per-layer rescan version of
 ``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
-stream, the line-by-line version of ``document.export_obj``, the
-replay version of ``sim.run_branches`` (every outcome string run from
-scratch, one measurement collapsed at a time), and the per-trial loop
-version of ``sim.check_equivalence`` (each trial's input drawn, simulated
-and scored on its own), and the row-object version of ``icm.to_icm``
+stream in format 1 (every layer in full wherever it is named) and a
+strict decoder that expands the CLI's format-2 stream into it, the
+line-by-line version of ``document.export_obj``, the replay version of
+``sim.run_branches`` (every outcome string run from scratch, one
+measurement collapsed at a time), and the per-trial loop version of
+``sim.check_equivalence`` (each trial's input drawn, simulated and scored
+on its own), and the row-object version of ``icm.to_icm``
 (every block's ancillas inserted into one row list by search, rows
 numbered at the end); the tests compare the indexed, templated,
 one-tensor, trial-batched and run-offset versions with them.
@@ -210,6 +212,52 @@ def slice_stream(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> byt
         json.dumps({"layers": [layer_obj(idx) for idx in ins.layers], "op": ins.op.value},
                    sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
         for ins in execution_schedule(layers))
+
+
+LAYER_KEYS = {"default_basis", "extent", "index", "kind", "marked", "t"}
+
+
+def expand_stream(stream: bytes) -> bytes:
+    """A format-2 slice stream back in format 1, every layer reference replaced by its record.
+
+    Format 2 writes each layer in full once, at its first mention, names it
+    as ``{"index": n}`` after that, and carries ``"stream_version": 2`` on
+    its first record only. The decoder is strict: it raises ``ValueError``
+    on a missing or wrong version, a reference to a layer not yet written
+    in full, a layer written in full twice, or a record of another shape.
+    """
+    if not stream.endswith(b"\n"):
+        raise ValueError("stream does not end with a newline")
+    written: dict[int, dict] = {}
+    lines = []
+    for n, line in enumerate(stream.split(b"\n")[:-1]):
+        rec = json.loads(line)
+        version = rec.pop("stream_version", None)
+        if n == 0 and (type(version) is not int or version != 2):
+            raise ValueError(f"first record has stream_version {version!r}, want 2")
+        if n and version is not None:
+            raise ValueError(f"record {n} repeats the stream_version")
+        if rec.keys() != {"layers", "op"}:
+            raise ValueError(f"record {n} has keys {sorted(rec)}")
+        layers = []
+        for layer in rec["layers"]:
+            idx = layer.get("index")
+            if type(idx) is not int:
+                raise ValueError(f"record {n} names a layer without an integer index")
+            if layer.keys() == {"index"}:
+                if idx not in written:
+                    raise ValueError(f"record {n} names layer {idx} before its full record")
+                layers.append(written[idx])
+            elif layer.keys() == LAYER_KEYS:
+                if idx in written:
+                    raise ValueError(f"record {n} writes layer {idx} in full again")
+                written[idx] = layer
+                layers.append(layer)
+            else:
+                raise ValueError(f"record {n} has a layer with keys {sorted(layer)}")
+        lines.append(json.dumps({"layers": layers, "op": rec["op"]},
+                                sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n")
+    return b"".join(lines)
 
 
 def _cuboid(lo: tuple[int, int, int], hi: tuple[int, int, int],

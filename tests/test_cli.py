@@ -6,8 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tqecsynth.analysis import layer_marks
-from tqecsynth.circuit import MAX_QUBITS
+from tqecsynth.circuit import MAX_QUBITS, InitBasis
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTH, EXIT_VERIFY, main
+from tqecsynth.scheduling import MAX_BOX_SPAN, BoxDim
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
 
@@ -200,6 +201,28 @@ def test_box_dims_scheduling_error_exit_code(src_file, tmp_path, capsys, command
     rc, _, err = run_cli(capsys, command, path, "--box-dims", str(dims))
     assert rc == EXIT_PARSE
     assert "wider" in err
+
+
+@pytest.mark.parametrize("spans", [[100_000_000, 3, 3], [4, 1001, 8], [4, 4, 2**63]])
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_huge_box_span_exit_code(src_file, tmp_path, capsys, monkeypatch, command, spans):
+    import tqecsynth.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    # the span is refused while the config is read, before anything is placed
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    path = src_file("t.tq", "qubits 1\nt 0\n")
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({"y": spans}))
+    rc, out, err = run_cli(capsys, command, path, "--box-dims", str(dims))
+    assert rc == EXIT_PARSE and out == ""
+    assert err == "error: box spans must be at most 1000 cells\n"
+
+
+def test_largest_box_span_is_accepted():
+    assert BoxDim(InitBasis.Y, MAX_BOX_SPAN, 1, MAX_BOX_SPAN).ispan == MAX_BOX_SPAN == 1000
 
 
 def test_invalid_config_value_exit_code(src_file, capsys):

@@ -213,6 +213,14 @@ def test_layout_param_validation():
         LayoutParams(j_pitch=5)
 
 
+@pytest.mark.parametrize("pitch", [{"j_pitch": 0}, {"t_pitch": 0}, {"j_pitch": -6},
+                                   {"t_pitch": -2}, {"j_pitch": -6, "t_pitch": -6}])
+def test_layout_pitches_must_be_positive(pitch):
+    # a zero j pitch would put every row's strands on one j
+    with pytest.raises(GeometryError, match="pitches must be positive"):
+        LayoutParams(**pitch)
+
+
 def test_toffoli_scale_structure():
     # full-size geometry: 45 rows, 55 braids; parity clean, no same-kind
     # contact, and every braid links exactly its control/target inner strands

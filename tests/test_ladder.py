@@ -25,4 +25,4 @@ def test_measure_counts_the_stream_of_the_timed_slice(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     rung = ladder.measure(1)
     assert rung.keys() == ladder.FIELDS
-    assert rung["stream_bytes"] == 6_492_728 and rung["layers"] == 361
+    assert rung["stream_bytes"] == 1_660_585 and rung["layers"] == 361

@@ -2,6 +2,7 @@
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,9 +23,13 @@ from tqecsynth.geometry import (
 )
 from tqecsynth.pipeline import PipelineConfig, run_pipeline
 
-CIRCUIT_DIR = Path(__file__).parent.parent / "circuits"
+ROOT = Path(__file__).parent.parent
+CIRCUIT_DIR = ROOT / "circuits"
 CIRCUITS = sorted(CIRCUIT_DIR.glob("*.tq"))
 P = SegmentKind.PRIMAL
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def strand(i, j, t0, t1) -> Defect:
@@ -71,7 +76,7 @@ def cli_slice(tmp_path, source: Path, *flags: str) -> bytes:
 def test_slice_stream_equals_reference_on_circuits(tmp_path, path, rate, seed):
     geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
     got = cli_slice(tmp_path, path, "--success-rate", str(rate), "--seed", str(seed))
-    assert got == ref.slice_stream(geo, lattice_cells_for(geo))
+    assert ref.expand_stream(got) == ref.slice_stream(geo, lattice_cells_for(geo))
 
 
 def test_slice_stream_equals_reference_on_a_larger_lattice(tmp_path):
@@ -80,7 +85,34 @@ def test_slice_stream_equals_reference_on_a_larger_lattice(tmp_path):
     ci, cj, ct = lattice_cells_for(geo)
     cells = (ci + 3, cj + 1, ct + 2)
     got = cli_slice(tmp_path, path, "--cells", *map(str, cells))
-    assert got == ref.slice_stream(geo, cells)
+    assert ref.expand_stream(got) == ref.slice_stream(geo, cells)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_slice_stream_equals_reference_on_the_benchmark_circuit(tmp_path, seed):
+    # the slice-clifford-t workload's circuit and flags at this seed
+    work = workloads.SliceCliffordT(seed, tmp_path)
+    geo = run_pipeline(work.source, work.config()).geometry
+    got = cli_slice(tmp_path, work.path, *work.pipeline_flags())
+    assert ref.expand_stream(got) == ref.slice_stream(geo, lattice_cells_for(geo))
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_each_layer_is_written_in_full_once_at_its_first_mention(tmp_path, path):
+    records = [json.loads(line) for line in cli_slice(tmp_path, path).splitlines()]
+    assert records[0]["stream_version"] == cli.STREAM_VERSION == 2
+    assert all("stream_version" not in rec for rec in records[1:])
+    first_mentions = []
+    for rec in records:
+        for layer in rec["layers"]:
+            idx = layer["index"]
+            if idx in first_mentions:
+                assert layer == {"index": idx}
+            else:
+                assert layer.keys() == ref.LAYER_KEYS and layer["t"] == idx + 1
+                first_mentions.append(idx)
+    # first mentions come in index order, so the writer only tracks the next one
+    assert first_mentions == list(range(len(first_mentions)))
 
 
 HAND_BUILT = {
@@ -118,14 +150,53 @@ def test_slice_layers_equals_reference_on_overlapping_stamps(case):
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
 def test_slice_stream_equals_reference_on_overlapping_stamps(case):
     geo = HAND_BUILT[case]
-    assert b"".join(slice_lines(geo, (6, 6, 6))) == ref.slice_stream(geo, (6, 6, 6))
+    got = b"".join(slice_lines(geo, (6, 6, 6)))
+    assert ref.expand_stream(got) == ref.slice_stream(geo, (6, 6, 6))
+
+
+def dump(rec) -> bytes:
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n"
+
+
+def rewrite(stream: bytes, line: int, edit) -> bytes:
+    """``stream`` with record ``line`` replaced by ``edit(record)``."""
+    records = [json.loads(text) for text in stream.splitlines()]
+    records[line] = edit(records[line])
+    return b"".join(dump(rec) for rec in records)
+
+
+def test_expand_stream_refuses_what_format_2_forbids():
+    stream = b"".join(slice_lines(HAND_BUILT["io-over-z"], (6, 6, 6)))
+    records = [json.loads(text) for text in stream.splitlines()]
+    # init p0, init d0, entangle p0 d0: the third record names both by index
+    assert [layer.keys() for layer in records[2]["layers"]] == [{"index"}, {"index"}]
+    full = [records[0]["layers"][0], records[1]["layers"][0]]
+
+    def drop_version(rec):
+        return {key: value for key, value in rec.items() if key != "stream_version"}
+
+    bad = {
+        "before its full record": rewrite(stream, 1, lambda rec: {**rec, "layers": [{"index": 1}]}),
+        "in full again": rewrite(stream, 2, lambda rec: {**rec, "layers": full}),
+        "stream_version None": rewrite(stream, 0, drop_version),
+        "stream_version 1": rewrite(stream, 0, lambda rec: {**rec, "stream_version": 1}),
+        "stream_version '2'": rewrite(stream, 0, lambda rec: {**rec, "stream_version": "2"}),
+        "repeats the stream_version": rewrite(stream, 3,
+                                              lambda rec: {**rec, "stream_version": 2}),
+        "keys": rewrite(stream, 2, lambda rec: {**rec, "layers": [{"index": 0, "t": 1}]}),
+    }
+    assert rewrite(stream, 0, lambda rec: rec) == stream
+    assert ref.expand_stream(stream) == ref.slice_stream(HAND_BUILT["io-over-z"], (6, 6, 6))
+    for message, broken in bad.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ref.expand_stream(broken)
 
 
 def test_one_layer_stream_is_init_and_measure():
     # pins at t = 1 and the vertex at t = 2 fit a lattice one cell deep
     geo = geometry(injections=[injection((4, 3, 2), (3, 3, 1), (5, 3, 1))])
     got = b"".join(slice_lines(geo, (3, 3, 1)))
-    assert got == ref.slice_stream(geo, (3, 3, 1))
+    assert ref.expand_stream(got) == ref.slice_stream(geo, (3, 3, 1))
     assert [json.loads(line)["op"] for line in got.splitlines()] == ["init", "measure"]
     assert b'"z"' in got
 
@@ -152,7 +223,7 @@ def test_layer_equal_to_the_one_two_back_is_shared():
     marks = list(layer_marks(geo, cells, pairs))
     assert marks[5] is marks[3] and marks[5] != marks[4]     # t = 6, 4 and 5
     assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
-    assert b"".join(slice_lines(geo, cells)) == ref.slice_stream(geo, cells)
+    assert ref.expand_stream(b"".join(slice_lines(geo, cells))) == ref.slice_stream(geo, cells)
 
 
 def test_equal_layers_three_apart_are_rebuilt():
@@ -166,7 +237,7 @@ def test_equal_layers_three_apart_are_rebuilt():
     assert marks[3] == marks[0] and marks[3] is not marks[0]
     assert len({marks[0], marks[1], marks[2]}) == 3
     assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
-    assert b"".join(slice_lines(geo, cells)) == ref.slice_stream(geo, cells)
+    assert ref.expand_stream(b"".join(slice_lines(geo, cells))) == ref.slice_stream(geo, cells)
 
 
 def test_cells_beyond_the_geometry_give_empty_tail_layers(tmp_path):
@@ -174,7 +245,7 @@ def test_cells_beyond_the_geometry_give_empty_tail_layers(tmp_path):
     geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
     ci, cj, ct = lattice_cells_for(geo)
     cells = (ci + 2, cj + 2, ct + 4)
-    got = cli_slice(tmp_path, path, "--cells", *map(str, cells))
+    got = ref.expand_stream(cli_slice(tmp_path, path, "--cells", *map(str, cells)))
     assert got == ref.slice_stream(geo, cells)
     last = json.loads(got.splitlines()[-1])["layers"][-1]
     assert last["t"] == 2 * cells[2] - 1 and last["marked"] == []
@@ -236,12 +307,14 @@ def test_stream_joins_each_distinct_payload_once(name):
     geo = run_pipeline((CIRCUIT_DIR / f"{name}.tq").read_text(), PipelineConfig()).geometry
     cells = lattice_cells_for(geo)
     pieces = list(slice_lines(geo, cells))
-    assert b"".join(pieces) == ref.slice_stream(geo, cells)
+    assert ref.expand_stream(b"".join(pieces)) == ref.slice_stream(geo, cells)
     # a layer's marks are the only pieces that open with a site record
     payloads = [piece for piece in pieces if piece.startswith(b"[")]
     overlays = [marked for marked in layer_marks(geo, cells, pairs) if marked]
     built = len({id(marked) for marked in overlays})
-    assert len({id(piece) for piece in payloads}) == built < len(payloads) // 4
+    # each layer's payload goes out once, and the layers equal to it share it
+    assert len(payloads) == len(overlays)
+    assert len({id(piece) for piece in payloads}) == built < len(payloads) // 2
 
 
 class Recording:
@@ -286,27 +359,27 @@ def record_slice(monkeypatch, tmp_path, *argv: str) -> tuple[list[Recording], by
 
 
 def test_slice_stream_goes_out_in_megabyte_writes(tmp_path, monkeypatch):
-    # two Toffolis: a stream of about 17 MiB, so more than 8 whole buffers
-    path = tmp_path / "toffoli2.tq"
-    path.write_text("qubits 3\ntoffoli 0 1 2\ntoffoli 1 2 0\n")
+    # four Toffolis: a stream of about 16 MB, so more than 8 whole buffers
+    path = tmp_path / "toffoli4.tq"
+    path.write_text("qubits 3\ntoffoli 0 1 2\ntoffoli 1 2 0\ntoffoli 2 0 1\ntoffoli 0 2 1\n")
     geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
     want = ref.slice_stream(geo, lattice_cells_for(geo))
-    assert len(want) > 8 * WRITE_BYTES
     handles, stdout, out = record_slice(monkeypatch, tmp_path, str(path))
-    assert stdout == out == want
+    assert len(out) > 8 * WRITE_BYTES
+    assert stdout == out and ref.expand_stream(out) == want
     assert len(handles) == 2
     for handle in handles:
-        assert 2 < len(handle.sizes) <= math.ceil(len(want) / WRITE_BYTES) + 2
+        assert 2 < len(handle.sizes) <= math.ceil(len(out) / WRITE_BYTES) + 2
 
 
 def test_short_slice_stream_is_one_write(tmp_path, monkeypatch):
     path = CIRCUIT_DIR / "t_gate.tq"
     geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
     want = ref.slice_stream(geo, lattice_cells_for(geo))
-    assert len(want) < WRITE_BYTES
     handles, stdout, out = record_slice(monkeypatch, tmp_path, str(path))
-    assert stdout == out == want
-    assert [handle.sizes for handle in handles] == [[len(want)]] * 2
+    assert len(out) < WRITE_BYTES
+    assert stdout == out and ref.expand_stream(out) == want
+    assert [handle.sizes for handle in handles] == [[len(out)]] * 2
 
 
 @pytest.mark.parametrize("lengths", [[], [0], [8], [8, 8], [3, 5, 8, 0, 21, 1], [7] * 9,
@@ -345,7 +418,7 @@ def test_slice_measures_the_bounding_box_once(tmp_path, monkeypatch):
                         lambda geometry: boxes.append(geometry) or measure(geometry))
     got = cli_slice(tmp_path, path)
     assert len(boxes) == 1   # the pipeline's, which the slicer reuses
-    assert got == ref.slice_stream(geo, lattice_cells_for(geo))
+    assert ref.expand_stream(got) == ref.slice_stream(geo, lattice_cells_for(geo))
 
 
 def test_held_bounding_box_decides_the_cover():
