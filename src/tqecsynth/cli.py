@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -303,7 +304,9 @@ def cmd_slice(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` only parses."""
     parser = argparse.ArgumentParser(prog="tqecsynth")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -331,8 +334,11 @@ def main(argv: list[str] | None = None) -> int:
                            metavar=("I", "J", "T"), help="lattice extent in cells")
     slice_cmd.add_argument("--out", help="output path ('-' for stdout)")
     slice_cmd.set_defaults(func=cmd_slice)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, PipelineError, SchedulingError, AnalysisError, OSError,

@@ -2,7 +2,9 @@
 
 JSON output is byte-deterministic: keys are sorted, separators fixed, and
 line endings are LF. The OBJ export emits one cuboid per defect segment and
-per distillation box for external 3D viewers.
+per distillation box for external 3D viewers; every cuboid's faces name its
+own eight corners by OBJ relative (negative) indices, so they are one
+constant block.
 """
 from __future__ import annotations
 
@@ -189,27 +191,42 @@ def _schedule_report(result: PipelineResult) -> dict:
     return report
 
 
-# One OBJ cuboid: its name, the corners (x, y, z) in x-major order, and six
-# quad faces as 1-based indices of those corners, offset by earlier cuboids.
-_CUBOID = b"o %s_%d_%s\n" + b"v %d %d %d\n" * 8 + b"f %d %d %d %d\n" * 6
+# One OBJ cuboid: its name and its corners (x, y, z) in x-major order.
+_CUBOID = b"o %s_%d_%s\n" + b"v %d %d %d\n" * 8
+# The six quad faces of a cuboid, as 1-based indices of its corners.
 _FACE_CORNERS = (1, 2, 4, 3, 5, 7, 8, 6, 1, 5, 6, 2, 3, 4, 8, 7, 1, 3, 7, 5, 2, 6, 8, 4)
+# The same faces as OBJ relative indices, which count back from the face
+# line (-1 is the vertex just above it). Every cuboid's faces follow its own
+# eight corners, so every cuboid shares this one block: corner c is c - 9.
+_FACES = b"".join(b"f %d %d %d %d\n" % tuple(c - 9 for c in _FACE_CORNERS[k:k + 4])
+                  for k in range(0, len(_FACE_CORNERS), 4))
 
 
 def export_obj(geometry: Geometry) -> bytes:
-    """One cuboid per segment (inflated to cell width) and per box."""
-    cuboids = [(b"segment", idx, seg.kind.value, [seg.interval(ax) for ax in "ijt"])
-               for idx, seg in enumerate(geometry.segments)]
-    cuboids += [(b"box", idx, box.state.value, [box.extent(ax) for ax in "ijt"])
-                for idx, box in enumerate(geometry.boxes)]
+    """One cuboid per segment and per box, each widened by one unit on every side.
+
+    Each cuboid is an ``o`` line naming it (``segment_N_kind`` or
+    ``box_N_state``), its eight corners as ``v`` lines and its six faces as
+    ``f`` lines in relative indices, the same block for every cuboid.
+    Segments come in ``geometry.segments`` order, then boxes in order. An
+    empty geometry gives a single newline.
+    """
+    extents = []
+    for idx, seg in enumerate(geometry.segments):
+        # A segment runs along one axis, so its lexicographically lower end
+        # is its lowest corner on every axis.
+        lo, hi = (seg.a, seg.b) if seg.a <= seg.b else (seg.b, seg.a)
+        extents.append((b"segment", idx, seg.kind.value, lo.i, lo.j, lo.t, hi.i, hi.j, hi.t))
+    for idx, box in enumerate(geometry.boxes):
+        (x0, x1), (y0, y1), (z0, z1) = (box.extent(ax) for ax in "ijt")
+        extents.append((b"box", idx, box.state.value, x0, y0, z0, x1, y1, z1))
     out = []
-    for n, (what, idx, kind, ((x0, x1), (y0, y1), (z0, z1))) in enumerate(cuboids):
+    for what, idx, kind, x0, y0, z0, x1, y1, z1 in extents:
         x0, y0, z0, x1, y1, z1 = x0 - 1, y0 - 1, z0 - 1, x1 + 1, y1 + 1, z1 + 1
-        base = 8 * n
-        out.append(_CUBOID % (
+        out += (_CUBOID % (
             what, idx, kind.encode("ascii"),
             x0, y0, z0, x0, y0, z1, x0, y1, z0, x0, y1, z1,
-            x1, y0, z0, x1, y0, z1, x1, y1, z0, x1, y1, z1,
-            *[base + corner for corner in _FACE_CORNERS]))
+            x1, y0, z0, x1, y0, z1, x1, y1, z0, x1, y1, z1), _FACES)
     return b"".join(out) or b"\n"
 
 

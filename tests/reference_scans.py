@@ -5,7 +5,9 @@ These are the all-pairs versions of ``analysis.min_code_distance`` and
 ``analysis.slice_layers`` with the ``json.dumps`` encoder of its slice
 stream in format 1 (every layer in full wherever it is named) and a
 strict decoder that expands the CLI's format-2 stream into it, the
-line-by-line version of ``document.export_obj``, the replay version of
+line-by-line, absolute-index version of ``document.export_obj`` with a
+strict decoder (``resolve_obj``) that resolves either index form to
+vertex coordinates, the replay version of
 ``sim.run_branches`` (every outcome string run from scratch, one
 measurement collapsed at a time), and the per-trial loop version of
 ``sim.check_equivalence`` (each trial's input drawn, simulated and scored
@@ -291,6 +293,46 @@ def export_obj(geometry: Geometry) -> bytes:
         hi = tuple(box.extent(ax)[1] + 1 for ax in ("i", "j", "t"))
         base = _cuboid(lo, hi, f"box_{idx}_{box.state.value}", base, lines)
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def resolve_obj(data: bytes) -> list[tuple[str, tuple, tuple]]:
+    """Each OBJ object's name, its vertices, and its faces as tuples of vertex coordinates.
+
+    A face index is absolute (1 is the file's first vertex) or relative (-1
+    is the last vertex above the face line). The decoder is strict: it
+    raises ``ValueError`` on index 0, an index outside the vertices written
+    so far, a face that names a vertex outside its own object's vertices,
+    a vertex or face before the first ``o`` line, or any other line.
+    """
+    objects: list[tuple[str, list, list]] = []
+    vertices: list[tuple[int, int, int]] = []
+    first = 0   # index in ``vertices`` of the current object's first vertex
+    for n, line in enumerate(data.decode("ascii").splitlines(), 1):
+        tag, *fields = line.split(" ")
+        if tag == "o" and len(fields) == 1:
+            objects.append((fields[0], [], []))
+            first = len(vertices)
+        elif tag in ("v", "f") and not objects:
+            raise ValueError(f"line {n}: {tag!r} before the first object")
+        elif tag == "v" and len(fields) == 3:
+            vertex = tuple(int(x) for x in fields)
+            vertices.append(vertex)
+            objects[-1][1].append(vertex)
+        elif tag == "f" and len(fields) >= 3:
+            corners = []
+            for field in fields:
+                k = int(field)
+                if k == 0 or not -len(vertices) <= k <= len(vertices):
+                    raise ValueError(f"line {n}: vertex index {k} is out of range")
+                k = k - 1 if k > 0 else len(vertices) + k
+                if k < first:
+                    raise ValueError(f"line {n}: face names vertex {k + 1}, "
+                                     f"outside object {objects[-1][0]!r}")
+                corners.append(vertices[k])
+            objects[-1][2].append(tuple(corners))
+        elif line:
+            raise ValueError(f"line {n}: cannot read {line!r}")
+    return [(name, tuple(vs), tuple(fs)) for name, vs, fs in objects]
 
 
 class InfeasibleBranch(RuntimeError):

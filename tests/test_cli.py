@@ -61,6 +61,34 @@ def test_synth_out_dash_writes_every_format_to_stdout(monkeypatch, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_parser_serves_every_call_after_an_argparse_error(tmp_path, capsysbinary):
+    path = str(CIRCUITS / "t_gate.tq")
+    calls = [
+        ["synth", path, "--out", "-", "--format", "obj", "--format", "csv"],
+        ["synth", path],
+        ["verify", path, "--tolerance", "0.5"],
+        ["verify", path],
+        ["slice", path, "--cells", "12", "16", "36"],
+        ["slice", path],
+    ]
+
+    def outputs():
+        got = []
+        for argv in calls:
+            assert main(argv) == EXIT_OK
+            got.append(capsysbinary.readouterr().out)
+        return got
+
+    before = outputs()
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", path, "--format", "png"])
+    assert exc.value.code == 2
+    assert b"invalid choice" in capsysbinary.readouterr().err
+    assert outputs() == before
+    # no value of one call reaches the next: without --format, synth writes JSON
+    assert json.loads(before[1])["version"] == 2 and before[2] != before[3]
+
+
 def test_synth_parse_error_exit_code(src_file, capsys):
     path = src_file("bad.tq", "qubits 1\nwat 0\n")
     rc, _, err = run_cli(capsys, "synth", path)

@@ -101,7 +101,7 @@ def test_obj_one_cuboid_per_segment_and_box():
 @pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
 def test_obj_equals_reference_on_circuits(path, rate, seed):
     geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
-    assert export_obj(geo) == ref.export_obj(geo)
+    assert ref.resolve_obj(export_obj(geo)) == ref.resolve_obj(ref.export_obj(geo))
 
 
 def test_obj_equals_reference_on_four_toffolis():
@@ -112,13 +112,51 @@ def test_obj_equals_reference_on_four_toffolis():
     cfg = PipelineConfig(success_rate=0.9, seed=1, spares=SparePolicy("binomial", epsilon=1e-6))
     geo = run_pipeline(source, cfg).geometry
     assert geo.boxes and geo.segments
-    assert export_obj(geo) == ref.export_obj(geo)
+    assert ref.resolve_obj(export_obj(geo)) == ref.resolve_obj(ref.export_obj(geo))
 
 
 def test_obj_of_an_empty_geometry_is_one_newline():
     geo = run_pipeline(P_SRC).geometry
     empty = type(geo)(defects=(), pins=(), injections=(), ioports=(), layout=geo.layout)
     assert export_obj(empty) == ref.export_obj(empty) == b"\n"
+
+
+FACE_BLOCK = (b"f -8 -7 -5 -6\nf -4 -2 -1 -3\nf -8 -4 -3 -7\n"
+              b"f -6 -5 -1 -2\nf -8 -6 -2 -4\nf -7 -3 -1 -5\n")
+
+
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_every_cuboid_ends_with_the_relative_face_block(path):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=0.8, seed=53)).geometry
+    cuboids = export_obj(geo).split(b"o ")
+    assert cuboids[0] == b"" and len(cuboids) == len(geo.segments) + len(geo.boxes) + 1
+    for cuboid in cuboids[1:]:
+        assert cuboid.endswith(FACE_BLOCK)
+        name, *vertices = cuboid[:-len(FACE_BLOCK)].splitlines()
+        assert len(vertices) == 8 and all(v.startswith(b"v ") for v in vertices)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"o a\nv 0 0 0\nv 0 0 1\nv 0 1 0\nf 1 2 0\n", "out of range"),
+    (b"o a\nv 0 0 0\nv 0 0 1\nv 0 1 0\nf 1 2 4\n", "out of range"),
+    (b"o a\nv 0 0 0\nv 0 0 1\nv 0 1 0\nf -1 -2 -4\n", "out of range"),
+    (b"o a\nv 0 0 0\no b\nv 0 0 1\nv 0 1 0\nv 1 0 0\nf -1 -2 -4\n", "outside object 'b'"),
+    (b"o a\nv 0 0 0\no b\nv 0 0 1\nv 0 1 0\nv 1 0 0\nf 1 2 3\n", "outside object 'b'"),
+    (b"v 0 0 0\n", "before the first object"),
+    (b"o a\nvt 0 0\n", "cannot read"),
+])
+def test_resolve_obj_refuses_what_a_cuboid_file_cannot_hold(data, message):
+    with pytest.raises(ValueError, match=message):
+        ref.resolve_obj(data)
+
+
+def test_resolve_obj_reads_both_index_forms_alike():
+    absolute = b"o a\nv 0 0 0\nv 0 0 1\nv 0 1 0\nf 1 2 3\no b\nv 1 0 0\nv 1 0 1\nv 1 1 0\nf 4 6 5\n"
+    relative = b"o a\nv 0 0 0\nv 0 0 1\nv 0 1 0\nf -3 -2 -1\no b\nv 1 0 0\nv 1 0 1\nv 1 1 0\nf -3 -1 -2\n"
+    assert ref.resolve_obj(absolute) == ref.resolve_obj(relative) == [
+        ("a", ((0, 0, 0), (0, 0, 1), (0, 1, 0)), (((0, 0, 0), (0, 0, 1), (0, 1, 0)),)),
+        ("b", ((1, 0, 0), (1, 0, 1), (1, 1, 0)), (((1, 0, 0), (1, 1, 0), (1, 0, 1)),)),
+    ]
 
 
 def test_csv_flat_segment_table():
