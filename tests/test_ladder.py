@@ -26,3 +26,5 @@ def test_measure_counts_the_stream_of_the_timed_slice(monkeypatch):
     rung = ladder.measure(1)
     assert rung.keys() == ladder.FIELDS
     assert rung["stream_bytes"] == 1_660_585 and rung["layers"] == 361
+    # the peak before the slice is part of the whole rung's peak
+    assert 0 < rung["pipeline_peak_rss_mb"] <= rung["peak_rss_mb"]

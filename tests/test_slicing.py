@@ -1,7 +1,9 @@
 """The stamp-overlay slicer and its byte stream against the per-layer reference rescan."""
+import dataclasses
 import io
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from tqecsynth.geometry import (
     CapShape, Coord, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole,
     PortBasis, PortRole, PortTemplate, Segment, SegmentKind,
 )
-from tqecsynth.pipeline import PipelineConfig, run_pipeline
+from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
 
 ROOT = Path(__file__).parent.parent
 CIRCUIT_DIR = ROOT / "circuits"
@@ -34,6 +36,10 @@ import workloads  # noqa: E402
 
 def strand(i, j, t0, t1) -> Defect:
     return Defect(P, (Segment(P, Coord(i, j, t0), Coord(i, j, t1)),), closed=False)
+
+
+def leg(i, t, j0, j1) -> Defect:
+    return Defect(P, (Segment(P, Coord(i, j0, t), Coord(i, j1, t)),), closed=False)
 
 
 def pin(i, j, t, role=PinRole.IO, state=None) -> Pin:
@@ -135,6 +141,14 @@ HAND_BUILT = {
     "unlisted-port-pins": geometry(ports=[port(CapShape.SOLID, 1, 30, 3, 3),
                                           port(CapShape.CONFIG, 1, 5, 30, 30)],
                                    listed_pins=False),
+    # legs on the j-line (i, t) = (3, 5) that overlap, share an end and leave
+    # a gap, and a strand in two t-pieces whose boxes meet: each run is one
+    # stamp, and an IO cap and an injection vertex on the line still win
+    "collinear-runs": geometry(
+        [leg(3, 5, 1, 3), leg(3, 5, 2, 3), leg(3, 5, 3, 5), leg(3, 5, 9, 10),
+         strand(9, 3, 1, 3), strand(9, 3, 6, 9)],
+        ports=[port(CapShape.CONFIG, 3, 7, 5, 5)],
+        injections=[injection((3, 10, 6), (3, 9, 5), (3, 11, 5))]),
 }
 
 
@@ -211,6 +225,19 @@ def test_later_stamps_win_on_shared_sites():
     assert layers[6].basis_at(4, 3) is SiteBasis.Z   # the second injection's pin box
 
 
+def test_collinear_segment_stamps_merge_into_runs():
+    geo = HAND_BUILT["collinear-runs"]
+    Z = SiteBasis.Z
+    # j spans 0-4, 1-4 and 2-6 overlap and 8-11 lies past a gap; t spans 0-4 and 5-10 touch
+    assert _stamps(geo)[:3] == [(4, 6, 2, 4, 0, 6, Z), (4, 6, 2, 4, 8, 11, Z),
+                                (0, 10, 8, 10, 2, 4, Z)]
+    layers = {layer.t: layer for layer in slice_layers(geo, (6, 6, 6))}
+    assert layers[5].basis_at(3, 5) is SiteBasis.IO          # the cap over the merged run
+    assert layers[6].basis_at(3, 10) is SiteBasis.INJECTED   # the vertex over the leg past the gap
+    assert layers[5].basis_at(3, 7) is SiteBasis.X           # the gap stays unmarked
+    assert all(layers[t].basis_at(9, 3) is Z for t in range(1, 11))
+
+
 def pairs(i, j, basis):
     return ((i, j), basis)
 
@@ -256,6 +283,50 @@ def active_sets(geo, cells) -> list[frozenset[int]]:
     stamps = _stamps(geo)
     return [frozenset(k for k, stamp in enumerate(stamps) if stamp[0] <= t <= stamp[1])
             for t in range(1, 2 * cells[2])]
+
+
+def stamp_input(name, tmp_path):
+    """The geometry of one of the stamp-cover inputs."""
+    if name.startswith("clifford-t"):
+        work = workloads.SliceCliffordT(int(name.rsplit("-", 1)[1]), tmp_path)
+        return run_pipeline(work.source, work.config()).geometry
+    if name == "toffolis-4":   # the 4-Toffoli rung of tools/ladder.py
+        config = PipelineConfig(success_rate=0.9, seed=1,
+                                spares=SparePolicy("binomial", epsilon=1e-6))
+        return run_pipeline(workloads.toffoli_source(random.Random(1), 4, 6), config).geometry
+    source = (CIRCUIT_DIR / "toffoli.tq").read_text()
+    return run_pipeline(source, PipelineConfig(success_rate=0.8, seed=53)).geometry
+
+
+@pytest.mark.parametrize("name", ["clifford-t-1", "clifford-t-7", "toffolis-4", "toffoli"])
+def test_active_stamps_cover_each_layer_at_most_three_times(tmp_path, name):
+    geo = stamp_input(name, tmp_path)
+    cells = lattice_cells_for(geo)
+    stamps = _stamps(geo)
+    # the segment stamps come first, and no two on one line overlap or touch
+    segment_stamps = _stamps(dataclasses.replace(geo, ioports=(), injections=()))
+    assert stamps[:len(segment_stamps)] == segment_stamps
+    lines = {}
+    for stamp in segment_stamps:
+        box = [stamp[0:2], stamp[2:4], stamp[4:6]]
+        axis = max(range(3), key=lambda k: box[k][1] - box[k][0])
+        lines.setdefault((axis, *box[:axis], *box[axis + 1:]), []).append(box[axis])
+    for spans in lines.values():
+        spans.sort()
+        assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    # each layer's active stamps hold at most three clipped sites per mark
+    t_max, i_max, j_max = 2 * cells[2], 2 * cells[0], 2 * cells[1]
+    change = [0] * (t_max + 1)
+    for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, _ in stamps:
+        rows, cols = min(i_hi, i_max) - max(i_lo, 0) + 1, min(j_hi, j_max) - max(j_lo, 0) + 1
+        t_lo, t_hi = max(t_lo, 1), min(t_hi, t_max - 1)
+        if t_lo <= t_hi and rows > 0 and cols > 0:
+            change[t_lo] += rows * cols
+            change[t_hi + 1] -= rows * cols
+    sites = 0
+    for t, marked in enumerate(layer_marks(geo, cells, pairs), 1):
+        sites += change[t]
+        assert sites <= 3 * len(marked), f"t = {t}"
 
 
 @pytest.mark.parametrize("name", ["cnot", "toffoli"])

@@ -14,7 +14,10 @@ host. Per rung it records:
 - ``slice_s``: the whole ``tqecsynth slice SOURCE`` command, pipeline
   included, as the CLI runs it, with its stdout replaced by a sink that
   counts the bytes it is handed and keeps none;
-- ``peak_rss_mb``: the child's peak resident set after all three;
+- ``pipeline_peak_rss_mb``: the child's peak resident set after
+  ``run_pipeline`` and the distance read, before the slice;
+- ``peak_rss_mb``: the child's peak resident set after all three, so
+  ``peak_rss_mb - pipeline_peak_rss_mb`` is what the slice adds;
 - ``stream_bytes`` and ``layers``: the size of that slice stream, as the
   sink counted it, and its layer count.
 
@@ -40,8 +43,8 @@ FLAGS = ["--success-rate", "0.9", "--seed", "1", "--spare-epsilon", "1e-6"]
 ADDRESS_SPACE_CAP = 4 * 2**30   # bytes per rung
 RUNG_TIMEOUT_S = 600
 # What every rung reports.
-FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "slice_s", "peak_rss_mb",
-          "stream_bytes", "layers"}
+FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "slice_s", "pipeline_peak_rss_mb",
+          "peak_rss_mb", "stream_bytes", "layers"}
 
 
 class ByteCount:
@@ -53,6 +56,11 @@ class ByteCount:
     def write(self, data) -> int:
         self.bytes += len(data)
         return len(data)
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB (``ru_maxrss`` is KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def measure(toffolis: int) -> dict:
@@ -71,6 +79,7 @@ def measure(toffolis: int) -> dict:
     start = time.perf_counter()
     result.distance  # measured on its first read
     distance_s = time.perf_counter() - start
+    pipeline_peak_mb = peak_rss_mb()
 
     sink = ByteCount()
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,11 +91,11 @@ def measure(toffolis: int) -> dict:
         slice_s = time.perf_counter() - start
     if code != cli.EXIT_OK:
         raise RuntimeError(f"tqecsynth slice exited {code}")
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     return {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
             "distance_s": round(distance_s, 3), "slice_s": round(slice_s, 3),
-            "peak_rss_mb": round(peak_mb, 1),
+            "pipeline_peak_rss_mb": round(pipeline_peak_mb, 1),
+            "peak_rss_mb": round(peak_rss_mb(), 1),
             "stream_bytes": sink.bytes, "layers": 2 * lattice_cells(result.bbox)[2] - 1}
 
 
