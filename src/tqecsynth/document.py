@@ -115,7 +115,7 @@ def build_document(result: PipelineResult) -> dict:
                 for inst in conv.instances
             ],
         },
-        "matrix": result.matrix.cells.tolist(),
+        "matrix": result.matrix.rows(),
         "defects": [
             {
                 "kind": d.kind.value,

@@ -2,14 +2,13 @@
 
 Rows are qubits; the first and last columns carry initialisation and
 measurement codes, and each interior column holds exactly one CNOT as a
-control/target code pair. The geometry generator walks this matrix column
-by column.
+control/target code pair. Only those cells carry anything, so the matrix
+is held as them: each row's two codes and each column's pair of rows.
+The geometry generator reads it back through ``from_matrix``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis
 
@@ -50,33 +49,33 @@ _CODE_MEAS = {v: k for k, v in _MEAS_CODE.items()} | {MEAS_A: MeasBasis.Z, MEAS_
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Matrix form of an ICM circuit; ``cells`` has shape (qubits, cnots + 2)."""
+    """Matrix form of an ICM circuit, held as its non-empty cells.
 
-    cells: np.ndarray
+    Row q opens with ``inputs[q]`` and closes with ``outputs[q]``; interior
+    column k holds CONTROL in row ``cnots[k][0]``, TARGET in row
+    ``cnots[k][1]`` and EMPTY in every other row.
+    """
 
-    def __post_init__(self) -> None:
-        if self.cells.ndim != 2 or self.cells.shape[1] < 2:
-            raise ValueError("matrix needs at least input and output columns")
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+    cnots: tuple[tuple[int, int], ...]
 
     @property
     def qubit_count(self) -> int:
-        return self.cells.shape[0]
+        return len(self.inputs)
 
     @property
     def cnot_count(self) -> int:
-        return self.cells.shape[1] - 2
+        return len(self.cnots)
 
-    def column_cnot(self, col: int) -> tuple[int, int]:
-        """Return (control_row, target_row) of interior column ``col`` (0-based)."""
-        column = self.cells[:, col + 1]
-        ctrl = np.flatnonzero(column == CONTROL)
-        tgt = np.flatnonzero(column == TARGET)
-        if len(ctrl) != 1 or len(tgt) != 1:
-            raise ValueError(f"malformed CNOT column {col}")
-        return int(ctrl[0]), int(tgt[0])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MatrixRep) and np.array_equal(self.cells, other.cells)
+    def rows(self) -> list[list[int]]:
+        """The dense matrix: one list of ``cnot_count + 2`` codes per row."""
+        rows = [[code, *[EMPTY] * self.cnot_count, out]
+                for code, out in zip(self.inputs, self.outputs)]
+        for col, (ctrl, tgt) in enumerate(self.cnots, start=1):
+            rows[ctrl][col] = CONTROL
+            rows[tgt][col] = TARGET
+        return rows
 
 
 def _terminal_code(init: InitBasis, m: MeasBasis) -> int:
@@ -95,52 +94,38 @@ def to_matrix(circ: Circuit) -> MatrixRep:
     """Encode an ICM circuit as its integer matrix."""
     if not circ.icm:
         raise ValueError("to_matrix requires an ICM circuit")
-    n = circ.qubit_count
-    k = len(circ.gates)
-    cells = np.zeros((n, k + 2), dtype=np.int64)
-    for q in range(n):
-        cells[q, 0] = _INIT_CODE[circ.inits[q]]
-        cells[q, -1] = _terminal_code(circ.inits[q], circ.meas[q])
-    for col, g in enumerate(circ.gates):
-        if g.kind is not GateKind.CNOT:
-            raise ValueError("ICM circuit may only contain CNOT gates")
-        cells[g.control, col + 1] = CONTROL
-        cells[g.target, col + 1] = TARGET
-    return MatrixRep(cells)
+    if any(g.kind is not GateKind.CNOT for g in circ.gates):
+        raise ValueError("ICM circuit may only contain CNOT gates")
+    return MatrixRep(
+        tuple(_INIT_CODE[init] for init in circ.inits),
+        tuple(_terminal_code(init, m) for init, m in zip(circ.inits, circ.meas)),
+        tuple(g.qubits for g in circ.gates),
+    )
 
 
 def from_matrix(m: MatrixRep) -> Circuit:
     """Decode a matrix back into an ICM circuit.
 
-    One scan of the interior columns finds every CONTROL and TARGET cell,
-    and a column is a CNOT when it holds exactly one of each.
-    Raises ValueError naming the first row with an unknown code, or the
-    first malformed CNOT column.
+    Raises ValueError when the input and output columns differ in length,
+    naming the first row with an unknown code, or naming the first
+    malformed CNOT column: one whose control and target rows are equal or
+    not rows of the matrix.
     """
+    n = m.qubit_count
+    if len(m.outputs) != n:
+        raise ValueError(f"input column has {n} codes, output column has {len(m.outputs)}")
     inits = []
     meas = []
-    for q, (in_code, out_code) in enumerate(
-            zip(m.cells[:, 0].tolist(), m.cells[:, -1].tolist())):
+    for q, (in_code, out_code) in enumerate(zip(m.inputs, m.outputs)):
         if in_code not in _CODE_INIT:
             raise ValueError(f"row {q}: unknown input code {in_code}")
         if out_code not in _CODE_MEAS:
             raise ValueError(f"row {q}: unknown output code {out_code}")
         inits.append(_CODE_INIT[in_code])
         meas.append(_CODE_MEAS[out_code])
-    # Every occupied interior cell, sorted by column: once each column holds
-    # one cell of each role, the control rows and the target rows come out
-    # in column order. (A flat scan of the cells is many times faster than
-    # np.nonzero's two-dimensional one.)
-    k = m.cnot_count
-    rows, cols = np.divmod(np.flatnonzero(m.cells[:, 1:-1] > EMPTY), k)
-    by_col = np.argsort(cols, kind="stable")
-    rows, cols = rows[by_col], cols[by_col]
-    roles = m.cells[rows, cols + 1]
-    is_ctrl, is_tgt = roles == CONTROL, roles == TARGET
-    bad = np.flatnonzero((np.bincount(cols[is_ctrl], minlength=k) != 1)
-                         | (np.bincount(cols[is_tgt], minlength=k) != 1))
-    if bad.size:
-        raise ValueError(f"malformed CNOT column {bad[0]}")
-    gates = [Gate(GateKind.CNOT, pair)
-             for pair in zip(rows[is_ctrl].tolist(), rows[is_tgt].tolist())]
-    return Circuit(m.qubit_count, tuple(inits), tuple(gates), tuple(meas), icm=True)
+    gates = []
+    for col, (ctrl, tgt) in enumerate(m.cnots):
+        if ctrl == tgt or not (0 <= ctrl < n and 0 <= tgt < n):
+            raise ValueError(f"malformed CNOT column {col}")
+        gates.append(Gate(GateKind.CNOT, (ctrl, tgt)))
+    return Circuit(n, tuple(inits), tuple(gates), tuple(meas), icm=True)

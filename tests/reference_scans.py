@@ -13,8 +13,10 @@ measurement collapsed at a time), and the per-trial loop version of
 ``sim.check_equivalence`` (each trial's input drawn, simulated and scored
 on its own), and the row-object version of ``icm.to_icm``
 (every block's ancillas inserted into one row list by search, rows
-numbered at the end); the tests compare the indexed, templated,
-one-tensor, trial-batched and run-offset versions with them.
+numbered at the end), and the dense ``np.zeros`` version of
+``matrix.to_matrix`` (every cell of the rows × (CNOTs + 2) matrix
+stored); the tests compare the indexed, templated, one-tensor,
+trial-batched, run-offset and sparse versions with them.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
 from tqecsynth.icm import (
     IcmConversion, PauliFrame, TemplateInstance, select_pattern, template_for,
 )
+from tqecsynth.matrix import CONTROL, TARGET, _INIT_CODE, _terminal_code
 from tqecsynth.sim import (
     H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, _logical_ends,
     apply_1q, apply_cnot, assemble_state, branch_outputs, random_product_state,
@@ -88,6 +91,24 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
         if separation is None or gap < separation:
             separation = gap
     return DistanceReport.from_params(d_f, separation)
+
+
+def dense_matrix(circ: Circuit) -> np.ndarray:
+    """The ICM matrix of ``circ`` as a dense (qubits, CNOTs + 2) int64 array."""
+    if not circ.icm:
+        raise ValueError("to_matrix requires an ICM circuit")
+    n = circ.qubit_count
+    k = len(circ.gates)
+    cells = np.zeros((n, k + 2), dtype=np.int64)
+    for q in range(n):
+        cells[q, 0] = _INIT_CODE[circ.inits[q]]
+        cells[q, -1] = _terminal_code(circ.inits[q], circ.meas[q])
+    for col, g in enumerate(circ.gates):
+        if g.kind is not GateKind.CNOT:
+            raise ValueError("ICM circuit may only contain CNOT gates")
+        cells[g.control, col + 1] = CONTROL
+        cells[g.target, col + 1] = TARGET
+    return cells
 
 
 def _box(seg: Segment) -> tuple[tuple[int, int], ...]:

@@ -194,14 +194,11 @@ def test_single_layer_two_i_values():
 
 
 def test_malformed_matrix_rejected():
-    import numpy as np
     from tqecsynth.matrix import MatrixRep
-    cells = np.array([[7, -101], [-100, -101]])
     with pytest.raises(GeometryError, match="row 0: unknown input code 7"):
-        generate_geometry(MatrixRep(cells), PARAMS)
-    cells = np.array([[-100, -101], [-100, 5]])
+        generate_geometry(MatrixRep((7, -100), (-101, -101), ()), PARAMS)
     with pytest.raises(GeometryError, match="row 1: unknown output code 5"):
-        generate_geometry(MatrixRep(cells), PARAMS)
+        generate_geometry(MatrixRep((-100, -100), (-101, 5), ()), PARAMS)
 
 
 def test_layout_param_validation():
@@ -232,7 +229,7 @@ def test_toffoli_scale_structure():
     assert validate_parity(geo) == []
     assert segment_overlaps(geo) == []
     for col in (0, 17, 54):
-        ctrl, tgt = m.column_cnot(col)
+        ctrl, tgt = m.cnots[col]
         loop = [s for d in geo.dual_defects() for s in d.segments
                 if s.a.t == PARAMS.braid_t(col)]
         for row in range(m.qubit_count):

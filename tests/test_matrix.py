@@ -1,13 +1,17 @@
+import random
+import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import reference_scans as ref
 from conftest import icm_circuits
 from tqecsynth.circuit import Circuit, InitBasis, MeasBasis, cnot, parse_circuit
 from tqecsynth.decompose import decompose_gates
-from tqecsynth.geometry import CapShape, PortBasis, PortRole, generate_geometry
+from tqecsynth.geometry import (
+    CapShape, GeometryError, PortBasis, PortRole, generate_geometry,
+)
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import (
     CONTROL, INIT_Y, INPUT_OPEN, MEAS_A, MEAS_X, MEAS_Y, MEAS_Z, OUTPUT_OPEN, TARGET,
@@ -15,6 +19,10 @@ from tqecsynth.matrix import (
 )
 
 CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+# 4 random Toffolis on 6 qubits, as the benchmark generates them
+_rng = random.Random(1)
+FOUR_TOFFOLIS = "qubits 6\n" + "".join(
+    "toffoli {} {} {}\n".format(*_rng.sample(range(6), 3)) for _ in range(4))
 
 
 def icm(src: str) -> Circuit:
@@ -25,17 +33,19 @@ def icm(src: str) -> Circuit:
 def test_two_cnot_matrix():
     # rows [[-100,1,0,-101],[-100,2,2,-101],[-100,0,1,-101]]
     m = to_matrix(icm("qubits 3\ncnot 0 1\ncnot 2 1\n"))
-    expected = np.array([
+    expected = [
         [-100, 1, 0, -101],
         [-100, 2, 2, -101],
         [-100, 0, 1, -101],
-    ])
-    assert np.array_equal(m.cells, expected)
+    ]
+    assert m.rows() == expected
+    assert m == MatrixRep((-100,) * 3, (-101,) * 3, ((0, 1), (2, 1)))
 
 
 def test_wireless_single_qubit_matrix():
     m = to_matrix(icm("qubits 1\n"))
-    assert np.array_equal(m.cells, np.array([[INPUT_OPEN, OUTPUT_OPEN]]))
+    assert m.rows() == [[INPUT_OPEN, OUTPUT_OPEN]]
+    assert m == MatrixRep((INPUT_OPEN,), (OUTPUT_OPEN,), ())
 
 
 def test_t_teleport_pair_matrix():
@@ -50,8 +60,7 @@ def test_t_teleport_pair_matrix():
         icm=True,
     )
     m = to_matrix(circ)
-    assert m.cells[0].tolist() == [INPUT_OPEN, TARGET, MEAS_Z]
-    assert m.cells[1].tolist() == [INIT_A, CONTROL, OUTPUT_OPEN]
+    assert m.rows() == [[INPUT_OPEN, TARGET, MEAS_Z], [INIT_A, CONTROL, OUTPUT_OPEN]]
 
 
 def test_protocol_terminals_only_for_protocol_bases():
@@ -59,8 +68,8 @@ def test_protocol_terminals_only_for_protocol_bases():
     meas = (MeasBasis.Z, MeasBasis.X, MeasBasis.OPEN, MeasBasis.X, MeasBasis.Z, MeasBasis.OPEN)
     circ = Circuit(6, inits, (), meas, icm=True)
     m = to_matrix(circ)
-    assert m.cells[:, -1].tolist() == [MEAS_A, MEAS_X, OUTPUT_OPEN, MEAS_Y, MEAS_Z, OUTPUT_OPEN]
-    assert m.cells[:, 0].tolist() == [INIT_A] * 3 + [INIT_Y] * 3
+    assert m.outputs == (MEAS_A, MEAS_X, OUTPUT_OPEN, MEAS_Y, MEAS_Z, OUTPUT_OPEN)
+    assert m.inputs == (INIT_A,) * 3 + (INIT_Y,) * 3
     assert from_matrix(m) == circ
 
 
@@ -90,19 +99,23 @@ def test_matrix_rejects_non_icm():
 
 def test_column_shape_and_codes():
     m = to_matrix(icm("qubits 4\ncnot 0 3\ncnot 2 1\ncnot 1 0\n"))
-    assert m.cells.shape == (4, 5)
+    rows = m.rows()
+    assert (m.qubit_count, m.cnot_count) == (4, 3)
+    assert [len(row) for row in rows] == [5] * 4
     for col in range(m.cnot_count):
-        column = m.cells[:, col + 1]
-        assert (column == CONTROL).sum() == 1
-        assert (column == TARGET).sum() == 1
-        assert ((column == 0) | (column == CONTROL) | (column == TARGET)).all()
+        column = [row[col + 1] for row in rows]
+        assert column.count(CONTROL) == 1
+        assert column.count(TARGET) == 1
+        assert set(column) <= {0, CONTROL, TARGET}
+        assert m.cnots[col] == (column.index(CONTROL), column.index(TARGET))
 
 
 @settings(max_examples=200, deadline=None)
 @given(icm_circuits())
 def test_round_trip(circ):
     m = to_matrix(circ)
-    assert m.cells.shape == (circ.qubit_count, len(circ.gates) + 2)
+    assert (m.qubit_count, m.cnot_count) == (circ.qubit_count, len(circ.gates))
+    assert m.rows() == ref.dense_matrix(circ).tolist()
     back = from_matrix(m)
     assert back.inits == circ.inits
     assert back.meas == circ.meas
@@ -111,20 +124,60 @@ def test_round_trip(circ):
 
 
 def test_malformed_column_detected():
-    cells = np.array([[INPUT_OPEN, 1, OUTPUT_OPEN], [INPUT_OPEN, 1, OUTPUT_OPEN]])
+    # one row holding both roles: the column is not one CNOT
+    m = MatrixRep((INPUT_OPEN,) * 2, (OUTPUT_OPEN,) * 2, ((1, 1),))
     with pytest.raises(ValueError):
-        MatrixRep(cells).column_cnot(0)
+        from_matrix(m)
 
 
 def test_decode_names_the_first_malformed_column():
-    # column 0 is one CNOT, column 1 has two controls, column 2 no target
-    cells = np.array([
-        [INPUT_OPEN, CONTROL, CONTROL, CONTROL, OUTPUT_OPEN],
-        [INPUT_OPEN, TARGET, CONTROL, 0, OUTPUT_OPEN],
-        [INPUT_OPEN, 0, TARGET, 0, OUTPUT_OPEN],
-    ])
+    # column 0 is one CNOT, column 1 has its control as target, column 2
+    # a target outside the rows
+    codes = (INPUT_OPEN,) * 3, (OUTPUT_OPEN,) * 3
     with pytest.raises(ValueError, match="^malformed CNOT column 1$"):
-        from_matrix(MatrixRep(cells))
+        from_matrix(MatrixRep(*codes, ((0, 1), (1, 1), (0, 3))))
     with pytest.raises(ValueError, match="^malformed CNOT column 2$"):
-        from_matrix(MatrixRep(cells[:, [0, 1, 1, 3, 4]]))
-    assert from_matrix(MatrixRep(cells[:, [0, 1, 4]])).gates == (cnot(0, 1),)
+        from_matrix(MatrixRep(*codes, ((0, 1), (0, 1), (0, 3))))
+    assert from_matrix(MatrixRep(*codes, ((0, 1),))).gates == (cnot(0, 1),)
+
+
+@pytest.mark.parametrize("cnots,inputs,message", [
+    (((0, 1), (2, 2), (1, 1)), 3, "malformed CNOT column 1"),
+    (((0, 1), (1, 0), (-1, 2)), 3, "malformed CNOT column 2"),
+    (((0, 1), (2, -3), (0, 9)), 3, "malformed CNOT column 1"),
+    (((0, 3), (1, 2)), 3, "malformed CNOT column 0"),
+    (((0, 1), (2, 1), (1, 3)), 3, "malformed CNOT column 2"),
+    (((0, 1),), 2, "input column has 2 codes, output column has 3"),
+    (((0, 1),), 4, "input column has 4 codes, output column has 3"),
+], ids=["control-is-target", "negative-control", "negative-target", "target-past-rows",
+        "last-column-past-rows", "fewer-inputs", "more-inputs"])
+def test_malformed_matrices_are_refused(cnots, inputs, message):
+    m = MatrixRep((INPUT_OPEN,) * inputs, (OUTPUT_OPEN,) * 3, cnots)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_matrix(m)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        generate_geometry(m)
+
+
+@pytest.mark.parametrize("source", [p.read_text() for p in CIRCUITS] + [FOUR_TOFFOLIS],
+                         ids=[p.stem for p in CIRCUITS] + ["four-toffolis"])
+def test_rows_equal_the_dense_reference(source):
+    circ = to_icm(decompose_gates(parse_circuit(source))).circuit
+    m = to_matrix(circ)
+    assert m.rows() == ref.dense_matrix(circ).tolist()
+    assert from_matrix(m) == circ
+
+
+def test_long_t_chain_encodes_without_a_dense_matrix():
+    # 1 000 T gates on one qubit: 5 001 rows and 6 000 CNOTs, whose dense
+    # int64 matrix alone would take 240 MB
+    circ = to_icm(decompose_gates(parse_circuit("qubits 1\n" + "t 0\n" * 1000))).circuit
+    assert (circ.qubit_count, len(circ.gates)) == (5001, 6000)
+    tracemalloc.start()
+    try:
+        back = from_matrix(to_matrix(circ))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == circ
+    assert peak < 8 * 2**20
