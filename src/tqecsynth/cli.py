@@ -23,7 +23,7 @@ from .analysis import (
 )
 from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
 from .decompose import toffoli_sequence
-from .document import FORMATS, canonical_json, export, reports
+from .document import FORMATS, JSON_FORMAT, canonical_json, document_pieces, export, reports
 from .geometry import Geometry
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, icm_conversion, run_pipeline
@@ -155,7 +155,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for fmt in formats:
         path = out if not out or len(formats) == 1 else f"{out}.{fmt}"
         with _output(path) as fh:
-            fh.write(export(result, fmt))
+            if fmt == JSON_FORMAT:
+                _write_runs(fh, document_pieces(result))
+            else:
+                fh.write(export(result, fmt))
     return EXIT_OK
 
 
@@ -262,9 +265,10 @@ def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
         version = b""
 
 
-# Bytes the slice stream gathers before each write. Its pieces run from a
-# few bytes to a layer's whole payload, and one write call per piece costs
-# more than copying them into one buffer.
+# Bytes the slice stream and the JSON document gather before each write.
+# Their pieces run from a few bytes to a layer's whole payload or a matrix
+# row, and one write call per piece costs more than copying them into one
+# buffer.
 WRITE_BYTES = 1 << 20
 
 

@@ -1,22 +1,28 @@
 """Canonical geometry document: versioned JSON plus OBJ and CSV exports.
 
 JSON output is byte-deterministic: keys are sorted, separators fixed, and
-line endings are LF. The OBJ export emits one cuboid per defect segment and
-per distillation box for external 3D viewers; every cuboid's faces name its
-own eight corners by OBJ relative (negative) indices, so they are one
-constant block.
+line endings are LF. One writer, ``document_pieces``, yields it as byte
+pieces; ``export`` joins them and ``build_document`` parses them. The OBJ
+export emits one cuboid per defect segment and per distillation box for
+external 3D viewers; every cuboid's faces name its own eight corners by
+OBJ relative (negative) indices, so they are one constant block.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import asdict
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from . import __version__
-from .geometry import Coord, Geometry, LayoutParams, Pin, Segment
+from .circuit import InitBasis
+from .geometry import (
+    CapShape, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole, PortBasis,
+    PortRole, Segment, SegmentKind,
+)
+from .matrix import CONTROL, EMPTY, TARGET, MatrixRep
 from .pipeline import PipelineConfig, PipelineResult
-from .scheduling import RNG_ALGORITHM, BoxInstance, Connection
+from .scheduling import RNG_ALGORITHM, BoxInstance, BoxStatus, Connection
 
 DOCUMENT_VERSION = 2
 
@@ -26,45 +32,13 @@ CSV_FORMAT = "csv"
 FORMATS = (JSON_FORMAT, OBJ_FORMAT, CSV_FORMAT)
 
 
+def _dumps(payload: Any) -> bytes:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True, allow_nan=False).encode("ascii")
+
+
 def canonical_json(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                       ensure_ascii=True, allow_nan=False) + "\n").encode("ascii")
-
-
-def _coord(c: Coord) -> list[int]:
-    return c.as_list()
-
-
-def _pin(p: Pin) -> dict:
-    return {
-        "coord": _coord(p.coord),
-        "kind": p.kind.value,
-        "role": p.role.value,
-        "state": p.state.value if p.state is not None else None,
-    }
-
-
-def _segment(s: Segment) -> dict:
-    return {"kind": s.kind.value, "a": _coord(s.a), "b": _coord(s.b)}
-
-
-def _box(b: BoxInstance) -> dict:
-    return {
-        "state": b.state.value,
-        "origin": _coord(b.origin),
-        "spans": [b.dim.ispan, b.dim.jspan, b.dim.tspan],
-        "pins": [_pin(p) for p in b.output_pins],
-        "status": b.status.value,
-        "spare": b.spare,
-    }
-
-
-def _connection(c: Connection) -> dict:
-    return {
-        "box_pin": _coord(c.box_pin.coord),
-        "circuit_pin": _coord(c.circuit_pin.coord),
-        "segments": [_segment(s) for s in c.segments],
-    }
+    return _dumps(payload) + b"\n"
 
 
 def config_digest(config: PipelineConfig) -> str:
@@ -83,73 +57,172 @@ def config_digest(config: PipelineConfig) -> str:
     return hashlib.sha256(canonical_json(payload)).hexdigest()
 
 
-def build_document(result: PipelineResult) -> dict:
-    """Assemble the full, schema-stable synthesis document."""
-    geo = result.geometry
+# The JSON token of every enum member and literal the document holds, as
+# json.dumps writes it.
+_TOKEN = {m: _dumps(m.value) for enum in (SegmentKind, PinRole, InitBasis, PortRole,
+                                          PortBasis, CapShape, BoxStatus) for m in enum}
+_TOKEN.update({None: b"null", True: b"true", False: b"false"})
+
+# Sorted-key templates of the document's repeated objects.
+_PIN = b'{"coord":[%d,%d,%d],"kind":%s,"role":%s,"state":%s}'
+_SEGMENT = b'{"a":[%d,%d,%d],"b":[%d,%d,%d],"kind":%s}'
+_DEFECT = b'{"closed":%s,"kind":%s,"segments":[%s]}'
+_INJECTION = b'{"pins":[%s],"row":%d,"state":%s,"vertex":[%d,%d,%d]}'
+_IOPORT = b'{"basis":%s,"pins":[%s],"role":%s,"row":%d,"template":{"mirrored":%s,"shape":%s}}'
+_BOX = (b'{"origin":[%d,%d,%d],"pins":[%s],"spans":[%d,%d,%d],"spare":%s,"state":%s,'
+        b'"status":%s}')
+_CONNECTION = b'{"box_pin":[%d,%d,%d],"circuit_pin":[%d,%d,%d],"segments":[%s]}'
+
+# Interior matrix codes are single digits, so every interior cell of a
+# row is two bytes: its digit and a comma.
+_EMPTY_CELL = b"%d," % EMPTY
+_CONTROL_DIGIT, _TARGET_DIGIT = (ord(b"%d" % code) for code in (CONTROL, TARGET))
+
+
+def _pin(p: Pin) -> bytes:
+    c = p.coord
+    return _PIN % (c.i, c.j, c.t, _TOKEN[p.kind], _TOKEN[p.role], _TOKEN[p.state])
+
+
+def _pins(pins: tuple[Pin, ...]) -> bytes:
+    return b",".join(map(_pin, pins))
+
+
+def _segments(segments: tuple[Segment, ...]) -> bytes:
+    return b",".join(_SEGMENT % (s.a.i, s.a.j, s.a.t, s.b.i, s.b.j, s.b.t, _TOKEN[s.kind])
+                     for s in segments)
+
+
+def _defect(d: Defect) -> bytes:
+    return _DEFECT % (_TOKEN[d.closed], _TOKEN[d.kind], _segments(d.segments))
+
+
+def _injection(inj: Injection) -> bytes:
+    v = inj.vertex
+    return _INJECTION % (_pins(inj.pins), inj.qubit_row, _TOKEN[inj.state], v.i, v.j, v.t)
+
+
+def _ioport(port: IOPort) -> bytes:
+    return _IOPORT % (_TOKEN[port.basis], _pins(port.pins), _TOKEN[port.role], port.qubit_row,
+                      _TOKEN[port.template.mirrored], _TOKEN[port.template.shape])
+
+
+def _box(b: BoxInstance) -> bytes:
+    o, d = b.origin, b.dim
+    return _BOX % (o.i, o.j, o.t, _pins(b.output_pins), d.ispan, d.jspan, d.tspan,
+                   _TOKEN[b.spare], _TOKEN[b.state], _TOKEN[b.status])
+
+
+def _connection(c: Connection) -> bytes:
+    box, circ = c.box_pin.coord, c.circuit_pin.coord
+    return _CONNECTION % (box.i, box.j, box.t, circ.i, circ.j, circ.t, _segments(c.segments))
+
+
+def _array(items: Iterable[bytes]) -> Iterator[bytes]:
+    """A JSON array of already encoded ``items``, one piece per item and separator."""
+    yield b"["
+    sep = b""
+    for item in items:
+        yield sep
+        yield item
+        sep = b","
+    yield b"]"
+
+
+def _matrix_rows(m: MatrixRep) -> Iterator[bytes]:
+    """The dense ``"matrix"`` value, a row at a time, from the sparse cells.
+
+    Each row is its input code, ``cnot_count`` interior cells and its output
+    code; the interior starts as ``0,`` per CNOT and gets the control and
+    target digits of the row's CNOTs set in place.
+    """
+    marks: list[list[tuple[int, int]]] = [[] for _ in m.inputs]
+    for col, (ctrl, tgt) in enumerate(m.cnots):
+        marks[ctrl].append((2 * col, _CONTROL_DIGIT))
+        marks[tgt].append((2 * col, _TARGET_DIGIT))
+    blank = _EMPTY_CELL * m.cnot_count
+    yield b"["
+    sep = b""
+    for code, out, row_marks in zip(m.inputs, m.outputs, marks):
+        row = bytearray(blank)
+        for pos, digit in row_marks:
+            row[pos] = digit
+        yield b"%s[%d," % (sep, code)
+        yield row
+        yield b"%d]" % out
+        sep = b","
+    yield b"]"
+
+
+def _icm(result: PipelineResult) -> dict:
     conv = result.conversion
-    doc = {
-        "version": DOCUMENT_VERSION,
-        "metadata": {
-            "tool": "tqecsynth",
-            "tool_version": __version__,
-            "rng": RNG_ALGORITHM,
-            "seed": result.config.seed,
-            "success_rate": result.config.success_rate,
-            "config_sha256": config_digest(result.config),
-        },
-        "layout": asdict(geo.layout),
-        "icm": {
-            "rows": conv.circuit.qubit_count,
-            "cnots": len(conv.circuit.gates),
-            "inits": [b.value for b in conv.circuit.inits],
-            "measurements": [b.value for b in conv.circuit.meas],
-            "qubit_rows": [list(pair) for pair in conv.qubit_rows],
-            "templates": [
-                {
-                    "gate": inst.kind.value,
-                    "qubit": inst.qubit,
-                    "rows": list(inst.rows),
-                    "cnot_slots": list(inst.cnot_slots),
-                    "selective": inst.selective,
-                }
-                for inst in conv.instances
-            ],
-        },
-        "matrix": result.matrix.rows(),
-        "defects": [
+    return {
+        "rows": conv.circuit.qubit_count,
+        "cnots": len(conv.circuit.gates),
+        "inits": [b.value for b in conv.circuit.inits],
+        "measurements": [b.value for b in conv.circuit.meas],
+        "qubit_rows": [list(pair) for pair in conv.qubit_rows],
+        "templates": [
             {
-                "kind": d.kind.value,
-                "closed": d.closed,
-                "segments": [_segment(s) for s in d.segments],
+                "gate": inst.kind.value,
+                "qubit": inst.qubit,
+                "rows": list(inst.rows),
+                "cnot_slots": list(inst.cnot_slots),
+                "selective": inst.selective,
             }
-            for d in geo.defects
+            for inst in conv.instances
         ],
-        "pins": [_pin(p) for p in geo.pins],
-        "injections": [
-            {
-                "vertex": _coord(inj.vertex),
-                "state": inj.state.value,
-                "pins": [_pin(p) for p in inj.pins],
-                "row": inj.qubit_row,
-            }
-            for inj in geo.injections
-        ],
-        "ioports": [
-            {
-                "role": port.role.value,
-                "basis": port.basis.value,
-                "row": port.qubit_row,
-                "pins": [_pin(p) for p in port.pins],
-                "template": {"shape": port.template.shape.value,
-                             "mirrored": port.template.mirrored},
-            }
-            for port in geo.ioports
-        ],
-        "boxes": [_box(b) for b in geo.boxes],
-        "connections": [_connection(c) for c in result.connections],
-        "reports": reports(result),
     }
-    return doc
+
+
+def _metadata(result: PipelineResult) -> dict:
+    return {
+        "tool": "tqecsynth",
+        "tool_version": __version__,
+        "rng": RNG_ALGORITHM,
+        "seed": result.config.seed,
+        "success_rate": result.config.success_rate,
+        "config_sha256": config_digest(result.config),
+    }
+
+
+def document_pieces(result: PipelineResult) -> Iterator[bytes]:
+    """The canonical synthesis document as byte pieces; joined, they are its bytes.
+
+    The keys come in sorted order. The repeated objects (boxes, connections,
+    defects, injections, ports and pins) are written from sorted-key
+    templates, one piece per object, and the dense ``"matrix"`` key one
+    row at a time, so the document is never held whole. The small objects
+    (``icm``, ``layout``, ``metadata``, ``reports``) go through
+    :func:`canonical_json`'s encoder. They are encoded before the first
+    piece is yielded, so a report that fails (the code distance is measured
+    here) fails before any byte is written.
+    """
+    geo = result.geometry
+    icm = _dumps(_icm(result))
+    layout = _dumps(asdict(geo.layout))
+    metadata = _dumps(_metadata(result))
+    report = _dumps(reports(result))
+    yield b'{"boxes":'
+    yield from _array(map(_box, geo.boxes))
+    yield b',"connections":'
+    yield from _array(map(_connection, result.connections))
+    yield b',"defects":'
+    yield from _array(map(_defect, geo.defects))
+    yield b',"icm":' + icm + b',"injections":'
+    yield from _array(map(_injection, geo.injections))
+    yield b',"ioports":'
+    yield from _array(map(_ioport, geo.ioports))
+    yield b',"layout":' + layout + b',"matrix":'
+    yield from _matrix_rows(result.matrix)
+    yield b',"metadata":' + metadata + b',"pins":'
+    yield from _array(map(_pin, geo.pins))
+    yield b',"reports":' + report + b',"version":%d}\n' % DOCUMENT_VERSION
+
+
+def build_document(result: PipelineResult) -> dict:
+    """The synthesis document as a dict: the parsed bytes of :func:`document_pieces`."""
+    return json.loads(export(result, JSON_FORMAT))
 
 
 def reports(result: PipelineResult) -> dict:
@@ -163,8 +236,8 @@ def reports(result: PipelineResult) -> dict:
             "volume_units": result.volume.volume_units,
         },
         "bbox": {
-            "lo": _coord(result.bbox.lo),
-            "hi": _coord(result.bbox.hi),
+            "lo": result.bbox.lo.as_list(),
+            "hi": result.bbox.hi.as_list(),
             "cells": list(result.bbox.cells()),
         },
         "schedule": _schedule_report(result),
@@ -240,7 +313,7 @@ def export_csv(geometry: Geometry) -> bytes:
 
 def export(result: PipelineResult, fmt: str) -> bytes:
     if fmt == JSON_FORMAT:
-        return canonical_json(build_document(result))
+        return b"".join(document_pieces(result))
     if fmt == OBJ_FORMAT:
         return export_obj(result.geometry)
     if fmt == CSV_FORMAT:

@@ -68,15 +68,6 @@ class MatrixRep:
     def cnot_count(self) -> int:
         return len(self.cnots)
 
-    def rows(self) -> list[list[int]]:
-        """The dense matrix: one list of ``cnot_count + 2`` codes per row."""
-        rows = [[code, *[EMPTY] * self.cnot_count, out]
-                for code, out in zip(self.inputs, self.outputs)]
-        for col, (ctrl, tgt) in enumerate(self.cnots, start=1):
-            rows[ctrl][col] = CONTROL
-            rows[tgt][col] = TARGET
-        return rows
-
 
 def _terminal_code(init: InitBasis, m: MeasBasis) -> int:
     # An injected row consumed in its protocol basis terminates with the

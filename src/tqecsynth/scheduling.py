@@ -134,21 +134,47 @@ class FillConfig:
             raise SchedulingError("start_i must be odd (primal cell centres)")
 
 
+# Width, in j, of the bands that index a region's occupied rectangles.
+J_BAND = 16
+
+
 @dataclass
 class Region:
     """Free-space bookkeeping for the (j, i) packing plane.
 
     Occupied rectangles are closed cell-centre intervals; allocation takes
-    the lowest free i at a fixed j, starting from ``fill.start_i``.
+    the lowest free i at a fixed j, starting from ``fill.start_i``. Each
+    rectangle is also filed under every ``J_BAND``-wide j band it touches,
+    so an allocation only looks at the rectangles near its own j.
     """
 
     fill: FillConfig = field(default_factory=FillConfig)
     occupied: list[tuple[tuple[int, int], tuple[int, int]]] = field(default_factory=list)
+    _bands: dict[int, list[tuple[tuple[int, int], tuple[int, int]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for rect in self.occupied:
+            self._file(rect)
+
+    def _file(self, rect: tuple[tuple[int, int], tuple[int, int]]) -> None:
+        _, (j_lo, j_hi) = rect
+        for band in range(j_lo // J_BAND, j_hi // J_BAND + 1):
+            self._bands.setdefault(band, []).append(rect)
+
+    def nearby(self, j_lo: int, j_hi: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        """The rectangles filed under the bands ``[j_lo, j_hi]`` touches.
+
+        Every rectangle that overlaps those j is among them; one that spans
+        several bands may come more than once.
+        """
+        return [rect for band in range(j_lo // J_BAND, j_hi // J_BAND + 1)
+                for rect in self._bands.get(band, ())]
 
     def allocate(self, j: int, jspan: int, ispan: int) -> int:
         j_iv = (j, j + 2 * (jspan - 1))
         i_len = 2 * (ispan - 1)
-        conflicts = [iv for iv, jv in self.occupied
+        conflicts = [iv for iv, jv in self.nearby(*j_iv)
                      if jv[0] <= j_iv[1] and j_iv[0] <= jv[1]]
         start = self.fill.start_i
         # Candidate starts are start_i and the slot just past each conflict;
@@ -156,7 +182,9 @@ class Region:
         for i_lo in sorted({start} | {iv[1] + 2 for iv in conflicts if iv[1] + 2 > start}):
             if not any(iv[0] <= i_lo + i_len and i_lo <= iv[1] for iv in conflicts):
                 break
-        self.occupied.append(((i_lo, i_lo + i_len), j_iv))
+        rect = ((i_lo, i_lo + i_len), j_iv)
+        self.occupied.append(rect)
+        self._file(rect)
         return i_lo
 
 

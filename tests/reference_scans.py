@@ -15,13 +15,19 @@ on its own), and the row-object version of ``icm.to_icm``
 (every block's ancillas inserted into one row list by search, rows
 numbered at the end), and the dense ``np.zeros`` version of
 ``matrix.to_matrix`` (every cell of the rows × (CNOTs + 2) matrix
-stored); the tests compare the indexed, templated, one-tensor,
-trial-batched, run-offset and sparse versions with them.
+stored) with ``matrix_rows``, which expands a sparse ``MatrixRep`` into
+those dense rows, and the dict-tree version of the JSON document
+(``reference_document``, encoded by ``document.canonical_json``), and the
+full-scan version of ``scheduling.Region.allocate`` (every occupied
+rectangle tested for each box); the tests compare the indexed,
+templated, one-tensor, trial-batched, run-offset, sparse, byte-writer
+and banded versions with them.
 """
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import asdict
 from math import sqrt
 
 import numpy as np
@@ -31,11 +37,15 @@ from tqecsynth.analysis import (
     execution_schedule,
 )
 from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS
-from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Segment
+from tqecsynth import __version__
+from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Pin, Segment
 from tqecsynth.icm import (
     IcmConversion, PauliFrame, TemplateInstance, select_pattern, template_for,
 )
-from tqecsynth.matrix import CONTROL, TARGET, _INIT_CODE, _terminal_code
+from tqecsynth.document import DOCUMENT_VERSION, config_digest, reports
+from tqecsynth.matrix import CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _terminal_code
+from tqecsynth.pipeline import PipelineResult
+from tqecsynth.scheduling import RNG_ALGORITHM, BoxInstance, Connection, Region
 from tqecsynth.sim import (
     H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, _logical_ends,
     apply_1q, apply_cnot, assemble_state, branch_outputs, random_product_state,
@@ -109,6 +119,129 @@ def dense_matrix(circ: Circuit) -> np.ndarray:
         cells[g.control, col + 1] = CONTROL
         cells[g.target, col + 1] = TARGET
     return cells
+
+
+def matrix_rows(m: MatrixRep) -> list[list[int]]:
+    """The dense matrix of ``m``: one list of ``cnot_count + 2`` codes per row."""
+    rows = [[code, *[EMPTY] * m.cnot_count, out] for code, out in zip(m.inputs, m.outputs)]
+    for col, (ctrl, tgt) in enumerate(m.cnots, start=1):
+        rows[ctrl][col] = CONTROL
+        rows[tgt][col] = TARGET
+    return rows
+
+
+def _doc_pin(p: Pin) -> dict:
+    return {
+        "coord": p.coord.as_list(),
+        "kind": p.kind.value,
+        "role": p.role.value,
+        "state": p.state.value if p.state is not None else None,
+    }
+
+
+def _doc_segment(s: Segment) -> dict:
+    return {"kind": s.kind.value, "a": s.a.as_list(), "b": s.b.as_list()}
+
+
+def _doc_box(b: BoxInstance) -> dict:
+    return {
+        "state": b.state.value,
+        "origin": b.origin.as_list(),
+        "spans": [b.dim.ispan, b.dim.jspan, b.dim.tspan],
+        "pins": [_doc_pin(p) for p in b.output_pins],
+        "status": b.status.value,
+        "spare": b.spare,
+    }
+
+
+def _doc_connection(c: Connection) -> dict:
+    return {
+        "box_pin": c.box_pin.coord.as_list(),
+        "circuit_pin": c.circuit_pin.coord.as_list(),
+        "segments": [_doc_segment(s) for s in c.segments],
+    }
+
+
+def reference_document(result: PipelineResult) -> dict:
+    """The synthesis document as one dict tree, every matrix cell a list entry."""
+    geo = result.geometry
+    conv = result.conversion
+    return {
+        "version": DOCUMENT_VERSION,
+        "metadata": {
+            "tool": "tqecsynth",
+            "tool_version": __version__,
+            "rng": RNG_ALGORITHM,
+            "seed": result.config.seed,
+            "success_rate": result.config.success_rate,
+            "config_sha256": config_digest(result.config),
+        },
+        "layout": asdict(geo.layout),
+        "icm": {
+            "rows": conv.circuit.qubit_count,
+            "cnots": len(conv.circuit.gates),
+            "inits": [b.value for b in conv.circuit.inits],
+            "measurements": [b.value for b in conv.circuit.meas],
+            "qubit_rows": [list(pair) for pair in conv.qubit_rows],
+            "templates": [
+                {
+                    "gate": inst.kind.value,
+                    "qubit": inst.qubit,
+                    "rows": list(inst.rows),
+                    "cnot_slots": list(inst.cnot_slots),
+                    "selective": inst.selective,
+                }
+                for inst in conv.instances
+            ],
+        },
+        "matrix": matrix_rows(result.matrix),
+        "defects": [
+            {
+                "kind": d.kind.value,
+                "closed": d.closed,
+                "segments": [_doc_segment(s) for s in d.segments],
+            }
+            for d in geo.defects
+        ],
+        "pins": [_doc_pin(p) for p in geo.pins],
+        "injections": [
+            {
+                "vertex": inj.vertex.as_list(),
+                "state": inj.state.value,
+                "pins": [_doc_pin(p) for p in inj.pins],
+                "row": inj.qubit_row,
+            }
+            for inj in geo.injections
+        ],
+        "ioports": [
+            {
+                "role": port.role.value,
+                "basis": port.basis.value,
+                "row": port.qubit_row,
+                "pins": [_doc_pin(p) for p in port.pins],
+                "template": {"shape": port.template.shape.value,
+                             "mirrored": port.template.mirrored},
+            }
+            for port in geo.ioports
+        ],
+        "boxes": [_doc_box(b) for b in geo.boxes],
+        "connections": [_doc_connection(c) for c in result.connections],
+        "reports": reports(result),
+    }
+
+
+def allocate(region: Region, j: int, jspan: int, ispan: int) -> int:
+    """``region.allocate`` by a scan of every occupied rectangle."""
+    j_iv = (j, j + 2 * (jspan - 1))
+    i_len = 2 * (ispan - 1)
+    conflicts = [iv for iv, jv in region.occupied
+                 if jv[0] <= j_iv[1] and j_iv[0] <= jv[1]]
+    start = region.fill.start_i
+    for i_lo in sorted({start} | {iv[1] + 2 for iv in conflicts if iv[1] + 2 > start}):
+        if not any(iv[0] <= i_lo + i_len and i_lo <= iv[1] for iv in conflicts):
+            break
+    region.occupied.append(((i_lo, i_lo + i_len), j_iv))
+    return i_lo
 
 
 def _box(seg: Segment) -> tuple[tuple[int, int], ...]:

@@ -1,5 +1,11 @@
+import hashlib
 import json
+import math
+import random
+import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,10 +13,15 @@ from hypothesis import strategies as st
 
 from tqecsynth.analysis import layer_marks
 from tqecsynth.circuit import MAX_QUBITS, InitBasis
+from tqecsynth import cli
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, EXIT_SYNTH, EXIT_VERIFY, main
+from tqecsynth.document import export
+from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
 from tqecsynth.scheduling import MAX_BOX_SPAN, BoxDim
 
 CIRCUITS = Path(__file__).parent.parent / "circuits"
+sys.path.insert(0, str(CIRCUITS.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture()
@@ -541,3 +552,44 @@ def test_any_config_values_end_in_an_exit_code(tmp_path, monkeypatch, capsys, cf
         assert err.startswith("error:") and err.count("\n") == 1
     else:
         assert err == ""
+
+
+class RecordingHandle:
+    """A binary sink that counts its writes and hashes their bytes, keeping none."""
+
+    def __init__(self) -> None:
+        self.writes = 0
+        self.bytes = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.writes += 1
+        self.bytes += len(data)
+        self.digest.update(data)
+        return len(data)
+
+
+def test_synth_streams_the_json_document_in_whole_buffers(monkeypatch, src_file):
+    # the 16-Toffoli ladder rung; its document is 2.4 MB, and the pipeline
+    # (distance included) runs before the trace, so the trace sees the
+    # command write the document alone
+    source = workloads.toffoli_source(random.Random(1), 16, 6)
+    result = run_pipeline(source, PipelineConfig(
+        success_rate=0.9, seed=1, spares=SparePolicy("binomial", epsilon=1e-6)))
+    result.distance
+    expected = export(result, "json")
+    monkeypatch.setattr(cli, "run_pipeline", lambda source, config: result)
+    handle = RecordingHandle()
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=handle))
+    path = src_file("toffoli16.tq", source)
+    tracemalloc.start()
+    try:
+        assert main(["synth", path, "--format", "json"]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert handle.digest.digest() == hashlib.sha256(expected).digest()
+    assert handle.bytes == len(expected) > 2 * cli.WRITE_BYTES
+    assert handle.writes <= math.ceil(len(expected) / cli.WRITE_BYTES) + 2
+    # the dict tree and its one-string encoding took about 17 MB here
+    assert peak < 4 * 2**20

@@ -1,16 +1,28 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 import reference_scans as ref
 from tqecsynth.document import (
-    build_document, canonical_json, config_digest, export, export_csv, export_obj,
+    build_document, canonical_json, config_digest, document_pieces, export, export_csv,
+    export_obj,
 )
 from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
+from tqecsynth.scheduling import DistillationExhausted
 
-CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+ROOT = Path(__file__).parent.parent
+CIRCUITS = sorted((ROOT / "circuits").glob("*.tq"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+# (success rate, seed) of the byte-identity checks, with the benchmark's
+# spare epsilon so that none runs out of boxes
+CONFIGS = [(1.0, 0), (0.8, 53), (0.5, 201)]
 
 P_SRC = "qubits 1\np 0\n"
 T_SRC = "qubits 1\nt 0\n"
@@ -204,3 +216,91 @@ def test_json_parses_and_reports_match():
     doc = json.loads(export(result, "json"))
     assert doc["reports"]["schedule"]["boxes_total"] == 1
     assert doc["reports"]["distance"]["code_distance"] >= 4
+
+
+def written(result) -> bytes:
+    """The writer's bytes for ``result``, checked against the dict-tree reference."""
+    data = export(result, "json")
+    assert data == canonical_json(ref.reference_document(result))
+    assert canonical_json(json.loads(data)) == data
+    return data
+
+
+def benchmark_config(rate: float, seed: int) -> PipelineConfig:
+    return PipelineConfig(success_rate=rate, seed=seed,
+                          spares=SparePolicy("binomial", epsilon=1e-6))
+
+
+@pytest.mark.parametrize("rate,seed", CONFIGS)
+@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+def test_writer_equals_the_reference_document_on_circuits(path, rate, seed):
+    written(run_pipeline(path.read_text(), benchmark_config(rate, seed)))
+
+
+@pytest.mark.parametrize("rate,seed", CONFIGS)
+def test_writer_equals_the_reference_document_on_four_toffolis(rate, seed):
+    source = workloads.toffoli_source(random.Random(1), 4, 6)
+    result = run_pipeline(source, benchmark_config(rate, seed))
+    assert result.geometry.boxes and result.connections
+    written(result)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_writer_equals_the_reference_document_on_the_clifford_t_circuit(tmp_path, seed):
+    work = workloads.SliceCliffordT(seed, tmp_path)
+    written(run_pipeline(work.source, work.config()))
+
+
+def test_writer_equals_the_reference_document_with_explicit_spares_and_distance():
+    config = PipelineConfig(success_rate=0.8, seed=53, cube_side=3,
+                            spares=SparePolicy("explicit", y_count=12, a_count=8))
+    result = run_pipeline((ROOT / "circuits" / "toffoli.tq").read_text(), config)
+    doc = json.loads(written(result))
+    assert doc["reports"]["volume"]["cube_side"] == 3
+    assert sum(b["spare"] for b in doc["boxes"]) == 20
+
+
+def test_writer_without_injections_writes_empty_boxes_and_connections():
+    doc = json.loads(written(run_pipeline("qubits 2\ncnot 0 1\n")))
+    assert doc["boxes"] == [] and doc["connections"] == [] and doc["injections"] == []
+
+
+def test_writer_of_a_gateless_qubit_writes_one_two_code_row():
+    data = written(run_pipeline("qubits 1\n"))
+    assert b',"matrix":[[-100,-101]],' in data
+
+
+@st.composite
+def gate_sources(draw):
+    """Circuit source text: random inits, gates and measurements on up to 4 qubits."""
+    n = draw(st.integers(1, 4))
+    lines = [f"qubits {n}"]
+    for q in range(n):
+        lines.append(f"init {q} {draw(st.sampled_from(['open', 'zero', 'plus']))}")
+    kinds = ["t", "tdg", "p", "pdg", "v", "vdg", "h"] + ["cnot"] * (n > 1) + ["toffoli"] * (n > 2)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        arity = {"cnot": 2, "toffoli": 3}.get(kind, 1)
+        qubits = draw(st.permutations(range(n)))[:arity]
+        lines.append(" ".join([kind, *map(str, qubits)]))
+    for q in range(n):
+        lines.append(f"measure {q} {draw(st.sampled_from(['open', 'z', 'x']))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gate_sources(), st.sampled_from([0.5, 0.8, 1.0]), st.integers(0, 2**16))
+def test_writer_equals_the_reference_document_on_random_circuits(source, rate, seed):
+    try:
+        result = run_pipeline(source, benchmark_config(rate, seed))
+    except DistillationExhausted:
+        reject()
+    written(result)
+
+
+def test_pieces_join_to_the_export_and_build_document_parses_them():
+    result = run_pipeline(T_SRC)
+    pieces = list(document_pieces(result))
+    assert len(pieces) > 12 and all(isinstance(p, (bytes, bytearray)) for p in pieces)
+    assert b"".join(pieces) == export(result, "json")
+    assert build_document(result) == json.loads(b"".join(pieces))

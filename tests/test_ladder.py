@@ -13,6 +13,7 @@ WHOLE = {field: 1 for field in ladder.FIELDS}
 @pytest.mark.parametrize("rung,code", [
     (WHOLE, 0),
     ({k: v for k, v in WHOLE.items() if k != "distance_s"}, 1),
+    ({k: v for k, v in WHOLE.items() if k != "document_bytes"}, 1),
     ({"toffolis": 1, "error": "timed out after 600 s"}, 1),
 ])
 def test_ladder_exit_code(monkeypatch, capsys, rung, code):
@@ -26,5 +27,7 @@ def test_measure_counts_the_stream_of_the_timed_slice(monkeypatch):
     rung = ladder.measure(1)
     assert rung.keys() == ladder.FIELDS
     assert rung["stream_bytes"] == 1_660_585 and rung["layers"] == 361
+    # the JSON document synth writes for the rung's circuit, and its time
+    assert rung["document_bytes"] == 89_465 and rung["document_s"] >= 0
     # the peak before the slice is part of the whole rung's peak
     assert 0 < rung["pipeline_peak_rss_mb"] <= rung["peak_rss_mb"]

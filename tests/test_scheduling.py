@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import reference_scans as ref
 from tqecsynth.circuit import InitBasis, parse_circuit
 from tqecsynth.decompose import decompose_gates
 from tqecsynth.geometry import (
@@ -89,6 +90,47 @@ def test_region_takes_lowest_free_gap():
     assert region.allocate(1, 4, 4) == 9       # the gap between the two boxes
     assert region.allocate(1, 4, 4) == 25      # the gap is now full
     assert region.allocate(9, 4, 4) == 1       # disjoint j starts at start_i
+
+
+rects = st.tuples(st.integers(-40, 60), st.integers(0, 12), st.integers(-60, 60),
+                  st.integers(0, 20)).map(lambda r: ((r[0], r[0] + r[1]), (r[2], r[2] + r[3])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rects, max_size=12), st.integers(-3, 4).map(lambda k: 2 * k + 1),
+       st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 9), st.integers(1, 9)),
+                max_size=12))
+def test_region_allocates_as_the_full_scan_does(occupied, start_i, requests):
+    banded = Region(FillConfig(start_i), list(occupied))
+    scanned = Region(FillConfig(start_i), list(occupied))
+    for j, jspan, ispan in requests:
+        assert banded.allocate(j, jspan, ispan) == ref.allocate(scanned, j, jspan, ispan)
+    assert banded.occupied == scanned.occupied
+
+
+def test_box_placement_looks_at_a_bounded_number_of_rectangles_per_box(monkeypatch):
+    # 1 000 T gates on one qubit: 2 000 injection pairs, then two spare
+    # arrays of 200 boxes each, rows stacked along i. The bands hand out
+    # about 9 200 rectangles, most of them the stacked rows a spare box
+    # really meets; a scan of every placed rectangle looks at 2 878 800.
+    pairs = injection_pairs("qubits 1\n" + "t 0\n" * 1000)
+    spares = {InitBasis.Y: 200, InitBasis.A: 200}
+    layout = box_layout(spares, DIMS)
+    looked_at = []
+    nearby = Region.nearby
+
+    def counted(region, j_lo, j_hi):
+        rects = nearby(region, j_lo, j_hi)
+        looked_at.append(len(rects))
+        return rects
+
+    monkeypatch.setattr(Region, "nearby", counted)
+    boxes = [b for s in place_boxes(pairs, spares, DIMS, layout, FillConfig()) for b in s.boxes]
+    assert len(pairs) == 2000 and len(boxes) == len(looked_at) == 2400
+    assert sum(looked_at) <= 8 * len(boxes)
+    monkeypatch.setattr(Region, "allocate", ref.allocate)
+    scanned = [b for s in place_boxes(pairs, spares, DIMS, layout, FillConfig()) for b in s.boxes]
+    assert [b.origin for b in boxes] == [b.origin for b in scanned]
 
 
 def test_dims_invariant_a_wider_than_y():

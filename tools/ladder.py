@@ -15,9 +15,14 @@ host. Per rung it records:
   included, as the CLI runs it, with its stdout replaced by a sink that
   counts the bytes it is handed and keeps none;
 - ``pipeline_peak_rss_mb``: the child's peak resident set after
-  ``run_pipeline`` and the distance read, before the slice;
-- ``peak_rss_mb``: the child's peak resident set after all three, so
-  ``peak_rss_mb - pipeline_peak_rss_mb`` is what the slice adds;
+  ``run_pipeline`` and the distance read, before the document and the
+  slice;
+- ``document_s`` and ``document_bytes``: writing the JSON document of that
+  result, as ``synth --format json`` writes it, to a sink that counts the
+  bytes it is handed and keeps none, and that byte count;
+- ``peak_rss_mb``: the child's peak resident set after all of these, so
+  ``peak_rss_mb - pipeline_peak_rss_mb`` is what the document and the
+  slice add;
 - ``stream_bytes`` and ``layers``: the size of that slice stream, as the
   sink counted it, and its layer count.
 
@@ -43,8 +48,8 @@ FLAGS = ["--success-rate", "0.9", "--seed", "1", "--spare-epsilon", "1e-6"]
 ADDRESS_SPACE_CAP = 4 * 2**30   # bytes per rung
 RUNG_TIMEOUT_S = 600
 # What every rung reports.
-FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "slice_s", "pipeline_peak_rss_mb",
-          "peak_rss_mb", "stream_bytes", "layers"}
+FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "document_s", "document_bytes",
+          "slice_s", "pipeline_peak_rss_mb", "peak_rss_mb", "stream_bytes", "layers"}
 
 
 class ByteCount:
@@ -68,6 +73,7 @@ def measure(toffolis: int) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from tqecsynth import cli, pipeline
     from tqecsynth.analysis import lattice_cells
+    from tqecsynth.document import document_pieces
     from workloads import toffoli_source
 
     source = toffoli_source(random.Random(1), toffolis, 6)
@@ -81,6 +87,11 @@ def measure(toffolis: int) -> dict:
     distance_s = time.perf_counter() - start
     pipeline_peak_mb = peak_rss_mb()
 
+    document = ByteCount()
+    start = time.perf_counter()
+    cli._write_runs(document, document_pieces(result))
+    document_s = time.perf_counter() - start
+
     sink = ByteCount()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"toffoli{toffolis}.tq"
@@ -93,7 +104,8 @@ def measure(toffolis: int) -> dict:
         raise RuntimeError(f"tqecsynth slice exited {code}")
 
     return {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
-            "distance_s": round(distance_s, 3), "slice_s": round(slice_s, 3),
+            "distance_s": round(distance_s, 3), "document_s": round(document_s, 3),
+            "document_bytes": document.bytes, "slice_s": round(slice_s, 3),
             "pipeline_peak_rss_mb": round(pipeline_peak_mb, 1),
             "peak_rss_mb": round(peak_rss_mb(), 1),
             "stream_bytes": sink.bytes, "layers": 2 * lattice_cells(result.bbox)[2] - 1}
