@@ -55,8 +55,9 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     ``spatial.RADIUS`` lattice units: the pairs less than a cell apart merge
     their defects, and the closest of the others in different components
     gives the separation. If no such pair lies that close, the radius
-    widens until one is found or it covers the whole geometry, so the
-    result equals a scan over all segment pairs.
+    widens until one is found or it reaches the L1 extent of the
+    ``bounding_box``, which no gap exceeds, so the result equals a scan over
+    all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -88,7 +89,8 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
                  if any(find(a) != find(b) for a, b in zip(ends[::2], ends[1::2]))), None)
     if best is None:
         root = [find(k) for k in owner]
-        radius, span = RADIUS, index.span()
+        bbox = bounding_box(geometry)
+        radius, span = RADIUS, sum(bbox.hi.as_list()) - sum(bbox.lo.as_list())
         while best is None and radius < span:
             radius *= 4
             best = min((gap for a, b, gap in index.pairs_within(radius)

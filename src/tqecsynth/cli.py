@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 parse/validation error or unreadable input, 3
 distillation exhaustion, 4 verification failure. ``main`` maps every error
 to its exit code in one place.
+
+The pipeline settings of synth, metrics and slice are declared once, in
+``_SETTINGS``: their flags and the config-file check are built from it, and
+an unset setting keeps its ``PipelineConfig`` or ``SparePolicy`` default.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .analysis import (
-    AnalysisError, BBox, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
+    AnalysisError, BBox, Op, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
 )
 from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
 from .decompose import toffoli_sequence
@@ -38,16 +42,25 @@ EXIT_VERIFY = 4
 DEFAULT_TOLERANCE = 1e-10
 
 
+# The pipeline settings by config-file key; a key's flag is the key with
+# dashes. Per key: the flag's type, what a config file must give it (named
+# in errors, and the JSON types that pass) and the flag's help text.
+_SETTINGS = {
+    "success_rate": (float, "a number", (int, float), None),
+    "seed": (int, "an integer", (int,), None),
+    "spares_y": (int, "an integer", (int,), None),
+    "spares_a": (int, "an integer", (int,), None),
+    "spare_epsilon": (float, "a number", (int, float), None),
+    "distance": (int, "an integer", (int,), "cube side d for volume metrics"),
+    "box_dims": (str, "a path string", (str,), "JSON file with box spans"),
+}
+
+
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("source", help="circuit source file")
     sub.add_argument("--config", help="JSON config file (flags take precedence)")
-    sub.add_argument("--success-rate", type=float, dest="success_rate")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--spares-y", type=int, dest="spares_y")
-    sub.add_argument("--spares-a", type=int, dest="spares_a")
-    sub.add_argument("--spare-epsilon", type=float, dest="spare_epsilon")
-    sub.add_argument("--distance", type=int, help="cube side d for volume metrics")
-    sub.add_argument("--box-dims", dest="box_dims", help="JSON file with box spans")
+    for key, (flag_type, _, _, help_text) in _SETTINGS.items():
+        sub.add_argument("--" + key.replace("_", "-"), type=flag_type, help=help_text)
 
 
 _BOX_STATES = {s.value: s for s in (InitBasis.A, InitBasis.Y)}
@@ -73,65 +86,42 @@ def _load_box_dims(path: str) -> dict[InitBasis, BoxDim]:
     return dims
 
 
-# Config-file keys, with the JSON types their flags accept.
-_CONFIG_TYPES = {
-    "success_rate": ("a number", (int, float)),
-    "spare_epsilon": ("a number", (int, float)),
-    "seed": ("an integer", (int,)),
-    "spares_y": ("an integer", (int,)),
-    "spares_a": ("an integer", (int,)),
-    "distance": ("an integer", (int,)),
-    "box_dims": ("a path string", (str,)),
-}
-
-
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    file_cfg: dict = {}
+    """The pipeline config ``args`` sets: each setting from its flag, else the
+    ``--config`` file, else (the seed only) ``TQEC_SEED``, else its default.
+    Explicit spare counts select the explicit policy, which ignores
+    ``spare_epsilon``."""
+    settings: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            settings = json.load(fh)
+        if not isinstance(settings, dict):
             raise PipelineError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            if key not in _CONFIG_TYPES:
+        for key, value in settings.items():
+            if key not in _SETTINGS:
                 raise PipelineError(f"unknown config key {key!r}")
-            what, types = _CONFIG_TYPES[key]
+            _, what, types, _ = _SETTINGS[key]
             if type(value) not in types:
                 raise PipelineError(f"config key {key!r} must be {what}, got {value!r}")
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    seed = pick(args.seed, "seed", None)
-    if seed is None:
-        env_seed = os.environ.get("TQEC_SEED", "0")
+    settings.update((key, getattr(args, key)) for key in _SETTINGS
+                    if getattr(args, key) is not None)
+    if "seed" not in settings and "TQEC_SEED" in os.environ:
+        env_seed = os.environ["TQEC_SEED"]
         try:
-            seed = int(env_seed)
+            settings["seed"] = int(env_seed)
         except ValueError:
             raise PipelineError(f"TQEC_SEED must be an integer, got {env_seed!r}") from None
 
-    spares_y = pick(args.spares_y, "spares_y", None)
-    spares_a = pick(args.spares_a, "spares_a", None)
-    epsilon = pick(args.spare_epsilon, "spare_epsilon", 0.01)
-    if spares_y is not None or spares_a is not None:
-        policy = SparePolicy("explicit", y_count=spares_y or 0, a_count=spares_a or 0)
-    else:
-        policy = SparePolicy("binomial", epsilon=epsilon)
+    def given(**fields: str) -> dict:   # dataclass field -> its setting's key
+        return {name: settings[key] for name, key in fields.items() if key in settings}
 
-    box_dims = default_box_dims()
-    dims_path = pick(args.box_dims, "box_dims", None)
-    if dims_path:
-        box_dims.update(_load_box_dims(dims_path))
-
-    return PipelineConfig(
-        success_rate=pick(args.success_rate, "success_rate", 1.0),
-        seed=seed,
-        spares=policy,
-        box_dims=box_dims,
-        cube_side=pick(args.distance, "distance", 1),
-    )
+    counts = given(y_count="spares_y", a_count="spares_a")
+    spares = (SparePolicy("explicit", **counts) if counts
+              else SparePolicy(**given(epsilon="spare_epsilon")))
+    config = given(success_rate="success_rate", seed="seed", cube_side="distance")
+    if settings.get("box_dims"):
+        config["box_dims"] = default_box_dims() | _load_box_dims(settings["box_dims"])
+    return PipelineConfig(spares=spares, **config)
 
 
 def _read_source(path: str) -> str:
@@ -224,14 +214,15 @@ def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
     The concatenated pieces are the stream: one JSON line per instruction,
     each holding the bytes ``json.dumps`` gives with sorted keys and
     compact separators. The first line also carries ``"stream_version"``.
-    Each layer is written in full once, in the first instruction that names
-    it, and as ``{"index":n}`` in every later one. The lattice is checked
-    against ``bbox`` (see ``layer_marks``), and the stamps set up, before
-    this returns. Every distinct (site, basis) is encoded once, and
-    ``layer_marks`` joins the marks of each distinct layer once, into the
-    payload the layers equal to it share. Instructions are yielded piece by
-    piece, so a payload is never copied into a line; ``cmd_slice`` copies
-    each piece once, into its write buffer.
+    Each layer is written in full once, in the ``init`` that brings it up
+    (the first instruction that names it), and as ``{"index":n}`` in every
+    other one. The lattice is checked against ``bbox`` (see
+    ``layer_marks``), and the stamps set up, before this returns. Every
+    distinct (site, basis) is encoded once, and ``layer_marks`` joins the
+    marks of each distinct layer once, into the payload the layers equal to
+    it share. Instructions are yielded piece by piece, so a payload is never
+    copied into a line; ``cmd_slice`` copies each piece once, into its write
+    buffer.
     """
     names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
     payloads = layer_marks(geometry, cells,
@@ -246,21 +237,17 @@ def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
 
 def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
                         count: int) -> Iterator[bytes]:
-    # Instructions first name the layers in index order, so the next layer
-    # to write in full is always the next fresh index, and every other
-    # layer an instruction names has been written and goes as its index.
-    fresh = 0
+    # hardware_loop brings each layer up with one init, which names that
+    # layer alone and is the first instruction to name it, and the inits
+    # come in index order: each init writes the next of ``layers`` in full,
+    # and every other instruction names its layers as their indices.
     version = b',"stream_version":%d' % STREAM_VERSION
     for ins in hardware_loop(count):
         yield b'{"layers":['
-        for n, idx in enumerate(ins.layers):
-            if n:
-                yield b","
-            if idx == fresh:
-                yield from next(layers)
-                fresh += 1
-            else:
-                yield b'{"index":%d}' % idx
+        if ins.op is Op.INIT:
+            yield from next(layers)
+        else:
+            yield b",".join(b'{"index":%d}' % idx for idx in ins.layers)
         yield b'],"op":"' + ins.op.value.encode("ascii") + b'"' + version + b'}\n'
         version = b""
 

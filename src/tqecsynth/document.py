@@ -58,10 +58,10 @@ def config_digest(config: PipelineConfig) -> str:
 
 
 # The JSON token of every enum member and literal the document holds, as
-# json.dumps writes it.
-_TOKEN = {m: _dumps(m.value) for enum in (SegmentKind, PinRole, InitBasis, PortRole,
-                                          PortBasis, CapShape, BoxStatus) for m in enum}
-_TOKEN.update({None: b"null", True: b"true", False: b"false"})
+# json.dumps writes it, keyed by id: Enum.__hash__ runs in Python.
+_TOKEN = {id(m): _dumps(m.value) for enum in (SegmentKind, PinRole, InitBasis, PortRole,
+                                              PortBasis, CapShape, BoxStatus) for m in enum}
+_TOKEN.update({id(None): b"null", id(True): b"true", id(False): b"false"})
 
 # Sorted-key templates of the document's repeated objects.
 _PIN = b'{"coord":[%d,%d,%d],"kind":%s,"role":%s,"state":%s}'
@@ -81,7 +81,7 @@ _CONTROL_DIGIT, _TARGET_DIGIT = (ord(b"%d" % code) for code in (CONTROL, TARGET)
 
 def _pin(p: Pin) -> bytes:
     c = p.coord
-    return _PIN % (c.i, c.j, c.t, _TOKEN[p.kind], _TOKEN[p.role], _TOKEN[p.state])
+    return _PIN % (c.i, c.j, c.t, _TOKEN[id(p.kind)], _TOKEN[id(p.role)], _TOKEN[id(p.state)])
 
 
 def _pins(pins: tuple[Pin, ...]) -> bytes:
@@ -89,28 +89,29 @@ def _pins(pins: tuple[Pin, ...]) -> bytes:
 
 
 def _segments(segments: tuple[Segment, ...]) -> bytes:
-    return b",".join(_SEGMENT % (s.a.i, s.a.j, s.a.t, s.b.i, s.b.j, s.b.t, _TOKEN[s.kind])
+    return b",".join(_SEGMENT % (s.a.i, s.a.j, s.a.t, s.b.i, s.b.j, s.b.t, _TOKEN[id(s.kind)])
                      for s in segments)
 
 
 def _defect(d: Defect) -> bytes:
-    return _DEFECT % (_TOKEN[d.closed], _TOKEN[d.kind], _segments(d.segments))
+    return _DEFECT % (_TOKEN[id(d.closed)], _TOKEN[id(d.kind)], _segments(d.segments))
 
 
 def _injection(inj: Injection) -> bytes:
     v = inj.vertex
-    return _INJECTION % (_pins(inj.pins), inj.qubit_row, _TOKEN[inj.state], v.i, v.j, v.t)
+    return _INJECTION % (_pins(inj.pins), inj.qubit_row, _TOKEN[id(inj.state)], v.i, v.j, v.t)
 
 
 def _ioport(port: IOPort) -> bytes:
-    return _IOPORT % (_TOKEN[port.basis], _pins(port.pins), _TOKEN[port.role], port.qubit_row,
-                      _TOKEN[port.template.mirrored], _TOKEN[port.template.shape])
+    tpl = port.template
+    return _IOPORT % (_TOKEN[id(port.basis)], _pins(port.pins), _TOKEN[id(port.role)],
+                      port.qubit_row, _TOKEN[id(tpl.mirrored)], _TOKEN[id(tpl.shape)])
 
 
 def _box(b: BoxInstance) -> bytes:
     o, d = b.origin, b.dim
     return _BOX % (o.i, o.j, o.t, _pins(b.output_pins), d.ispan, d.jspan, d.tspan,
-                   _TOKEN[b.spare], _TOKEN[b.state], _TOKEN[b.status])
+                   _TOKEN[id(b.spare)], _TOKEN[id(b.state)], _TOKEN[id(b.status)])
 
 
 def _connection(c: Connection) -> bytes:

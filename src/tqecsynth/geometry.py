@@ -2,10 +2,12 @@
 
 Coordinates are lattice units: primal unit-cell centres have all-odd
 coordinates, dual centres all-even, and adjacent cells are two units apart.
-Each matrix row becomes a primal defect pair running along the t axis; each
-CNOT column becomes a closed dual loop in a constant-t plane that encircles
-the inner strands of its control and target rows and detours around any row
-between them.
+Each matrix row becomes a primal defect pair running along the t axis, with
+an output port and, unless the row is injected, an input port (basis z, x or
+open); an injected row's input is its ``Injection`` alone. Each CNOT column
+becomes a closed dual loop in a constant-t plane that encircles the inner
+strands of its control and target rows and detours around any row between
+them.
 
 A pair spans only the t-range where its row is live. A row prepared in |0>
 or |+> starts 3 units before its first braid plane, and a row measured in Z
@@ -138,8 +140,6 @@ class PortBasis(Enum):
     Z = "z"
     X = "x"
     OPEN = "open"
-    INJECT_A = "inject_a"
-    INJECT_Y = "inject_y"
 
 
 class CapShape(Enum):
@@ -148,7 +148,6 @@ class CapShape(Enum):
     SOLID = "solid"      # single bridging defect segment
     SPLIT = "split"      # bridging segment split at a shared lattice vertex
     CONFIG = "config"    # configurable input/output structure
-    INJECT = "inject"    # pyramid pair meeting at the injection vertex
 
 
 @dataclass(frozen=True)
@@ -160,10 +159,6 @@ class PortTemplate:
 def io_geometry(role: PortRole, basis: PortBasis) -> PortTemplate:
     """Boundary template for one port of a primal qubit."""
     mirrored = role is PortRole.OUTPUT
-    if basis in (PortBasis.INJECT_A, PortBasis.INJECT_Y):
-        if role is PortRole.OUTPUT:
-            raise GeometryError("state injection is an input-side structure")
-        return PortTemplate(CapShape.INJECT, mirrored=False)
     if basis is PortBasis.OPEN:
         return PortTemplate(CapShape.CONFIG, mirrored)
     shape = CapShape.SOLID if basis is PortBasis.Z else CapShape.SPLIT

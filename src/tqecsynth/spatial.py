@@ -39,13 +39,6 @@ class SegmentIndex:
                 by_kind.setdefault(seg.kind, []).append(k)
         self.by_kind: list[list[int]] = list(by_kind.values())
 
-    def span(self) -> int:
-        """L1 extent of the box around every segment; no gap exceeds it."""
-        if not self.boxes:
-            return 0
-        return sum(max(b[hi] for b in self.boxes) - min(b[hi - 1] for b in self.boxes)
-                   for hi in (1, 3, 5))
-
     def pairs_within(self, radius: int) -> Iterator[tuple[int, int, int]]:
         """Every same-kind segment pair (a, b, gap) with a < b and L1 gap <= radius.
 

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import random
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -139,6 +141,65 @@ def test_config_file_and_flag_precedence(src_file, tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "synth", path, "--config", str(cfg),
                          "--spares-y", "2")
     assert json.loads(out)["reports"]["schedule"]["boxes_total"] == 3
+
+
+# Each pipeline setting: a flag value, a config-file value, and the
+# PipelineConfig field it sets.
+SETTING_CASES = {
+    "success_rate": ("0.5", 0.25, "success_rate"),
+    "seed": ("3", 5, "seed"),
+    "spares_y": ("2", 4, "spares"),
+    "spares_a": ("2", 4, "spares"),
+    "spare_epsilon": ("0.2", 0.3, "spares"),
+    "distance": ("2", 3, "cube_side"),
+    "box_dims": ("flag_dims.json", "file_dims.json", "box_dims"),
+}
+SHARED_FLAGS = ["--config", "--success-rate", "--seed", "--spares-y", "--spares-a",
+                "--spare-epsilon", "--distance", "--box-dims"]
+
+
+def built_config(tmp_path, monkeypatch, key, flag=False, file=False) -> PipelineConfig:
+    """``build_config`` of ``synth`` with ``key`` set by its flag, its config key, both or neither."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TQEC_SEED", raising=False)
+    (tmp_path / "flag_dims.json").write_text('{"y": [6, 6, 10]}')
+    (tmp_path / "file_dims.json").write_text('{"y": [8, 8, 12]}')
+    flag_value, file_value, _ = SETTING_CASES[key]
+    argv = ["synth", "c.tq"]
+    if flag:
+        argv += ["--" + key.replace("_", "-"), flag_value]
+    if file:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: file_value}))
+        argv += ["--config", "cfg.json"]
+    return cli.build_config(cli._parser().parse_args(argv))
+
+
+def test_setting_cases_cover_the_settings_table():
+    assert list(SETTING_CASES) == list(cli._SETTINGS)
+
+
+@pytest.mark.parametrize("key", list(SETTING_CASES))
+def test_each_setting_comes_from_flag_then_file_then_default(tmp_path, monkeypatch, key):
+    field = SETTING_CASES[key][2]
+    neither = built_config(tmp_path, monkeypatch, key)
+    flag = built_config(tmp_path, monkeypatch, key, flag=True)
+    file = built_config(tmp_path, monkeypatch, key, file=True)
+    assert neither == PipelineConfig()
+    assert built_config(tmp_path, monkeypatch, key, flag=True, file=True) == flag
+    # each source sets the setting's own field, to its own value, and no other field
+    assert len({repr(getattr(config, field)) for config in (neither, flag, file)}) == 3
+    for config in (flag, file):
+        assert config == dataclasses.replace(neither, **{field: getattr(config, field)})
+
+
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_each_shared_flag_is_listed_once_in_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for flag in SHARED_FLAGS:
+        assert len(re.findall(rf"^\s+{flag}\b", text, re.M)) == 1, flag
 
 
 def test_env_seed_fallback(src_file, capsys, monkeypatch):

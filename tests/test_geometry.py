@@ -14,6 +14,7 @@ from tqecsynth.geometry import (
 )
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
+from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
 
 PARAMS = LayoutParams()
 CIRCUIT_DIR = Path(__file__).parent.parent / "circuits"
@@ -124,13 +125,35 @@ def test_io_geometry_templates():
     assert x_in.shape is CapShape.SPLIT
     z_out = io_geometry(PortRole.OUTPUT, PortBasis.Z)
     assert z_out.shape is CapShape.SOLID and z_out.mirrored
-    inj = io_geometry(PortRole.INPUT, PortBasis.INJECT_A)
-    assert inj.shape is CapShape.INJECT
 
 
-def test_io_geometry_unsupported_combinations():
-    with pytest.raises(GeometryError):
-        io_geometry(PortRole.OUTPUT, PortBasis.INJECT_Y)
+def assert_one_injection_model(geo, inits) -> None:
+    """Each injected row is one Injection and no input port; ports take io_geometry's caps."""
+    for row, init in enumerate(inits):
+        injected = [inj for inj in geo.injections if inj.qubit_row == row]
+        inputs = [port for port in geo.ioports
+                  if port.qubit_row == row and port.role is PortRole.INPUT]
+        if init.is_injection:
+            assert [inj.state for inj in injected] == [init] and not inputs
+        else:
+            assert not injected and len(inputs) == 1
+    assert len(geo.injections) == sum(init.is_injection for init in inits)
+    for port in geo.ioports:
+        assert port.template == io_geometry(port.role, port.basis)
+
+
+@pytest.mark.parametrize("rate,seed", [(1.0, 0), (0.8, 53), (0.5, 201)])
+@pytest.mark.parametrize("path", sorted(CIRCUIT_DIR.glob("*.tq")), ids=lambda p: p.stem)
+def test_injected_inputs_have_one_model_on_circuits(path, rate, seed):
+    config = PipelineConfig(success_rate=rate, seed=seed, spares=SparePolicy(epsilon=1e-6))
+    result = run_pipeline(path.read_text(), config)
+    assert_one_injection_model(result.geometry, result.conversion.circuit.inits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(icm_circuits(max_qubits=6, max_cnots=10))
+def test_injected_inputs_have_one_model_on_random_geometries(circ):
+    assert_one_injection_model(generate_geometry(to_matrix(circ), PARAMS), circ.inits)
 
 
 def test_validate_parity_accepts_valid_segments():

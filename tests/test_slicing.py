@@ -103,9 +103,16 @@ def test_slice_stream_equals_reference_on_the_benchmark_circuit(tmp_path, seed):
     assert ref.expand_stream(got) == ref.slice_stream(geo, lattice_cells_for(geo))
 
 
-@pytest.mark.parametrize("path", CIRCUITS, ids=lambda p: p.stem)
+# pins at t = 1 and the vertex at t = 2 fit a lattice one cell deep
+ONE_LAYER = geometry(injections=[injection((4, 3, 2), (3, 3, 1), (5, 3, 1))])
+
+
+@pytest.mark.parametrize("path", [*CIRCUITS, "one-layer"],
+                         ids=lambda p: getattr(p, "stem", p))
 def test_each_layer_is_written_in_full_once_at_its_first_mention(tmp_path, path):
-    records = [json.loads(line) for line in cli_slice(tmp_path, path).splitlines()]
+    stream = (b"".join(slice_lines(ONE_LAYER, (3, 3, 1))) if path == "one-layer"
+              else cli_slice(tmp_path, path))
+    records = [json.loads(line) for line in stream.splitlines()]
     assert records[0]["stream_version"] == cli.STREAM_VERSION == 2
     assert all("stream_version" not in rec for rec in records[1:])
     first_mentions = []
@@ -115,10 +122,13 @@ def test_each_layer_is_written_in_full_once_at_its_first_mention(tmp_path, path)
             if idx in first_mentions:
                 assert layer == {"index": idx}
             else:
+                # the full record rides on the init that brings the layer up
+                assert rec["op"] == "init" and rec["layers"] == [layer]
                 assert layer.keys() == ref.LAYER_KEYS and layer["t"] == idx + 1
                 first_mentions.append(idx)
-    # first mentions come in index order, so the writer only tracks the next one
+    # the inits come in index order, so each writes the next layer of the sweep
     assert first_mentions == list(range(len(first_mentions)))
+    assert sum(rec["op"] == "init" for rec in records) == len(first_mentions)
 
 
 HAND_BUILT = {
@@ -207,8 +217,7 @@ def test_expand_stream_refuses_what_format_2_forbids():
 
 
 def test_one_layer_stream_is_init_and_measure():
-    # pins at t = 1 and the vertex at t = 2 fit a lattice one cell deep
-    geo = geometry(injections=[injection((4, 3, 2), (3, 3, 1), (5, 3, 1))])
+    geo = ONE_LAYER
     got = b"".join(slice_lines(geo, (3, 3, 1)))
     assert ref.expand_stream(got) == ref.slice_stream(geo, (3, 3, 1))
     assert [json.loads(line)["op"] for line in got.splitlines()] == ["init", "measure"]
