@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .geometry import CapShape, Coord, Geometry
-from .spatial import RADIUS, SegmentIndex
+from .spatial import RADIUS, SegmentIndex, collinear_runs
 
 V = TypeVar("V")
 L = TypeVar("L")
@@ -50,14 +50,20 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only. One query of a t-sweep index over the
-    segment boxes (``spatial.SegmentIndex``) yields every pair within
-    ``spatial.RADIUS`` lattice units: the pairs less than a cell apart merge
-    their defects, and the closest of the others in different components
-    gives the separation. If no such pair lies that close, the radius
-    widens until one is found or it reaches the L1 extent of the
-    ``bounding_box``, which no gap exceeds, so the result equals a scan over
-    all segment pairs.
+    connected components only. The t-sweep index (``spatial.SegmentIndex``)
+    holds one box per maximal run of same-kind segments on one line that
+    overlap, touch or lie one unit apart (``spatial.collinear_runs``, the
+    merge ``_stamps`` slices with), so route legs laid over one another
+    are one box. Each run's defects merge up front, as its segments lie
+    less than a cell apart. The merge is exact: with integer coordinates a
+    run's lattice points are its segments' points, so the gap from any box
+    to the run is its least gap to the run's segments. One query of the
+    sweep yields every run pair within ``spatial.RADIUS`` lattice units:
+    the pairs less than a cell apart merge their defects, and the closest
+    of the others in different components gives the separation. If no such
+    pair lies that close, the radius widens until one is found or it
+    reaches the L1 extent of the ``bounding_box``, which no gap exceeds, so
+    the result equals a scan over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -72,7 +78,10 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
             k = parent[k]
         return k
 
-    index = SegmentIndex(defects)
+    index = SegmentIndex.runs(defects)
+    for first, *rest in index.members:
+        for other in rest:
+            parent[find(other)] = find(first)
     owner = index.owner
     # The defect pairs of each gap above one, flat: a, b, a, b, ...
     near: list[list[int]] = [[] for _ in range(RADIUS + 1)]
@@ -113,23 +122,33 @@ class BBox:
 
 def bounding_box(geometry: Geometry) -> BBox:
     """Extents over segments, injection vertices, pins, and box regions."""
-    points: list[tuple[int, int, int]] = []
-    for seg in geometry.segments:
-        points.append((seg.a.i, seg.a.j, seg.a.t))
-        points.append((seg.b.i, seg.b.j, seg.b.t))
-    for inj in geometry.injections:
-        points.append((inj.vertex.i, inj.vertex.j, inj.vertex.t))
-    for pin in geometry.pins:
-        points.append((pin.coord.i, pin.coord.j, pin.coord.t))
+    segments = geometry.segments
+    points = [seg.a for seg in segments] + [seg.b for seg in segments]
+    points += [inj.vertex for inj in geometry.injections]
+    points += [pin.coord for pin in geometry.pins]
     for box in geometry.boxes:
-        for axis_pt in (tuple(box.extent(ax)[0] for ax in "ijt"),
-                        tuple(box.extent(ax)[1] for ax in "ijt")):
-            points.append(axis_pt)
+        (i_lo, i_hi), (j_lo, j_hi), (t_lo, t_hi) = map(box.extent, "ijt")
+        points += Coord(i_lo, j_lo, t_lo), Coord(i_hi, j_hi, t_hi)
     if not points:
         raise AnalysisError("geometry is empty")
-    los = tuple(min(p[k] for p in points) for k in range(3))
-    his = tuple(max(p[k] for p in points) for k in range(3))
-    return BBox(Coord(*los), Coord(*his))
+    i_lo = i_hi = points[0].i
+    j_lo = j_hi = points[0].j
+    t_lo = t_hi = points[0].t
+    for p in points:
+        i, j, t = p.i, p.j, p.t
+        if i < i_lo:
+            i_lo = i
+        elif i > i_hi:
+            i_hi = i
+        if j < j_lo:
+            j_lo = j
+        elif j > j_hi:
+            j_hi = j
+        if t < t_lo:
+            t_lo = t
+        elif t > t_hi:
+            t_hi = t
+    return BBox(Coord(i_lo, j_lo, t_lo), Coord(i_hi, j_hi, t_hi))
 
 
 @dataclass(frozen=True)
@@ -213,35 +232,28 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     A segment's cross-section box reaches one unit past the segment on every
     axis. Segment boxes that run along the same axis, agree on the other
     two and overlap or touch along it are one stamp spanning them all, one
-    per maximal run, so legs laid over one another stamp their sites once.
-    The merge is exact: segment stamps are all Z and come before every
-    other stamp, so later-wins never sees it, and a run is active at t
-    exactly when one of its segments is. In the route plane t = t_in, where
+    per maximal run (``spatial.collinear_runs``, the merge the code-distance
+    scan indexes with), so legs laid over one another stamp their sites
+    once. The merge is exact: segment stamps are all Z and come before
+    every other stamp, so later-wins never sees it, and a run is active at
+    t exactly when one of its segments is. In the route plane t = t_in, where
     the legs served by spare boxes share lines, the largest layer's active
     stamps hold 7 429 sites for 4 674 marks on the slice-clifford-t
     benchmark circuit at seed 7 (36 025 unmerged) and 221 910 for 140 265
     at 64 Toffolis (6 859 326 unmerged).
     """
-    # Each line, (axis, the two other spans) in (t, i, j) order, with its
-    # segments' spans along the axis.
-    lines: dict[tuple, list[list[int]]] = {}
-    for seg in geometry.segments:
-        box = [(lo - 1, hi + 1) for lo, hi in map(seg.interval, "tij")]
-        axis = "tij".index(seg.axis)
-        lines.setdefault((axis, *box[:axis], *box[axis + 1:]), []).append(list(box[axis]))
+    # Each line is (axis, the two other spans) in (t, i, j) order.
+    def spans() -> Iterator[tuple[tuple[int, ...], int, int, None]]:
+        for seg in geometry.segments:
+            box = [(lo - 1, hi + 1) for lo, hi in map(seg.interval, "tij")]
+            axis = "tij".index(seg.axis)
+            yield (axis, *box[:axis], *box[axis + 1:]), *box[axis], None
+
     Z = SiteBasis.Z
     stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = []
-    for (axis, *across), spans in lines.items():
-        spans.sort()
-        runs = spans[:1]
-        for lo, hi in spans[1:]:
-            if lo <= runs[-1][1] + 1:
-                runs[-1][1] = max(runs[-1][1], hi)
-            else:
-                runs.append([lo, hi])
-        for run in runs:
-            (t_lo, t_hi), (i_lo, i_hi), (j_lo, j_hi) = [*across[:axis], run, *across[axis:]]
-            stamps.append((t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, Z))
+    for (axis, *across), lo, hi, _ in collinear_runs(spans()):
+        (t_lo, t_hi), (i_lo, i_hi), (j_lo, j_hi) = [*across[:axis], (lo, hi), *across[axis:]]
+        stamps.append((t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, Z))
     for port in geometry.ioports:
         pin_a, pin_b = port.pins
         t, j = pin_a.coord.t, pin_a.coord.j

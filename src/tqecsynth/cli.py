@@ -31,7 +31,9 @@ from .document import FORMATS, JSON_FORMAT, canonical_json, document_pieces, exp
 from .geometry import Geometry
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, icm_conversion, run_pipeline
-from .scheduling import BoxDim, DistillationExhausted, SchedulingError, default_box_dims
+from .scheduling import (
+    MAX_SPARES, BoxDim, DistillationExhausted, SchedulingError, default_box_dims,
+)
 from .sim import H_MATRIX, TOFFOLI_MATRIX, check_equivalence, gate_matrix, to_unitary
 
 EXIT_OK = 0
@@ -45,12 +47,21 @@ DEFAULT_TOLERANCE = 1e-10
 # The pipeline settings by config-file key; a key's flag is the key with
 # dashes. Per key: the flag's type, what a config file must give it (named
 # in errors, and the JSON types that pass) and the flag's help text.
+_SPARE_COUNT_HELP = (f"{{}} spare boxes, 0 to {MAX_SPARES}; either explicit count replaces the "
+                     f"binomial sizing and leaves the other at {SparePolicy.y_count} "
+                     "(default: the binomial count for the spare epsilon)")
 _SETTINGS = {
-    "success_rate": (float, "a number", (int, float), None),
-    "seed": (int, "an integer", (int,), None),
-    "spares_y": (int, "an integer", (int,), None),
-    "spares_a": (int, "an integer", (int,), None),
-    "spare_epsilon": (float, "a number", (int, float), None),
+    "success_rate": (float, "a number", (int, float),
+                     "success probability of one distillation box, in [0, 1] "
+                     f"(default {PipelineConfig.success_rate})"),
+    "seed": (int, "an integer", (int,),
+             "seed of the failure simulation, a non-negative integer "
+             f"(default: TQEC_SEED if set, else {PipelineConfig.seed})"),
+    "spares_y": (int, "an integer", (int,), _SPARE_COUNT_HELP.format("Y")),
+    "spares_a": (int, "an integer", (int,), _SPARE_COUNT_HELP.format("A")),
+    "spare_epsilon": (float, "a number", (int, float),
+                      "failure bound of the binomial spare count, in [0, 1] "
+                      f"(default {SparePolicy.epsilon}); ignored with explicit counts"),
     "distance": (int, "an integer", (int,), "cube side d for volume metrics"),
     "box_dims": (str, "a path string", (str,), "JSON file with box spans"),
 }

@@ -19,7 +19,7 @@ face; trimming a row to its live span is the first step of wire recycling
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -62,8 +62,8 @@ class Segment:
     b: Coord
 
     def __post_init__(self) -> None:
-        diffs = sum(1 for u, v in zip(self.a.as_list(), self.b.as_list()) if u != v)
-        if diffs != 1:
+        a, b = self.a, self.b
+        if (a.i != b.i) + (a.j != b.j) + (a.t != b.t) != 1:
             raise GeometryError(f"segment must be axis-aligned and non-degenerate: {self.a}->{self.b}")
 
     @property
@@ -341,7 +341,7 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
 
         if init.is_injection:
             inj_pins = tuple(
-                replace(p, role=PinRole.INJECTION, state=init) for p in in_pins)
+                Pin(p.coord, p.kind, PinRole.INJECTION, init) for p in in_pins)
             # the pyramid tips meet on the first dual plane beside the pins
             vertex = Coord(params.vertex_i, j, t_in + 1)
             injections.append(Injection(vertex, init, inj_pins, row))
@@ -387,7 +387,13 @@ def validate_parity(geometry: Geometry) -> list[GeometryDiagnostic]:
     """Parity conformance of every segment endpoint and injection vertex."""
     out: list[GeometryDiagnostic] = []
     for seg in geometry.segments:
-        want = 3 if seg.kind is SegmentKind.PRIMAL else 0
+        a, b = seg.a, seg.b
+        ored = a.i | a.j | a.t | b.i | b.j | b.t
+        primal = seg.kind is SegmentKind.PRIMAL
+        # all six coordinates odd (primal) or even (dual), and none negative
+        if ored >= 0 and (a.i & a.j & a.t & b.i & b.j & b.t & 1 if primal else not ored & 1):
+            continue
+        want = 3 if primal else 0
         for pt in (seg.a, seg.b):
             if pt.odd_count != want:
                 out.append(GeometryDiagnostic(

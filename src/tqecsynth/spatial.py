@@ -1,17 +1,19 @@
-"""Sort-and-sweep index over the axis-aligned boxes of defect segments.
+"""Sort-and-sweep index over axis-aligned boxes of defect segments.
 
-Every segment is held as its per-axis interval box, keyed by the index of
-its defect and by its kind. A query sweeps the segments of each kind in
-order of their lowest t, keeping the active ones (those still within the
-query radius in t) bucketed into square (i, j) cells. A box is expanded by
-half the radius before it is bucketed, so two segments within the radius
-share at least one cell; the pair is visited only in the cell holding the
-lower (i, j) corner of their expanded overlap, hence exactly once.
+Every box is keyed by the index of a defect and by its kind: one box per
+segment, or one per maximal run of touching same-kind collinear segments
+(``collinear_runs``). A query sweeps the boxes of each kind in order of
+their lowest t, keeping the active ones (those still within the query
+radius in t) bucketed into square (i, j) cells. A box is expanded by half
+the radius before it is bucketed, so two boxes within the radius share at
+least one cell; the pair is visited only in the cell holding the lower
+(i, j) corner of their expanded overlap, hence exactly once.
 """
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
     from .geometry import Defect, Segment
@@ -20,27 +22,109 @@ CELL = 16       # (i, j) bucket side, lattice units
 RADIUS = 8      # L1 gap, lattice units, of the code-distance neighbour query
 
 Box = tuple[int, int, int, int, int, int]   # i_lo, i_hi, j_lo, j_hi, t_lo, t_hi
+K = TypeVar("K", bound=Hashable)
+T = TypeVar("T")
+
+
+def collinear_runs(entries: Iterable[tuple[K, int, int, T]]
+                   ) -> Iterator[tuple[K, int, int, list[T]]]:
+    """Merge the spans ``(line, lo, hi, item)`` of each line into maximal runs.
+
+    Spans of one line, in order of ``lo``, join the run before them while
+    ``lo <= run_hi + 1``: they overlap it, share its end or leave a gap of
+    one unit, so with integer coordinates the run's points are exactly the
+    union of its spans' points. Each run comes as ``(line, lo, hi, items)``
+    with its spans' items; lines come in first-seen order and the runs of a
+    line in ascending order.
+    """
+    lines: dict[K, list[tuple[int, int, T]]] = {}
+    for line, lo, hi, item in entries:
+        lines.setdefault(line, []).append((lo, hi, item))
+    for line, spans in lines.items():
+        if len(spans) == 1:     # most lines hold one span
+            lo, hi, item = spans[0]
+            yield line, lo, hi, [item]
+            continue
+        spans.sort(key=itemgetter(0))
+        run_lo, run_hi, item = spans[0]
+        items = [item]
+        for lo, hi, item in spans[1:]:
+            if lo > run_hi + 1:
+                yield line, run_lo, run_hi, items
+                run_lo, run_hi, items = lo, hi, [item]
+            else:
+                items.append(item)
+                if hi > run_hi:
+                    run_hi = hi
+        yield line, run_lo, run_hi, items
 
 
 class SegmentIndex:
-    """The segments of a defect list, flattened in order, with their boxes."""
+    """Boxes of a defect list's segments, each with the defect that owns it."""
 
     def __init__(self, defects: Sequence[Defect]) -> None:
+        """One box per segment, the segments flattened in order."""
         self.segments: list[Segment] = []
-        self.owner: list[int] = []          # defect index of each segment
+        self.owner: list[int] = []          # defect index of each box
         self.boxes: list[Box] = []
-        by_kind: dict = {}
+        kinds: list[str] = []
         for di, defect in enumerate(defects):
             for seg in defect.segments:
-                k = len(self.segments)
                 self.segments.append(seg)
                 self.owner.append(di)
                 self.boxes.append(seg.interval("i") + seg.interval("j") + seg.interval("t"))
-                by_kind.setdefault(seg.kind, []).append(k)
+                kinds.append(defect.kind.value)
+        self._group(kinds)
+
+    @classmethod
+    def runs(cls, defects: Sequence[Defect]) -> SegmentIndex:
+        """One box per maximal run of same-kind segments on one line.
+
+        The runs are ``collinear_runs`` of the segments' spans, keyed by
+        kind, axis and the two other coordinates, so a run's segments lie
+        at most one unit apart. ``members`` lists the defects of each run's
+        segments and ``owner`` the first of them; ``segments`` is empty. A
+        run's lattice points are those of its segments, so the L1 gap from
+        any box to the run's box is its least gap to the run's segments.
+        """
+        def spans() -> Iterator[tuple[tuple, int, int, int]]:
+            for di, defect in enumerate(defects):
+                kind = defect.kind.value
+                for seg in defect.segments:
+                    a, b = seg.a, seg.b
+                    if a.i != b.i:
+                        line, lo, hi = (kind, 0, a.j, a.t), a.i, b.i
+                    elif a.j != b.j:
+                        line, lo, hi = (kind, 1, a.i, a.t), a.j, b.j
+                    else:
+                        line, lo, hi = (kind, 2, a.i, a.j), a.t, b.t
+                    yield (line, lo, hi, di) if lo < hi else (line, hi, lo, di)
+
+        index = cls([])    # empty, then filled with the runs
+        index.members: list[list[int]] = []
+        kinds: list[str] = []
+        for (kind, axis, u, v), lo, hi, members in collinear_runs(spans()):
+            if axis == 0:
+                box = (lo, hi, u, u, v, v)
+            elif axis == 1:
+                box = (u, u, lo, hi, v, v)
+            else:
+                box = (u, u, v, v, lo, hi)
+            index.boxes.append(box)
+            index.owner.append(members[0])
+            index.members.append(members)
+            kinds.append(kind)
+        index._group(kinds)
+        return index
+
+    def _group(self, kinds: list[str]) -> None:
+        by_kind: dict[str, list[int]] = {}
+        for k, kind in enumerate(kinds):
+            by_kind.setdefault(kind, []).append(k)
         self.by_kind: list[list[int]] = list(by_kind.values())
 
     def pairs_within(self, radius: int) -> Iterator[tuple[int, int, int]]:
-        """Every same-kind segment pair (a, b, gap) with a < b and L1 gap <= radius.
+        """Every same-kind box pair (a, b, gap) with a < b and L1 gap <= radius.
 
         Pairs come in no fixed order; each comes once.
         """

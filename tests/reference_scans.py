@@ -19,7 +19,8 @@ stored) with ``matrix_rows``, which expands a sparse ``MatrixRep`` into
 those dense rows, and the dict-tree version of the JSON document
 (``reference_document``, encoded by ``document.canonical_json``), and the
 full-scan version of ``scheduling.Region.allocate`` (every occupied
-rectangle tested for each box); the tests compare the indexed,
+rectangle tested for each box), and the every-endpoint versions of
+``geometry.validate_parity`` and ``analysis.bounding_box``; the tests compare the indexed,
 templated, one-tensor, trial-batched, run-offset, sparse, byte-writer
 and banded versions with them.
 """
@@ -242,6 +243,39 @@ def allocate(region: Region, j: int, jspan: int, ispan: int) -> int:
             break
     region.occupied.append(((i_lo, i_lo + i_len), j_iv))
     return i_lo
+
+
+def validate_parity(geometry: Geometry) -> list[tuple[str, str]]:
+    """``geometry.validate_parity``'s (rule, message) pairs, every endpoint checked in full."""
+    out: list[tuple[str, str]] = []
+    for seg in geometry.segments:
+        want = 3 if seg.kind.value == "primal" else 0
+        for pt in (seg.a, seg.b):
+            if pt.odd_count != want:
+                out.append(("segment-parity",
+                            f"{seg.kind.value} endpoint {pt} must have "
+                            f"{'all-odd' if want else 'all-even'} coordinates"))
+            if min(pt.as_list()) < 0:
+                out.append(("negative-coordinate", f"endpoint {pt} has a negative coordinate"))
+    for inj in geometry.injections:
+        if inj.vertex.odd_count != 1:
+            out.append(("vertex-parity",
+                        f"injection vertex {inj.vertex} must have exactly one odd coordinate"))
+    return out
+
+
+def bounding_box_of_points(geometry: Geometry) -> tuple[Coord, Coord]:
+    """``analysis.bounding_box``'s corners: every point listed, then six min/max scans."""
+    points: list[tuple[int, int, int]] = []
+    for seg in geometry.segments:
+        points += (seg.a.i, seg.a.j, seg.a.t), (seg.b.i, seg.b.j, seg.b.t)
+    points += [(inj.vertex.i, inj.vertex.j, inj.vertex.t) for inj in geometry.injections]
+    points += [(pin.coord.i, pin.coord.j, pin.coord.t) for pin in geometry.pins]
+    for box in geometry.boxes:
+        points.append(tuple(box.extent(ax)[0] for ax in "ijt"))
+        points.append(tuple(box.extent(ax)[1] for ax in "ijt"))
+    return (Coord(*(min(p[k] for p in points) for k in range(3))),
+            Coord(*(max(p[k] for p in points) for k in range(3))))
 
 
 def _box(seg: Segment) -> tuple[tuple[int, int], ...]:

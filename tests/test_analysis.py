@@ -1,7 +1,9 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import reference_scans as ref
 import tqecsynth.analysis as analysis
 from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Instruction, Layer, LayerKind, Op, SiteBasis,
@@ -17,6 +19,7 @@ from tqecsynth.geometry import (
 from tqecsynth.icm import to_icm
 from tqecsynth.matrix import to_matrix
 
+CIRCUIT_DIR = Path(__file__).parent.parent / "circuits"
 
 def bare_geometry(defects, **kw) -> Geometry:
     return Geometry(defects=tuple(defects), pins=(), injections=(),
@@ -154,6 +157,15 @@ def test_bounding_box_segment_and_empty():
     assert box.cells() == (1, 1, 5)
     with pytest.raises(AnalysisError):
         bounding_box(bare_geometry([]))
+
+
+@pytest.mark.parametrize("rate,seed", [(1.0, 0), (0.8, 53)])
+@pytest.mark.parametrize("path", sorted(CIRCUIT_DIR.glob("*.tq")), ids=lambda p: p.stem)
+def test_bounding_box_equals_the_all_points_reference(path, rate, seed):
+    from tqecsynth.pipeline import PipelineConfig, run_pipeline
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
+    box = bounding_box(geo)
+    assert (box.lo, box.hi) == ref.bounding_box_of_points(geo)
 
 
 def test_bounding_box_covers_schedules_and_circuit():

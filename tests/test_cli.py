@@ -202,6 +202,19 @@ def test_each_shared_flag_is_listed_once_in_help(capsys, command):
         assert len(re.findall(rf"^\s+{flag}\b", text, re.M)) == 1, flag
 
 
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_pipeline_setting_help_states_range_and_default(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for key in ("success_rate", "seed", "spares_y", "spares_a", "spare_epsilon"):
+        help_text = cli._SETTINGS[key][3]
+        assert "default" in help_text and " ".join(help_text.split()) in text, key
+    assert "[0, 1] (default 1.0)" in text and "[0, 1] (default 0.01)" in text
+    assert "(default: TQEC_SEED if set, else 0)" in text
+    assert text.count("0 to 10000") == 2
+
+
 def test_env_seed_fallback(src_file, capsys, monkeypatch):
     path = src_file("p.tq", "qubits 1\np 0\n")
     monkeypatch.setenv("TQEC_SEED", "17")

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
+import reference_scans as ref
 from conftest import icm_circuits, winding_ray_cast
 from tqecsynth import geometry
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
@@ -169,6 +171,33 @@ def test_validate_parity_flags_bad_primal_endpoint():
     geo = replace(geo, defects=geo.defects + (Defect(SegmentKind.PRIMAL, (bad,), False),))
     diags = validate_parity(geo)
     assert any(d.rule == "segment-parity" for d in diags)
+
+
+@st.composite
+def parity_geometries(draw):
+    """Single-segment defects of either kind, on and off their parity, some below zero."""
+    defects = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(list(SegmentKind)))
+        a = [draw(st.integers(-3, 7)) for _ in range(3)]
+        b = list(a)
+        b[draw(st.integers(0, 2))] += draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1]))
+        seg = Segment(kind, Coord(*a), Coord(*b))
+        defects.append(geometry.Defect(kind, (seg,), closed=False))
+    return geometry.Geometry(defects=tuple(defects), pins=(), injections=(), ioports=(),
+                             layout=PARAMS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_geometries())
+def test_validate_parity_matches_the_per_endpoint_reference(geo):
+    assert [(d.rule, d.message) for d in validate_parity(geo)] == ref.validate_parity(geo)
+
+
+@pytest.mark.parametrize("path", sorted(CIRCUIT_DIR.glob("*.tq")), ids=lambda p: p.stem)
+def test_validate_parity_matches_the_reference_on_sample_circuits(path):
+    geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=0.8, seed=53)).geometry
+    assert validate_parity(geo) == [] == ref.validate_parity(geo)
 
 
 def test_linking_number_unit_square():

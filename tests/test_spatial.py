@@ -12,7 +12,7 @@ from tqecsynth.geometry import (
     Coord, Defect, Geometry, LayoutParams, Segment, SegmentKind, segment_overlaps,
 )
 from tqecsynth.pipeline import PipelineConfig, run_pipeline
-from tqecsynth.spatial import RADIUS, SegmentIndex
+from tqecsynth.spatial import RADIUS, SegmentIndex, collinear_runs
 
 CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
 
@@ -59,6 +59,95 @@ def small_geometries(draw):
     defects = draw(st.lists(chains(), min_size=1, max_size=7))
     split = draw(st.integers(0, len(defects)))
     return bare_geometry(defects[:split], defects[split:])
+
+
+def on_line(axis: int, u: int, v: int, x: int) -> Coord:
+    """The point at ``x`` along ``axis`` (0 i, 1 j, 2 t) whose other two coordinates are (u, v)."""
+    coords = [u, v]
+    coords.insert(axis, x)
+    return Coord(*coords)
+
+
+@st.composite
+def shared_line_geometries(draw):
+    """Defects of their own whose legs lie on a few shared lines.
+
+    The legs of one line overlap, share an end or leave gaps of one unit and
+    more, as the router's legs do in the route plane; some defects turn off
+    their line with a second leg.
+    """
+    lines = draw(st.lists(
+        st.tuples(st.sampled_from(list(SegmentKind)), st.integers(0, 2),
+                  st.integers(0, 8), st.integers(0, 8)),
+        min_size=1, max_size=3))
+    defects = []
+    for _ in range(draw(st.integers(2, 8))):
+        kind, axis, u, v = draw(st.sampled_from(lines))
+        lo = draw(st.integers(0, 14))
+        ends = [on_line(axis, u, v, lo), on_line(axis, u, v, lo + draw(st.integers(1, 6)))]
+        if draw(st.booleans()):
+            ends.reverse()
+        if draw(st.booleans()):
+            turn = list(ends[-1].as_list())
+            turn[draw(st.sampled_from([k for k in range(3) if k != axis]))] += (
+                draw(st.integers(1, 5)) * draw(st.sampled_from([-1, 1])))
+            ends.append(Coord(*turn))
+        segs = tuple(Segment(kind, a, b) for a, b in zip(ends, ends[1:]))
+        defects.append(Defect(kind, segs, closed=False, diameter=draw(st.integers(1, 2))))
+    defects += draw(st.lists(chains(), max_size=2))
+    split = draw(st.integers(0, len(defects)))
+    return bare_geometry(defects[:split], defects[split:])
+
+
+LINE = (0, 1, 1)
+
+
+@pytest.mark.parametrize("spans,runs", [
+    ([(0, 5), (3, 8)], [(0, 8, [0, 1])]),            # overlapping
+    ([(0, 4), (4, 9)], [(0, 9, [0, 1])]),            # touching at an endpoint
+    ([(0, 4), (5, 9)], [(0, 9, [0, 1])]),            # a gap of one unit
+    ([(0, 4), (6, 9)], [(0, 4, [0]), (6, 9, [1])]),  # a gap of two units
+    ([(2, 3), (0, 9)], [(0, 9, [1, 0])]),            # one span inside another
+    ([(10, 12), (0, 4), (3, 6), (8, 9)], [(0, 6, [1, 2]), (8, 12, [3, 0])]),
+])
+def test_collinear_runs_merge_spans_within_one_unit(spans, runs):
+    entries = [(LINE, lo, hi, k) for k, (lo, hi) in enumerate(spans)]
+    assert list(collinear_runs(entries)) == [(LINE, lo, hi, items) for lo, hi, items in runs]
+
+
+def test_collinear_runs_never_merge_across_lines_or_kinds():
+    lines = [("primal", 0, 1, 1), ("dual", 0, 1, 1), ("primal", 0, 1, 3), ("primal", 1, 1, 1)]
+    entries = [(line, 0, 4, k) for k, line in enumerate(lines)]
+    assert list(collinear_runs(entries)) == [(line, 0, 4, [k]) for k, line in enumerate(lines)]
+
+
+def test_collinear_runs_keep_first_seen_line_order():
+    entries = [((2,), 7, 9, "a"), ((1,), 0, 1, "b"), ((2,), 0, 2, "c"), ((1,), 5, 6, "d")]
+    assert list(collinear_runs(entries)) == [
+        ((2,), 0, 2, ["c"]), ((2,), 7, 9, ["a"]), ((1,), 0, 1, ["b"]), ((1,), 5, 6, ["d"])]
+
+
+def test_run_index_holds_one_box_per_run_with_its_defects():
+    # primal legs of four defects on the line j = 1, t = 1: i 1..9 and
+    # 5..13 overlap, 14..20 starts one unit past them and 22..25 two units
+    # past that; a dual leg on the same line stays apart
+    def leg(kind, i0, i1):
+        return Defect(kind, (Segment(kind, Coord(i0, 1, 1), Coord(i1, 1, 1)),), closed=False)
+
+    index = SegmentIndex.runs([
+        leg(SegmentKind.PRIMAL, 1, 9), leg(SegmentKind.PRIMAL, 13, 5),
+        leg(SegmentKind.DUAL, 2, 4), leg(SegmentKind.PRIMAL, 22, 25),
+        leg(SegmentKind.PRIMAL, 14, 20)])
+    assert index.boxes == [(1, 20, 1, 1, 1, 1), (22, 25, 1, 1, 1, 1), (2, 4, 1, 1, 1, 1)]
+    assert index.members == [[0, 1, 4], [3], [2]]
+    assert index.owner == [0, 3, 2]
+    assert sorted(index.pairs_within(RADIUS)) == [(0, 1, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_line_geometries())
+def test_min_code_distance_matches_reference_on_shared_lines(geo):
+    assert min_code_distance(geo) == ref.min_code_distance(geo)
 
 
 @settings(max_examples=150, deadline=None)
