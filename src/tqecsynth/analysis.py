@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .geometry import CapShape, Coord, Geometry
-from .spatial import RADIUS, SegmentIndex, collinear_runs
+from .spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
 
 V = TypeVar("V")
 L = TypeVar("L")
@@ -51,19 +51,19 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
     connected components only. The t-sweep index (``spatial.SegmentIndex``)
-    holds one box per maximal run of same-kind segments on one line that
-    overlap, touch or lie one unit apart (``spatial.collinear_runs``, the
-    merge ``_stamps`` slices with), so route legs laid over one another
-    are one box. Each run's defects merge up front, as its segments lie
-    less than a cell apart. The merge is exact: with integer coordinates a
-    run's lattice points are its segments' points, so the gap from any box
-    to the run is its least gap to the run's segments. One query of the
-    sweep yields every run pair within ``spatial.RADIUS`` lattice units:
-    the pairs less than a cell apart merge their defects, and the closest
-    of the others in different components gives the separation. If no such
-    pair lies that close, the radius widens until one is found or it
-    reaches the L1 extent of the ``bounding_box``, which no gap exceeds, so
-    the result equals a scan over all segment pairs.
+    holds one box per ``spatial.collinear_runs`` run of the segments'
+    ``spatial.segment_spans``, the spans the overlap check and ``_stamps``
+    read too, so route legs laid over one another are one box. A run's
+    segments lie less than a cell apart, so its defects merge up front. The
+    merge is exact: with integer coordinates a run's lattice points are its
+    segments' points, so the gap from any box to the run is its least gap
+    to the run's segments. One query of the sweep yields every run pair
+    within ``spatial.RADIUS`` lattice units: the pairs less than a cell
+    apart merge their defects, and the closest of the others in different
+    components gives the separation. If no such pair lies that close, the
+    radius widens until one is found or it reaches the L1 extent of the
+    ``bounding_box``, which no gap exceeds, so the result equals a scan
+    over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -78,7 +78,7 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
             k = parent[k]
         return k
 
-    index = SegmentIndex.runs(defects)
+    index = SegmentIndex(collinear_runs(segment_spans(defects)))
     for first, *rest in index.members:
         for other in rest:
             parent[find(other)] = find(first)
@@ -230,29 +230,26 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     """Every mark as a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``.
 
     A segment's cross-section box reaches one unit past the segment on every
-    axis. Segment boxes that run along the same axis, agree on the other
-    two and overlap or touch along it are one stamp spanning them all, one
-    per maximal run (``spatial.collinear_runs``, the merge the code-distance
-    scan indexes with), so legs laid over one another stamp their sites
-    once. The merge is exact: segment stamps are all Z and come before
-    every other stamp, so later-wins never sees it, and a run is active at
-    t exactly when one of its segments is. In the route plane t = t_in, where
-    the legs served by spare boxes share lines, the largest layer's active
-    stamps hold 7 429 sites for 4 674 marks on the slice-clifford-t
-    benchmark circuit at seed 7 (36 025 unmerged) and 221 910 for 140 265
-    at 64 Toffolis (6 859 326 unmerged).
+    axis: each of its ``spatial.segment_spans`` (the spans the code distance
+    and the overlap check read too) widens by one unit before
+    ``spatial.collinear_runs`` and each run's cross coordinates after it, so
+    legs laid over one another are one stamp per maximal run. The merge is
+    exact: segment stamps are all Z and come before every other stamp, so
+    later-wins never sees it, and a run is active at t exactly when one of
+    its segments is. In the route plane t = t_in, where the legs served by
+    spare boxes share lines, the largest layer's active stamps hold 7 429
+    sites for 4 674 marks on the slice-clifford-t benchmark circuit at seed
+    7 (36 025 unmerged) and 221 910 for 140 265 at 64 Toffolis (6 859 326
+    unmerged).
     """
-    # Each line is (axis, the two other spans) in (t, i, j) order.
-    def spans() -> Iterator[tuple[tuple[int, ...], int, int, None]]:
-        for seg in geometry.segments:
-            box = [(lo - 1, hi + 1) for lo, hi in map(seg.interval, "tij")]
-            axis = "tij".index(seg.axis)
-            yield (axis, *box[:axis], *box[axis + 1:]), *box[axis], None
-
     Z = SiteBasis.Z
     stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = []
-    for (axis, *across), lo, hi, _ in collinear_runs(spans()):
-        (t_lo, t_hi), (i_lo, i_hi), (j_lo, j_hi) = [*across[:axis], (lo, hi), *across[axis:]]
+    spans = segment_spans(geometry.defects + geometry.connections)
+    for (_, axis, u, v), lo, hi, _ in collinear_runs(
+            (line, lo - 1, hi + 1, di) for line, lo, hi, di in spans):
+        box = [u - 1, u + 1, v - 1, v + 1]
+        box[2 * axis:2 * axis] = lo, hi      # the run's span, at its axis
+        i_lo, i_hi, j_lo, j_hi, t_lo, t_hi = box
         stamps.append((t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, Z))
     for port in geometry.ioports:
         pin_a, pin_b = port.pins

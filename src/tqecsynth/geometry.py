@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 from .circuit import InitBasis, MeasBasis
 from .icm import cnot_spans
 from .matrix import MatrixRep, from_matrix
-from .spatial import SegmentIndex
+from .spatial import SegmentIndex, segment_spans
 
 if TYPE_CHECKING:
     from .scheduling import BoxInstance
@@ -87,14 +87,18 @@ class Defect:
     diameter: int = 1  # cells
 
     def __post_init__(self) -> None:
-        if not self.segments:
+        segments, kind = self.segments, self.kind
+        if not segments:
             raise GeometryError("defect needs at least one segment")
-        if any(s.kind is not self.kind for s in self.segments):
-            raise GeometryError("a defect cannot mix segment kinds")
-        for prev, cur in zip(self.segments, self.segments[1:]):
-            if prev.b != cur.a:
+        for seg in segments:
+            if seg.kind is not kind:
+                raise GeometryError("a defect cannot mix segment kinds")
+        for prev, cur in zip(segments, segments[1:]):
+            end, start = prev.b, cur.a
+            if end.i != start.i or end.j != start.j or end.t != start.t:
                 raise GeometryError("defect segments must chain end to end")
-        if self.closed and self.segments[-1].b != self.segments[0].a:
+        end, start = segments[-1].b, segments[0].a
+        if self.closed and (end.i != start.i or end.j != start.j or end.t != start.t):
             raise GeometryError("closed defect must return to its start")
 
     def vertices(self) -> list[Coord]:
@@ -457,13 +461,14 @@ def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
     """Same-kind segment pairs that touch anywhere except at legal shared joints.
 
     The touching pairs come from one t-sweep of ``spatial.SegmentIndex``
-    over the segment boxes. A pair from one defect is dropped when every
-    lattice point they share is a joint of that defect. Pairs are returned
-    in the order of the flattened segment list of ``defects`` then
-    ``connections``, earlier segment first.
+    over one box per span of ``spatial.segment_spans``, the encoder the code
+    distance and the slicer share. A pair from one defect is dropped when
+    every lattice point they share is a joint of that defect. Pairs are
+    returned in ``geometry.segments`` order, earlier segment first.
     """
     defects = geometry.defects + geometry.connections
-    index = SegmentIndex(defects)
+    index = SegmentIndex((line, lo, hi, [di]) for line, lo, hi, di in segment_spans(defects))
+    segments = geometry.segments
     joints: list[set[Coord]] = []
     for defect in defects:
         verts = defect.vertices()
@@ -485,5 +490,5 @@ def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
             ]
             if all(p in joints[owner] for p in meet):
                 continue
-        conflicts.append((index.segments[a], index.segments[b]))
+        conflicts.append((segments[a], segments[b]))
     return conflicts

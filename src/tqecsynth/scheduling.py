@@ -57,6 +57,9 @@ class BoxDim:
             raise SchedulingError("box state must be A or Y")
         if min(self.ispan, self.jspan, self.tspan) < 1:
             raise SchedulingError("box spans must be positive")
+        if self.ispan < 2:
+            raise SchedulingError("box i span must be at least 2 cells: a box needs two "
+                                  "distinct output pins, one at each i end")
         if max(self.ispan, self.jspan, self.tspan) > MAX_BOX_SPAN:
             raise SchedulingError(f"box spans must be at most {MAX_BOX_SPAN} cells")
 

@@ -1,8 +1,9 @@
 """Dense state-vector oracle for decomposition and ICM-conversion checks.
 
 Little-endian by row index: row r is tensor axis r. Capped at 12 qubits;
-teleportation blocks are verified per gate instance, so the cap is never a
-constraint in practice.
+``tqecsynth verify`` checks each teleportation template kind once, on one
+qubit, and reports that result for every gate instance of the kind, so the
+cap is never a constraint in practice.
 
 Every outcome branch of an ICM conversion is simulated at once by deferring
 its measurements: a measured row is never touched again, so its tensor axis

@@ -1,13 +1,14 @@
-"""Sort-and-sweep index over axis-aligned boxes of defect segments.
+"""Segment spans, their collinear runs, and a sort-and-sweep index over boxes.
 
-Every box is keyed by the index of a defect and by its kind: one box per
-segment, or one per maximal run of touching same-kind collinear segments
-(``collinear_runs``). A query sweeps the boxes of each kind in order of
-their lowest t, keeping the active ones (those still within the query
-radius in t) bucketed into square (i, j) cells. A box is expanded by half
-the radius before it is bucketed, so two boxes within the radius share at
-least one cell; the pair is visited only in the cell holding the lower
-(i, j) corner of their expanded overlap, hence exactly once.
+``segment_spans`` is the one encoder of segments as spans on lines that the
+code distance, the overlap check and the slicer share; ``collinear_runs``
+merges a line's touching spans, and ``SegmentIndex`` holds one box per span
+or run. A query sweeps the boxes of each kind in order of their lowest t,
+keeping the active ones (those still within the query radius in t)
+bucketed into square (i, j) cells. A box is expanded by half the radius
+before it is bucketed, so two boxes within the radius share at least one
+cell; the pair is visited only in the cell holding the lower (i, j)
+corner of their expanded overlap, hence exactly once.
 """
 from __future__ import annotations
 
@@ -16,12 +17,13 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 if TYPE_CHECKING:
-    from .geometry import Defect, Segment
+    from .geometry import Defect
 
 CELL = 16       # (i, j) bucket side, lattice units
 RADIUS = 8      # L1 gap, lattice units, of the code-distance neighbour query
 
 Box = tuple[int, int, int, int, int, int]   # i_lo, i_hi, j_lo, j_hi, t_lo, t_hi
+Line = tuple[str, int, int, int]            # kind, axis, and the two other coordinates
 K = TypeVar("K", bound=Hashable)
 T = TypeVar("T")
 
@@ -59,68 +61,51 @@ def collinear_runs(entries: Iterable[tuple[K, int, int, T]]
         yield line, run_lo, run_hi, items
 
 
-class SegmentIndex:
-    """Boxes of a defect list's segments, each with the defect that owns it."""
+def segment_spans(defects: Sequence[Defect]) -> Iterator[tuple[Line, int, int, int]]:
+    """Each segment as ``((kind, axis, u, v), lo, hi, defect)``, in segment order.
 
-    def __init__(self, defects: Sequence[Defect]) -> None:
-        """One box per segment, the segments flattened in order."""
-        self.segments: list[Segment] = []
-        self.owner: list[int] = []          # defect index of each box
-        self.boxes: list[Box] = []
-        kinds: list[str] = []
-        for di, defect in enumerate(defects):
-            for seg in defect.segments:
-                self.segments.append(seg)
-                self.owner.append(di)
-                self.boxes.append(seg.interval("i") + seg.interval("j") + seg.interval("t"))
-                kinds.append(defect.kind.value)
-        self._group(kinds)
-
-    @classmethod
-    def runs(cls, defects: Sequence[Defect]) -> SegmentIndex:
-        """One box per maximal run of same-kind segments on one line.
-
-        The runs are ``collinear_runs`` of the segments' spans, keyed by
-        kind, axis and the two other coordinates, so a run's segments lie
-        at most one unit apart. ``members`` lists the defects of each run's
-        segments and ``owner`` the first of them; ``segments`` is empty. A
-        run's lattice points are those of its segments, so the L1 gap from
-        any box to the run's box is its least gap to the run's segments.
-        """
-        def spans() -> Iterator[tuple[tuple, int, int, int]]:
-            for di, defect in enumerate(defects):
-                kind = defect.kind.value
-                for seg in defect.segments:
-                    a, b = seg.a, seg.b
-                    if a.i != b.i:
-                        line, lo, hi = (kind, 0, a.j, a.t), a.i, b.i
-                    elif a.j != b.j:
-                        line, lo, hi = (kind, 1, a.i, a.t), a.j, b.j
-                    else:
-                        line, lo, hi = (kind, 2, a.i, a.j), a.t, b.t
-                    yield (line, lo, hi, di) if lo < hi else (line, hi, lo, di)
-
-        index = cls([])    # empty, then filled with the runs
-        index.members: list[list[int]] = []
-        kinds: list[str] = []
-        for (kind, axis, u, v), lo, hi, members in collinear_runs(spans()):
-            if axis == 0:
-                box = (lo, hi, u, u, v, v)
-            elif axis == 1:
-                box = (u, u, lo, hi, v, v)
+    The one span encoder of the distance, overlap and slice scans: ``axis``
+    is 0, 1 or 2 along i, j or t, ``(u, v)`` the other two coordinates in
+    (i, j, t) order, ``lo <= hi`` the span and ``defect`` the index in
+    ``defects``; ``geometry.defects + geometry.connections`` gives the
+    order of ``geometry.segments``.
+    """
+    for di, defect in enumerate(defects):
+        kind = defect.kind.value
+        for seg in defect.segments:
+            a, b = seg.a, seg.b
+            if a.i != b.i:
+                line, lo, hi = (kind, 0, a.j, a.t), a.i, b.i
+            elif a.j != b.j:
+                line, lo, hi = (kind, 1, a.i, a.t), a.j, b.j
             else:
-                box = (u, u, v, v, lo, hi)
-            index.boxes.append(box)
-            index.owner.append(members[0])
-            index.members.append(members)
-            kinds.append(kind)
-        index._group(kinds)
-        return index
+                line, lo, hi = (kind, 2, a.i, a.j), a.t, b.t
+            yield (line, lo, hi, di) if lo < hi else (line, hi, lo, di)
 
-    def _group(self, kinds: list[str]) -> None:
+
+class SegmentIndex:
+    """One box per entry ``(line, lo, hi, members)`` made from ``segment_spans``.
+
+    The code distance indexes their ``collinear_runs``, each with the
+    defects of its segments as members; the overlap check indexes each span
+    alone, its defect the only member. ``owner`` holds each first member.
+    """
+
+    def __init__(self, entries: Iterable[tuple[Line, int, int, list[int]]]) -> None:
+        self.boxes: list[Box] = []
+        self.members: list[list[int]] = []     # defect indices of each box
+        self.owner: list[int] = []             # the first of them
         by_kind: dict[str, list[int]] = {}
-        for k, kind in enumerate(kinds):
-            by_kind.setdefault(kind, []).append(k)
+        for (kind, axis, u, v), lo, hi, members in entries:
+            by_kind.setdefault(kind, []).append(len(self.boxes))
+            if axis == 0:
+                self.boxes.append((lo, hi, u, u, v, v))
+            elif axis == 1:
+                self.boxes.append((u, u, lo, hi, v, v))
+            else:
+                self.boxes.append((u, u, v, v, lo, hi))
+            self.members.append(members)
+            self.owner.append(members[0])
         self.by_kind: list[list[int]] = list(by_kind.values())
 
     def pairs_within(self, radius: int) -> Iterator[tuple[int, int, int]]:

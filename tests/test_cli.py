@@ -334,6 +334,23 @@ def test_huge_box_span_exit_code(src_file, tmp_path, capsys, monkeypatch, comman
     assert err == "error: box spans must be at most 1000 cells\n"
 
 
+@pytest.mark.parametrize("command", ["synth", "metrics", "slice"])
+def test_one_cell_wide_box_exit_code(src_file, tmp_path, capsys, monkeypatch, command):
+    import tqecsynth.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    # both output pins of a one-cell-wide box would sit on one point
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    dims = tmp_path / "dims.json"
+    dims.write_text(json.dumps({"y": [1, 4, 8]}))
+    rc, out, err = run_cli(capsys, command, str(CIRCUITS / "p_gate.tq"), "--box-dims", str(dims))
+    assert rc == EXIT_PARSE and out == ""
+    assert err == ("error: box i span must be at least 2 cells: a box needs two distinct "
+                   "output pins, one at each i end\n")
+
+
 def test_largest_box_span_is_accepted():
     assert BoxDim(InitBasis.Y, MAX_BOX_SPAN, 1, MAX_BOX_SPAN).ispan == MAX_BOX_SPAN == 1000
 

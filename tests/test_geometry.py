@@ -10,7 +10,7 @@ from tqecsynth import geometry
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
 from tqecsynth.decompose import decompose_gates
 from tqecsynth.geometry import (
-    CapShape, Coord, GeometryError, LayoutParams, PortBasis, PortRole, Segment,
+    CapShape, Coord, Defect, GeometryError, LayoutParams, PortBasis, PortRole, Segment,
     SegmentKind, cnot_braid_template, generate_geometry, io_geometry,
     linking_number, segment_overlaps, validate_parity,
 )
@@ -81,6 +81,37 @@ def test_monotone_time_ordering():
         ts = {s.a.t for s in d.segments}
         assert len(ts) == 1
         assert t_in < ts.pop() < t_out
+
+
+def moved(p: Coord, axis: int, by: int) -> Coord:
+    coords = p.as_list()
+    coords[axis] += by
+    return Coord(*coords)
+
+
+@pytest.mark.parametrize("axis", range(3))
+def test_defect_checks_raise_their_own_messages_in_order(axis):
+    # each bad joint or loop end is off by two units along ``axis`` alone
+    P, D = SegmentKind.PRIMAL, SegmentKind.DUAL
+    w = (axis + 1) % 3
+    start = Coord(1, 1, 1)
+    turn = moved(start, w, 8)
+    off_turn, off_start = moved(turn, axis, 2), moved(start, axis, 2)
+    path = (Segment(P, start, turn), Segment(P, turn, off_turn),
+            Segment(P, off_turn, off_start))
+    broken = (Segment(P, start, turn), Segment(P, off_turn, off_start))
+    mixed = (Segment(P, start, turn), Segment(D, off_turn, off_start))
+    cases = [
+        ((), "defect needs at least one segment"),
+        (mixed, "a defect cannot mix segment kinds"),       # and a broken joint
+        (broken, "defect segments must chain end to end"),  # and not back at its start
+        (path, "closed defect must return to its start"),
+    ]
+    for segments, message in cases:
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            Defect(P, segments, closed=True)
+    assert Defect(P, path, closed=False).vertices()[-1] == off_start
+    assert Defect(P, path + (Segment(P, off_start, start),), closed=True).closed
 
 
 def test_braid_adjacent_rows_is_rectangle():

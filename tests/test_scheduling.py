@@ -142,6 +142,17 @@ def test_dims_invariant_a_wider_than_y():
         validate_dims(bad)
 
 
+@pytest.mark.parametrize("state", [InitBasis.Y, InitBasis.A])
+def test_box_one_cell_wide_is_refused(state):
+    # its two output pins, at i_lo and i_lo + 2 * (ispan - 1), would be one point
+    with pytest.raises(SchedulingError, match="i span must be at least 2 cells: .* two "
+                                              "distinct output pins"):
+        BoxDim(state, 1, 4, 8)
+    with pytest.raises(SchedulingError, match="box spans must be positive"):
+        BoxDim(state, 0, 4, 8)
+    assert BoxDim(state, 2, 1, 1).ispan == 2     # j and t spans may be one cell
+
+
 def test_homogeneous_empty():
     sched = homogeneous_schedule(0, InitBasis.Y, 1, DIMS, Region(), FACE_T)
     assert sched.boxes == []

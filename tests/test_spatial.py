@@ -1,4 +1,4 @@
-"""The t-sweep segment index against the brute-force reference scans."""
+"""The shared span model and the scans on it against the brute-force reference scans."""
 import random
 from pathlib import Path
 
@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scans as ref
-from tqecsynth.analysis import min_code_distance
+from tqecsynth.analysis import lattice_cells_for, min_code_distance, slice_layers
+from tqecsynth.cli import slice_lines
 from tqecsynth.geometry import (
     Coord, Defect, Geometry, LayoutParams, Segment, SegmentKind, segment_overlaps,
 )
 from tqecsynth.pipeline import PipelineConfig, run_pipeline
-from tqecsynth.spatial import RADIUS, SegmentIndex, collinear_runs
+from tqecsynth.spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
 
 CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
 
@@ -127,6 +128,30 @@ def test_collinear_runs_keep_first_seen_line_order():
         ((2,), 0, 2, ["c"]), ((2,), 7, 9, ["a"]), ((1,), 0, 1, ["b"]), ((1,), 5, 6, ["d"])]
 
 
+@pytest.mark.parametrize("a,b,span", [
+    ((3, 5, 7), (9, 5, 7), (("primal", 0, 5, 7), 3, 9)),    # along i: (u, v) = (j, t)
+    ((3, 5, 7), (3, 1, 7), (("primal", 1, 3, 7), 1, 5)),    # along j, reversed: (i, t)
+    ((3, 5, 7), (3, 5, 11), (("primal", 2, 3, 5), 7, 11)),  # along t: (i, j)
+])
+def test_segment_spans_encode_each_axis(a, b, span):
+    seg = Segment(SegmentKind.PRIMAL, Coord(*a), Coord(*b))
+    reverse = Segment(SegmentKind.PRIMAL, Coord(*b), Coord(*a))
+    defects = [Defect(SegmentKind.PRIMAL, (s,), closed=False) for s in (seg, reverse)]
+    assert list(segment_spans(defects)) == [(*span, 0), (*span, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_geometries())
+def test_segment_spans_follow_geometry_segments(geo):
+    defects = geo.defects + geo.connections
+    spans = list(segment_spans(defects))
+    owners = [di for di, defect in enumerate(defects) for _ in defect.segments]
+    assert [di for *_, di in spans] == owners
+    for seg, ((kind, axis, u, v), lo, hi, di) in zip(geo.segments, spans, strict=True):
+        assert kind == seg.kind.value == defects[di].kind.value and lo <= hi
+        assert {on_line(axis, u, v, lo), on_line(axis, u, v, hi)} == {seg.a, seg.b}
+
+
 def test_run_index_holds_one_box_per_run_with_its_defects():
     # primal legs of four defects on the line j = 1, t = 1: i 1..9 and
     # 5..13 overlap, 14..20 starts one unit past them and 22..25 two units
@@ -134,14 +159,46 @@ def test_run_index_holds_one_box_per_run_with_its_defects():
     def leg(kind, i0, i1):
         return Defect(kind, (Segment(kind, Coord(i0, 1, 1), Coord(i1, 1, 1)),), closed=False)
 
-    index = SegmentIndex.runs([
+    index = SegmentIndex(collinear_runs(segment_spans([
         leg(SegmentKind.PRIMAL, 1, 9), leg(SegmentKind.PRIMAL, 13, 5),
         leg(SegmentKind.DUAL, 2, 4), leg(SegmentKind.PRIMAL, 22, 25),
-        leg(SegmentKind.PRIMAL, 14, 20)])
+        leg(SegmentKind.PRIMAL, 14, 20)])))
     assert index.boxes == [(1, 20, 1, 1, 1, 1), (22, 25, 1, 1, 1, 1), (2, 4, 1, 1, 1, 1)]
     assert index.members == [[0, 1, 4], [3], [2]]
     assert index.owner == [0, 3, 2]
     assert sorted(index.pairs_within(RADIUS)) == [(0, 1, 2)]
+
+
+def shifted(geo: Geometry) -> Geometry:
+    """``geo`` moved along the diagonal to non-negative coordinates, as the slicer needs."""
+    d = -min(0, min(min(p.as_list()) for seg in geo.segments for p in (seg.a, seg.b)))
+
+    def move(defect: Defect) -> Defect:
+        segs = tuple(Segment(s.kind, Coord(s.a.i + d, s.a.j + d, s.a.t + d),
+                             Coord(s.b.i + d, s.b.j + d, s.b.t + d)) for s in defect.segments)
+        return Defect(defect.kind, segs, defect.closed, defect.diameter)
+
+    return bare_geometry(map(move, geo.defects), map(move, geo.connections))
+
+
+def assert_slices_match_reference(geo: Geometry) -> None:
+    geo = shifted(geo)
+    cells = lattice_cells_for(geo)
+    assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
+    assert ref.expand_stream(b"".join(slice_lines(geo, cells))) == ref.slice_stream(geo, cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_geometries())
+def test_slices_match_reference(geo):
+    assert_slices_match_reference(geo)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_line_geometries())
+def test_slices_match_reference_on_shared_lines(geo):
+    # primal and dual legs may share a line here, and a line is keyed by kind
+    assert_slices_match_reference(geo)
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,7 +211,8 @@ def test_min_code_distance_matches_reference_on_shared_lines(geo):
 @given(small_geometries(), st.integers(0, 20))
 def test_pairs_within_matches_all_pairs(geo, radius):
     segs = geo.segments
-    index = SegmentIndex(geo.defects + geo.connections)
+    index = SegmentIndex((line, lo, hi, [di])
+                         for line, lo, hi, di in segment_spans(geo.defects + geo.connections))
     want = sorted(
         (a, b, ref.segment_gap(segs[a], segs[b]))
         for a in range(len(segs)) for b in range(a + 1, len(segs))
