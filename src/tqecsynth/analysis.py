@@ -46,7 +46,7 @@ def code_distance(d_f: int, separation: int) -> int:
 
 
 def min_code_distance(geometry: Geometry) -> DistanceReport:
-    """Measure d_f and the closest same-kind defect gap of a geometry.
+    """Measure the closest same-kind defect gap of a geometry.
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
@@ -68,7 +68,7 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
         raise AnalysisError("geometry has no defects")
-    d_f = min(d.diameter for d in defects)
+    d_f = 1   # _stamps and export_obj draw every defect one cell thick
 
     parent = list(range(len(defects)))
 

@@ -103,7 +103,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     Explicit spare counts select the explicit policy, which ignores
     ``spare_epsilon``."""
     settings: dict = {}
-    if args.config:
+    if args.config is not None:   # an empty path is opened too, and fails
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = json.load(fh)
         if not isinstance(settings, dict):
@@ -130,7 +130,7 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     spares = (SparePolicy("explicit", **counts) if counts
               else SparePolicy(**given(epsilon="spare_epsilon")))
     config = given(success_rate="success_rate", seed="seed", cube_side="distance")
-    if settings.get("box_dims"):
+    if "box_dims" in settings:
         config["box_dims"] = default_box_dims() | _load_box_dims(settings["box_dims"])
     return PipelineConfig(spares=spares, **config)
 
@@ -141,8 +141,8 @@ def _read_source(path: str) -> str:
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """Binary handle for ``out``: the file, or stdout when unset or '-'."""
-    if not out or out == "-":
+    """Binary handle for ``out``: stdout when unset or '-', else the file (opening '' fails)."""
+    if out is None or out == "-":
         yield sys.stdout.buffer
     else:
         with open(out, "wb") as fh:
@@ -152,9 +152,10 @@ def _output(out: str | None):
 def cmd_synth(args: argparse.Namespace) -> int:
     result = run_pipeline(_read_source(args.source), build_config(args))
     formats = args.format or ["json"]
-    out = None if args.out == "-" else args.out
+    out = args.out
     for fmt in formats:
-        path = out if not out or len(formats) == 1 else f"{out}.{fmt}"
+        # '-' is stdout and '' is refused, with one format or several
+        path = out if out in (None, "-", "") or len(formats) == 1 else f"{out}.{fmt}"
         with _output(path) as fh:
             if fmt == JSON_FORMAT:
                 _write_runs(fh, document_pieces(result))

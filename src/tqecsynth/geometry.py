@@ -84,7 +84,6 @@ class Defect:
     kind: SegmentKind
     segments: tuple[Segment, ...]
     closed: bool
-    diameter: int = 1  # cells
 
     def __post_init__(self) -> None:
         segments, kind = self.segments, self.kind

@@ -1,9 +1,10 @@
 """Dense state-vector oracle for decomposition and ICM-conversion checks.
 
-Little-endian by row index: row r is tensor axis r. Capped at 12 qubits;
-``tqecsynth verify`` checks each teleportation template kind once, on one
-qubit, and reports that result for every gate instance of the kind, so the
-cap is never a constraint in practice.
+Little-endian by row index: row r is tensor axis r, and logical qubits bind
+to rows through ``_ends`` alone, a conversion's by its ``qubit_rows``.
+Capped at 12 qubits; ``tqecsynth verify`` checks each teleportation
+template kind once, on one qubit, and reports that result for every gate
+instance of the kind, so the cap is never a constraint in practice.
 
 Every outcome branch of an ICM conversion is simulated at once by deferring
 its measurements: a measured row is never touched again, so its tensor axis
@@ -115,21 +116,32 @@ def apply_cnot(state: np.ndarray, *qubits: int) -> np.ndarray:
     return out
 
 
+def _ends(side: Circuit | IcmConversion) -> tuple[Circuit, list[int], list[int]]:
+    """A side's circuit and, in qubit order, the rows of its open logical
+    inputs and of its logical outputs: a plain circuit's qubits, or a
+    conversion's ``qubit_rows``, whatever order its rows are in."""
+    circ, ends = ((side, [(q, q) for q in range(side.qubit_count)])
+                  if isinstance(side, Circuit) else (side.circuit, side.qubit_rows))
+    return circ, [r for r, _ in ends if circ.inits[r] is InitBasis.OPEN], [r for _, r in ends]
+
+
 def assemble_state(
-    n: int,
     inits: tuple[InitBasis, ...],
+    open_rows: list[int],
     inputs: np.ndarray | None,
     conjugate_rows: frozenset[int] = frozenset(),
 ) -> np.ndarray:
     """Tensor fixed initialisations with each trial's open-input state.
 
-    ``inputs`` holds the k open rows' amplitudes, one trial per column:
-    shape (2**k, T), and a single state of 2**k amplitudes is one trial.
-    Returns the (2,)*n + (T,) tensor, row r on axis r. Without open rows
-    ``inputs`` is not read and there is one trial.
+    ``open_rows`` holds each open logical input's row in qubit order, as
+    ``_ends`` reads it from ``qubit_rows``, and ``inputs`` their amplitudes,
+    one trial per column: shape (2**k, T), and a single state of 2**k
+    amplitudes is one trial. Returns the (2,)*n + (T,) tensor over the rows
+    of ``inits``, row r on axis r. Without open rows ``inputs`` is not read
+    and there is one trial.
     """
-    open_rows = [r for r in range(n) if inits[r] is InitBasis.OPEN]
-    fixed_rows = [r for r in range(n) if inits[r] is not InitBasis.OPEN]
+    n = len(inits)
+    fixed_rows = [r for r in range(n) if r not in open_rows]
     k = len(open_rows)
     if k:
         if inputs is None:
@@ -194,7 +206,7 @@ def simulate_plain(circ: Circuit, inputs: np.ndarray | None = None) -> np.ndarra
     """
     if any(b is not MeasBasis.OPEN for b in circ.meas):
         raise ValueError("plain simulation requires open outputs")
-    state = assemble_state(circ.qubit_count, circ.inits, inputs)
+    state = assemble_state(circ.inits, _ends(circ)[1], inputs)
     for g in circ.gates:
         if g.kind in (GateKind.CNOT, GateKind.TOFFOLI):
             state = apply_cnot(state, *g.qubits)
@@ -230,20 +242,20 @@ def _steps(conv: IcmConversion) -> list[tuple]:
 
     A step is ``("cnot", control, target)`` or a measurement ``(row, basis,
     instance, position)``: each block measures the rows of its first pattern
-    right after its last CNOT, and every other measured row follows the
-    gates with ``instance`` None.
+    right after its last CNOT, and each measured logical output follows the
+    gates in qubit order, with ``instance`` None.
     """
+    circ, _, outputs = _ends(conv)
     blocks = {max(inst.cnot_slots): inst for inst in conv.instances}
     steps: list[tuple] = []
-    for gi, g in enumerate(conv.circuit.gates):
+    for gi, g in enumerate(circ.gates):
         steps.append(("cnot", *g.qubits))
         inst = blocks.get(gi)
         if inst is not None:
             steps.extend((inst.rows[loc], basis, inst, pos) for pos, (loc, basis)
                          in enumerate(inst.template.measurement_patterns[0]))
-    done = {step[0] for step in steps if step[0] != "cnot"}
-    steps.extend((row, basis, None, 0) for row, basis in enumerate(conv.circuit.meas)
-                 if basis is not MeasBasis.OPEN and row not in done)
+    steps.extend((row, circ.meas[row], None, 0) for row in outputs
+                 if circ.meas[row] is not MeasBasis.OPEN)
     return steps
 
 
@@ -277,10 +289,6 @@ def _axis_bits(ndim: int, row: int) -> np.ndarray:
     return np.arange(2, dtype=np.uint8).reshape((1,) * row + (2,) + (1,) * (ndim - row - 1))
 
 
-def _output_rows(conv: IcmConversion) -> list[int]:
-    return [r for _, r in conv.qubit_rows if conv.circuit.meas[r] is MeasBasis.OPEN]
-
-
 class _Branches(NamedTuple):
     """Every outcome branch of a conversion for every trial at once.
 
@@ -311,11 +319,11 @@ class _Branches(NamedTuple):
 def _deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
     """Every outcome branch of ``conv`` for every trial of ``inputs`` (as for
     :func:`assemble_state`) in one pass over the (2,)*n + (T,) tensor."""
-    circ = conv.circuit
+    circ, open_rows, _ = _ends(conv)
     n = circ.qubit_count
     if n > QUBIT_BUDGET:
         raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
-    state = assemble_state(n, circ.inits, inputs, _conjugate_rows(conv))
+    state = assemble_state(circ.inits, open_rows, inputs, _conjugate_rows(conv))
     no_flip = np.zeros((1,) * (n + 1), dtype=np.uint8)
     x, z = [no_flip] * n, [no_flip] * n
     weight = np.sum(np.abs(state) ** 2, axis=tuple(range(n)), keepdims=True)
@@ -399,7 +407,8 @@ def _trial_outputs(conv: IcmConversion,
     run = _deferred(conv, inputs)
     state = run.state
     n = state.ndim - 1
-    rows = _output_rows(conv)
+    circ, _, outputs = _ends(conv)
+    rows = [r for r in outputs if circ.meas[r] is MeasBasis.OPEN]
     for r in rows:
         state = np.where(run.z[r] & _axis_bits(n + 1, r), -state, state)
         state = np.where(run.x[r], np.flip(state, r), state)
@@ -429,15 +438,6 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
         v = v / np.linalg.norm(v)
         state = np.multiply.outer(state, v)
     return state
-
-
-def _logical_ends(side: Circuit | IcmConversion) -> tuple[list[InitBasis], list[MeasBasis]]:
-    """Each logical qubit's initialisation and final measurement basis."""
-    if isinstance(side, Circuit):
-        return list(side.inits), list(side.meas)
-    circ = side.circuit
-    return ([circ.inits[r] for r, _ in side.qubit_rows],
-            [circ.meas[r] for _, r in side.qubit_rows])
 
 
 def _outputs(side: Circuit | IcmConversion,
@@ -471,18 +471,18 @@ def check_equivalence(
     """
     if trials < 1:
         raise ValueError("trials must be a positive integer")
+    sides = [_ends(a), _ends(b)]
     arity = []
-    for inits, meas in map(_logical_ends, (a, b)):
-        measured = [q for q, basis in enumerate(meas) if basis is not MeasBasis.OPEN]
+    for circ, inputs, outputs in sides:
+        measured = [q for q, r in enumerate(outputs) if circ.meas[r] is not MeasBasis.OPEN]
         if measured:
             raise ValueError(f"logical qubit {measured[0]} has a measured output; "
                              "only open outputs can be compared")
-        arity.append((inits.count(InitBasis.OPEN), len(meas)))
+        arity.append((len(inputs), len(outputs)))
     if arity[0] != arity[1]:
         raise ValueError(f"open-arity mismatch: {arity[0]} vs {arity[1]}")
     n_in, n_out = arity[0]
-    size_a = a.qubit_count if isinstance(a, Circuit) else a.circuit.qubit_count
-    size_b = b.qubit_count if isinstance(b, Circuit) else b.circuit.qubit_count
+    size_a, size_b = (circ.qubit_count for circ, _, _ in sides)
     if max(size_a, size_b) > QUBIT_BUDGET:
         raise ValueError(f"qubit budget {QUBIT_BUDGET} exceeded")
 

@@ -48,9 +48,8 @@ from tqecsynth.matrix import CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _ter
 from tqecsynth.pipeline import PipelineResult
 from tqecsynth.scheduling import RNG_ALGORITHM, BoxInstance, Connection, Region
 from tqecsynth.sim import (
-    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, _logical_ends,
-    apply_1q, apply_cnot, assemble_state, branch_outputs, random_product_state,
-    simulate_plain,
+    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, apply_1q,
+    apply_cnot, assemble_state, branch_outputs, random_product_state, simulate_plain,
 )
 
 #: Most outcome strings ``run_branches`` replays; a test that needs more
@@ -74,7 +73,7 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
         raise AnalysisError("geometry has no defects")
-    d_f = min(d.diameter for d in defects)
+    d_f = 1   # every defect is sliced and exported one cell thick
 
     parent = list(range(len(defects)))
 
@@ -554,11 +553,20 @@ def _measure(state, axis, basis, next_bit):
     return out, m
 
 
+def open_input_rows(side) -> list[int]:
+    """The row of each open logical input, in qubit order: a plain
+    circuit's qubits, a conversion's input rows from ``qubit_rows``."""
+    if isinstance(side, Circuit):
+        return list(side.open_inputs())
+    return [r for r, _ in side.qubit_rows if side.circuit.inits[r] is InitBasis.OPEN]
+
+
 def simulate_icm(conv: IcmConversion, input_state, next_bit) -> SimResult:
     """One branch of ``conv``, its outcomes drawn from ``next_bit(p_one)``."""
     circ = conv.circuit
     n = circ.qubit_count
-    state = assemble_state(n, circ.inits, input_state, _conjugate_rows(conv))[..., 0]
+    state = assemble_state(circ.inits, open_input_rows(conv), input_state,
+                           _conjugate_rows(conv))[..., 0]
     x = bytearray(n)
     z = bytearray(n)
     log: list[MeasurementEvent] = []
@@ -603,7 +611,8 @@ def simulate_icm(conv: IcmConversion, input_state, next_bit) -> SimResult:
                 x[out] ^= e2 ^ e3
                 z[out] ^= e1 ^ e4
 
-    for row in range(n):
+    # measured logical outputs, in qubit order
+    for _, row in conv.qubit_rows:
         if row not in measured and circ.meas[row] in (MeasBasis.Z, MeasBasis.X):
             do_measure(row, circ.meas[row])
 
@@ -648,7 +657,7 @@ def _outputs(side, inp) -> np.ndarray:
 def check_equivalence(a, b, trials: int = 8, seed: int = 7) -> float:
     """Maximum infidelity, one trial at a time: draw the input, run both
     sides on it alone and score every pair of their branches."""
-    n_in = _logical_ends(a)[0].count(InitBasis.OPEN)
+    n_in = len(open_input_rows(a))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):

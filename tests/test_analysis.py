@@ -26,9 +26,9 @@ def bare_geometry(defects, **kw) -> Geometry:
                     ioports=(), layout=LayoutParams(), **kw)
 
 
-def strand(kind, i, j, t0, t1, diameter=1):
+def strand(kind, i, j, t0, t1):
     seg = Segment(kind, Coord(i, j, t0), Coord(i, j, t1))
-    return Defect(kind, (seg,), closed=False, diameter=diameter)
+    return Defect(kind, (seg,), closed=False)
 
 
 def ring(kind, t, i0, i1, j0, j1):

@@ -74,6 +74,33 @@ def test_synth_out_dash_writes_every_format_to_stdout(monkeypatch, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", ""],
+    ["synth", "--out", "", "--format", "json", "--format", "obj"],
+    ["slice", "--out", ""],
+])
+def test_empty_out_path_is_refused(monkeypatch, tmp_path, capsys, argv):
+    # an empty path is not stdout, and with several formats it must not
+    # become '.json' and '.obj' either
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    rc, out, err = run_cli(capsys, command, str(CIRCUITS / "t_gate.tq"), *flags)
+    assert rc == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "''" in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_slice_out_dash_writes_to_stdout(monkeypatch, tmp_path, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    path = str(CIRCUITS / "t_gate.tq")
+    assert main(["slice", path]) == EXIT_OK
+    want = capsysbinary.readouterr().out
+    assert main(["slice", path, "--out", "-"]) == EXIT_OK
+    assert capsysbinary.readouterr().out == want
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_one_parser_serves_every_call_after_an_argparse_error(tmp_path, capsysbinary):
     path = str(CIRCUITS / "t_gate.tq")
     calls = [
@@ -367,6 +394,10 @@ BAD_INPUTS = {
     "non-utf8-source": ["latin1.tq"],
     "missing-box-dims": ["p.tq", "--box-dims", "missing.json"],
     "missing-config": ["p.tq", "--config", "missing.json"],
+    # an empty path is a path that names no file, not an unset one
+    "empty-box-dims": ["p.tq", "--box-dims", ""],
+    "empty-config": ["p.tq", "--config", ""],
+    "config-empty-box-dims": ["p.tq", "--config", "cfg_empty_dims.json"],
     "malformed-config": ["p.tq", "--config", "bad.json"],
     "unknown-box-dims-key": ["p.tq", "--box-dims", "dims_q.json"],
     "two-span-box-dims": ["p.tq", "--box-dims", "dims_short.json"],
@@ -387,6 +418,7 @@ CONFIG_FILES = {
     "cfg_spares.json": {"spares_y": "3"},
     "cfg_seed.json": {"seed": "1"},
     "cfg_dims.json": {"box_dims": 5},
+    "cfg_empty_dims.json": {"box_dims": ""},
     "cfg_distance.json": {"distance": True},
     "cfg_negative_seed.json": {"seed": -1},
     "cfg_unknown.json": {"sed": 1},

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_scans as ref
 from conftest import gate_circuits
@@ -11,7 +12,7 @@ from tqecsynth.circuit import (
     Circuit, Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, parse_circuit,
 )
 from tqecsynth.decompose import decompose_gates, toffoli_sequence
-from tqecsynth.icm import to_icm
+from tqecsynth.icm import IcmConversion, TemplateInstance, to_icm
 from tqecsynth import sim
 from tqecsynth.sim import (
     H_MATRIX, QUBIT_BUDGET, TOFFOLI_MATRIX, MeasurementEvent,
@@ -216,7 +217,7 @@ def assert_branch_outputs_match_walk(conv, inp):
              for r in want_branches]
     run = sim._deferred(conv, inp)
     assert order == np.flatnonzero(run.by_branch(run.feasible)).tolist()
-    rows = sim._output_rows(conv)
+    rows = [r for r in sim._ends(conv)[2] if conv.circuit.meas[r] is MeasBasis.OPEN]
     want = np.array([r.frame_corrected(rows).reshape(-1) for r in want_branches])
     # The replay renormalises by 1 - p at every measurement, so its norms
     # drift by up to about 1e-12; compare directions.
@@ -501,14 +502,17 @@ def test_assemble_state_trial_axis():
     inits = (InitBasis.OPEN, InitBasis.ZERO, InitBasis.OPEN)
     rng = np.random.default_rng(9)
     inputs = np.stack([random_product_state(2, rng).reshape(-1) for _ in range(3)], axis=1)
-    batch = sim.assemble_state(3, inits, inputs)
-    assert batch.shape == (2, 2, 2, 3)
-    for t in range(3):
-        np.testing.assert_array_equal(batch[..., t], sim.assemble_state(3, inits, inputs[:, t])[..., 0])
-        # row 1 is |0>; rows 0 and 2 carry the open input in row order
-        np.testing.assert_array_equal(batch[:, 1, :, t], 0)
-        np.testing.assert_array_equal(batch[:, 0, :, t], inputs[:, t].reshape(2, 2))
-    closed = sim.assemble_state(1, (InitBasis.PLUS,), None)
+    for rows in ([0, 2], [2, 0]):
+        batch = sim.assemble_state(inits, rows, inputs)
+        assert batch.shape == (2, 2, 2, 3)
+        for t in range(3):
+            np.testing.assert_array_equal(batch[..., t],
+                                          sim.assemble_state(inits, rows, inputs[:, t])[..., 0])
+            # row 1 is |0>; input qubit p goes onto rows[p], whatever their order
+            np.testing.assert_array_equal(batch[:, 1, :, t], 0)
+            want = inputs[:, t].reshape(2, 2)
+            np.testing.assert_array_equal(batch[:, 0, :, t], want if rows == [0, 2] else want.T)
+    closed = sim.assemble_state((InitBasis.PLUS,), [], None)
     assert closed.shape == (2, 1)
 
 
@@ -557,3 +561,77 @@ def test_blocked_scores_match_trial_loop_between_conversions(k):
         assert assert_matches_trial_loop(conv, conv, 2, seed) < TOL
         assert assert_matches_trial_loop(conv, wrong, 2, seed) > 1e-3
         assert assert_matches_trial_loop(wrong, conv, 2, seed) > 1e-3
+
+
+# -- relabelled rows: qubit_rows alone binds logical qubits to rows -----------
+
+def relabel(conv: IcmConversion, perm: list[int]) -> IcmConversion:
+    """``conv`` with row r renamed ``perm[r]`` throughout: the circuit's
+    inits, measurements and CNOTs, each instance's rows and ``qubit_rows``."""
+    circ = conv.circuit
+    inits, meas = [None] * circ.qubit_count, [None] * circ.qubit_count
+    for r, new in enumerate(perm):
+        inits[new], meas[new] = circ.inits[r], circ.meas[r]
+    gates = tuple(Gate(g.kind, tuple(perm[q] for q in g.qubits)) for g in circ.gates)
+    instances = tuple(TemplateInstance(inst.kind, inst.qubit, tuple(perm[r] for r in inst.rows),
+                                       inst.cnot_slots) for inst in conv.instances)
+    return IcmConversion(Circuit(circ.qubit_count, tuple(inits), gates, tuple(meas), icm=True),
+                         instances, tuple((perm[a], perm[b]) for a, b in conv.qubit_rows))
+
+
+def assert_relabel_invariant(circ, conv, perm, trials=2):
+    """The relabelled conversion verifies as the original does, and gives
+    its branches in the same order with the same output vectors."""
+    moved = relabel(conv, perm)
+    if all(b is MeasBasis.OPEN for b in circ.meas):   # measured outputs are not compared
+        assert check_equivalence(circ, moved, trials=trials) <= TOL
+    inp = random_product_state(len(circ.open_inputs()), np.random.default_rng(17))
+    want = branch_outputs(conv, inp)
+    got = branch_outputs(moved, inp)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return moved
+
+
+def reorders_inputs(conv, perm) -> bool:
+    rows = [r for r, _ in conv.qubit_rows if conv.circuit.inits[r] is InitBasis.OPEN]
+    moved = [perm[r] for r in rows]
+    return moved != sorted(moved)
+
+
+@settings(max_examples=25, deadline=None)
+@given(gate_circuits(max_qubits=3, max_gates=4), st.data())
+def test_relabelled_rows_verify_the_same(circ, data):
+    conv = to_icm(decompose_gates(circ))
+    n = conv.circuit.qubit_count
+    if n > 12:
+        return
+    # the drawn order, and the reversed one: it reorders every pair of input rows
+    for perm in (data.draw(st.permutations(range(n))), list(range(n))[::-1]):
+        assert_relabel_invariant(circ, conv, perm)
+    if len(circ.open_inputs()) > 1:
+        assert reorders_inputs(conv, list(range(n))[::-1])
+
+
+@pytest.mark.parametrize("s", range(3))
+def test_shuffled_rows_verify_the_same(s):
+    # 5 rows, three of them open inputs; each shuffle changes their order
+    circ = parse_circuit("qubits 3\np 0\nv 1\ncnot 2 0\n")
+    conv = to_icm(circ)
+    assert conv.circuit.qubit_count == 5
+    perm = list(range(5))
+    random.Random(s).shuffle(perm)
+    assert reorders_inputs(conv, perm)
+    assert_relabel_invariant(circ, conv, perm, trials=3)
+
+
+def test_relabelled_rows_keep_measured_outputs_in_qubit_order():
+    # two measured logical outputs: the reversal swaps their rows' order,
+    # and branches still come in qubit order, as the replay gives them
+    circ = parse_circuit("qubits 2\nmeasure 0 z\nmeasure 1 x\nt 0\ncnot 0 1\nvdg 1\n")
+    conv = to_icm(decompose_gates(circ))
+    perm = list(range(conv.circuit.qubit_count))[::-1]
+    moved = assert_relabel_invariant(circ, conv, perm)
+    inp = random_product_state(2, np.random.default_rng(4))
+    assert len(assert_branch_outputs_match_walk(moved, inp)) == 256
+    assert len(assert_walk_matches_replay(moved, inp)) == 256

@@ -52,7 +52,7 @@ def chains(draw):
         closed = False
     coords = [Coord(*p) for p in pts]
     segs = tuple(Segment(kind, a, b) for a, b in zip(coords, coords[1:]))
-    return Defect(kind, segs, closed=closed, diameter=draw(st.integers(1, 2)))
+    return Defect(kind, segs, closed=closed)
 
 
 @st.composite
@@ -94,7 +94,7 @@ def shared_line_geometries(draw):
                 draw(st.integers(1, 5)) * draw(st.sampled_from([-1, 1])))
             ends.append(Coord(*turn))
         segs = tuple(Segment(kind, a, b) for a, b in zip(ends, ends[1:]))
-        defects.append(Defect(kind, segs, closed=False, diameter=draw(st.integers(1, 2))))
+        defects.append(Defect(kind, segs, closed=False))
     defects += draw(st.lists(chains(), max_size=2))
     split = draw(st.integers(0, len(defects)))
     return bare_geometry(defects[:split], defects[split:])
@@ -176,7 +176,7 @@ def shifted(geo: Geometry) -> Geometry:
     def move(defect: Defect) -> Defect:
         segs = tuple(Segment(s.kind, Coord(s.a.i + d, s.a.j + d, s.a.t + d),
                              Coord(s.b.i + d, s.b.j + d, s.b.t + d)) for s in defect.segments)
-        return Defect(defect.kind, segs, defect.closed, defect.diameter)
+        return Defect(defect.kind, segs, defect.closed)
 
     return bare_geometry(map(move, geo.defects), map(move, geo.connections))
 
