@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
+
 from .geometry import CapShape, Coord, Geometry
 from .spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
 
@@ -50,20 +52,20 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only. The t-sweep index (``spatial.SegmentIndex``)
-    holds one box per ``spatial.collinear_runs`` run of the segments'
-    ``spatial.segment_spans``, the spans the overlap check and ``_stamps``
-    read too, so route legs laid over one another are one box. A run's
-    segments lie less than a cell apart, so its defects merge up front. The
-    merge is exact: with integer coordinates a run's lattice points are its
-    segments' points, so the gap from any box to the run is its least gap
-    to the run's segments. One query of the sweep yields every run pair
-    within ``spatial.RADIUS`` lattice units: the pairs less than a cell
-    apart merge their defects, and the closest of the others in different
-    components gives the separation. If no such pair lies that close, the
-    radius widens until one is found or it reaches the L1 extent of the
-    ``bounding_box``, which no gap exceeds, so the result equals a scan
-    over all segment pairs.
+    connected components only. The sort-and-sweep index
+    (``spatial.SegmentIndex``) holds one box per ``spatial.collinear_runs``
+    run of the segments' ``spatial.segment_spans``, the spans the overlap
+    check and ``_stamps`` read too, so route legs laid over one another are
+    one box. A run's segments lie less than a cell apart, so its defects
+    merge up front. The merge is exact: with integer coordinates a run's
+    lattice points are its segments' points, so the gap from any box to the
+    run is its least gap to the run's segments. One query yields, as
+    arrays, every run pair within ``spatial.RADIUS`` lattice units: the
+    pairs less than a cell apart merge their defects, and the closest of
+    the others in different components gives the separation. If no such
+    pair lies that close, the radius widens until one is found or it
+    reaches the L1 extent of the ``bounding_box``, which no gap exceeds, so
+    the result equals a scan over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -83,27 +85,26 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
         for other in rest:
             parent[find(other)] = find(first)
     owner = index.owner
-    # The defect pairs of each gap above one, flat: a, b, a, b, ...
-    near: list[list[int]] = [[] for _ in range(RADIUS + 1)]
-    for a, b, gap in index.pairs_within(RADIUS):
-        if gap <= 1:
-            parent[find(owner[a])] = find(owner[b])
-        elif owner[a] != owner[b]:
-            near[gap] += owner[a], owner[b]
+    a, b, gap = index.pairs_within(RADIUS)
+    for x, y in zip(owner[a[gap <= 1]].tolist(), owner[b[gap <= 1]].tolist()):
+        parent[find(x)] = find(y)
 
     roots = {(d.kind, find(k)) for k, d in enumerate(defects)}
     if len(roots) == len({kind for kind, _ in roots}):
         return DistanceReport.from_params(d_f, None)   # one component per kind
-    best = next((gap for gap, ends in enumerate(near)
-                 if any(find(a) != find(b) for a, b in zip(ends[::2], ends[1::2]))), None)
+    root = np.array([find(k) for k in range(len(defects))])[owner]   # of each box
+
+    def closest(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> int | None:
+        apart = gap[root[a] != root[b]]
+        return int(apart.min()) if apart.size else None
+
+    best = closest(a, b, gap)
     if best is None:
-        root = [find(k) for k in owner]
         bbox = bounding_box(geometry)
         radius, span = RADIUS, sum(bbox.hi.as_list()) - sum(bbox.lo.as_list())
         while best is None and radius < span:
             radius *= 4
-            best = min((gap for a, b, gap in index.pairs_within(radius)
-                        if root[a] != root[b]), default=None)
+            best = closest(*index.pairs_within(radius))
     return DistanceReport.from_params(d_f, None if best is None else best // 2)
 
 

@@ -21,7 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .circuit import InitBasis, MeasBasis
 from .icm import cnot_spans
@@ -459,11 +462,13 @@ def linking_number(loop: Sequence[Segment], strand: Sequence[Segment]) -> int:
 def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
     """Same-kind segment pairs that touch anywhere except at legal shared joints.
 
-    The touching pairs come from one t-sweep of ``spatial.SegmentIndex``
-    over one box per span of ``spatial.segment_spans``, the encoder the code
-    distance and the slicer share. A pair from one defect is dropped when
-    every lattice point they share is a joint of that defect. Pairs are
-    returned in ``geometry.segments`` order, earlier segment first.
+    The touching pairs come from one radius-0 query of
+    ``spatial.SegmentIndex`` over one box per span of
+    ``spatial.segment_spans``, the encoder the code distance and the slicer
+    share. Only a pair from one defect is looked at point by point: it is
+    dropped when every lattice point they share is a joint of that defect.
+    Pairs are returned in ``geometry.segments`` order, earlier segment
+    first.
     """
     defects = geometry.defects + geometry.connections
     index = SegmentIndex((line, lo, hi, [di]) for line, lo, hi, di in segment_spans(defects))
@@ -474,20 +479,14 @@ def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
         joints.append(set(verts[1:-1]))
         if defect.closed:
             joints[-1].add(verts[0])
-    conflicts: list[tuple[Segment, Segment]] = []
-    for a, b, _ in sorted(index.pairs_within(0)):
-        box_a, box_b = index.boxes[a], index.boxes[b]
-        owner = index.owner[a]
-        if owner == index.owner[b]:
-            lo = [max(box_a[k], box_b[k]) for k in (0, 2, 4)]
-            hi = [min(box_a[k], box_b[k]) for k in (1, 3, 5)]
-            meet = [
-                Coord(i, j, t)
-                for i in range(lo[0], hi[0] + 1)
-                for j in range(lo[1], hi[1] + 1)
-                for t in range(lo[2], hi[2] + 1)
-            ]
-            if all(p in joints[owner] for p in meet):
-                continue
-        conflicts.append((segments[a], segments[b]))
-    return conflicts
+    a, b, _ = index.pairs_within(0)
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    keep = np.ones(len(a), dtype=bool)
+    same = np.flatnonzero(index.owner[a] == index.owner[b])
+    for k, box_a, box_b, di in zip(same.tolist(), index.boxes[a[same]].tolist(),
+                                   index.boxes[b[same]].tolist(), index.owner[a[same]].tolist()):
+        meet = product(*(range(max(box_a[x], box_b[x]), min(box_a[x + 1], box_b[x + 1]) + 1)
+                         for x in (0, 2, 4)))
+        keep[k] = not all(Coord(*p) in joints[di] for p in meet)
+    return [(segments[x], segments[y]) for x, y in zip(a[keep].tolist(), b[keep].tolist())]

@@ -3,26 +3,28 @@
 ``segment_spans`` is the one encoder of segments as spans on lines that the
 code distance, the overlap check and the slicer share; ``collinear_runs``
 merges a line's touching spans, and ``SegmentIndex`` holds one box per span
-or run. A query sweeps the boxes of each kind in order of their lowest t,
-keeping the active ones (those still within the query radius in t)
-bucketed into square (i, j) cells. A box is expanded by half the radius
-before it is bucketed, so two boxes within the radius share at least one
-cell; the pair is visited only in the cell holding the lower (i, j)
-corner of their expanded overlap, hence exactly once.
+or run. A query sorts the boxes of each kind on their low end along one
+axis ("sweep and prune": Cohen, Lin, Manocha & Ponamgi, I-COLLIDE, 1995);
+a box's candidates are the boxes after it whose low end lies within the
+query radius of its high end. The axis with the fewest candidates is
+swept: the CNOT loops' long legs run along j and are few candidates along
+t. Candidates are expanded in blocks of ``BLOCK`` and their L1 gaps
+computed in numpy; the gap is symmetric in the axes, so the pairs found do
+not depend on the axis swept.
 """
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .geometry import Defect
 
-CELL = 16       # (i, j) bucket side, lattice units
-RADIUS = 8      # L1 gap, lattice units, of the code-distance neighbour query
+RADIUS = 8          # L1 gap, lattice units, of the code-distance neighbour query
+BLOCK = 1 << 12     # candidate pairs expanded at once; small blocks keep the sweep's memory flat
 
-Box = tuple[int, int, int, int, int, int]   # i_lo, i_hi, j_lo, j_hi, t_lo, t_hi
 Line = tuple[str, int, int, int]            # kind, axis, and the two other coordinates
 K = TypeVar("K", bound=Hashable)
 T = TypeVar("T")
@@ -88,71 +90,68 @@ class SegmentIndex:
 
     The code distance indexes their ``collinear_runs``, each with the
     defects of its segments as members; the overlap check indexes each span
-    alone, its defect the only member. ``owner`` holds each first member.
+    alone, its defect the only member. ``boxes`` holds one row
+    ``(i_lo, i_hi, j_lo, j_hi, t_lo, t_hi)`` per entry and ``owner`` each
+    entry's first member.
     """
 
     def __init__(self, entries: Iterable[tuple[Line, int, int, list[int]]]) -> None:
-        self.boxes: list[Box] = []
+        flat: list[int] = []
         self.members: list[list[int]] = []     # defect indices of each box
-        self.owner: list[int] = []             # the first of them
         by_kind: dict[str, list[int]] = {}
         for (kind, axis, u, v), lo, hi, members in entries:
-            by_kind.setdefault(kind, []).append(len(self.boxes))
+            by_kind.setdefault(kind, []).append(len(self.members))
             if axis == 0:
-                self.boxes.append((lo, hi, u, u, v, v))
+                flat += lo, hi, u, u, v, v
             elif axis == 1:
-                self.boxes.append((u, u, lo, hi, v, v))
+                flat += u, u, lo, hi, v, v
             else:
-                self.boxes.append((u, u, v, v, lo, hi))
+                flat += u, u, v, v, lo, hi
             self.members.append(members)
-            self.owner.append(members[0])
-        self.by_kind: list[list[int]] = list(by_kind.values())
+        self.boxes = np.array(flat, dtype=np.int64).reshape(-1, 6)
+        self.owner = np.array([members[0] for members in self.members], dtype=np.int64)
+        self.by_kind = [np.array(kind, dtype=np.int64) for kind in by_kind.values()]
 
-    def pairs_within(self, radius: int) -> Iterator[tuple[int, int, int]]:
-        """Every same-kind box pair (a, b, gap) with a < b and L1 gap <= radius.
+    def pairs_within(self, radius: int) -> np.ndarray:
+        """Every same-kind box pair within ``radius``, as rows (a, b, gap) of one array.
 
-        Pairs come in no fixed order; each comes once.
+        Each pair comes once, with a < b and its L1 gap <= radius, in no
+        fixed order; ``a, b, gap = index.pairs_within(radius)`` unpacks it.
         """
-        for members in self.by_kind:
-            yield from self._sweep(members, radius)
+        return np.concatenate([np.zeros((3, 0), dtype=np.int32), *(
+            part for kind in self.by_kind for part in _sweep(self.boxes[kind], kind, radius))],
+            axis=1)
 
-    def _sweep(self, members: list[int], radius: int) -> Iterator[tuple[int, int, int]]:
-        boxes = self.boxes
-        half = (radius + 1) // 2
-        cell = max(CELL, radius)
-        grid: dict[tuple[int, int], dict[int, None]] = {}
-        covered: dict[int, list[dict[int, None]]] = {}
-        expiry: list[tuple[int, int]] = []
-        for k in sorted(members, key=lambda m: boxes[m][4]):
-            i_lo, i_hi, j_lo, j_hi, t_lo, t_hi = boxes[k]
-            while expiry and expiry[0][0] < t_lo - radius:
-                m = heapq.heappop(expiry)[1]
-                for bucket in covered.pop(m):
-                    del bucket[m]
-            buckets = []
-            for ci in range((i_lo - half) // cell, (i_hi + half) // cell + 1):
-                for cj in range((j_lo - half) // cell, (j_hi + half) // cell + 1):
-                    bucket = grid.get((ci, cj))
-                    if bucket is None:
-                        bucket = grid[(ci, cj)] = {}
-                    for m in bucket:
-                        # m entered the sweep earlier: its t_lo is at most this one's
-                        oi_lo, oi_hi, oj_lo, oj_hi, _, ot_hi = boxes[m]
-                        if ((oi_lo if oi_lo > i_lo else i_lo) - half) // cell != ci \
-                                or ((oj_lo if oj_lo > j_lo else j_lo) - half) // cell != cj:
-                            continue
-                        gap = t_lo - ot_hi if t_lo > ot_hi else 0
-                        if oi_lo > i_hi:
-                            gap += oi_lo - i_hi
-                        elif i_lo > oi_hi:
-                            gap += i_lo - oi_hi
-                        if oj_lo > j_hi:
-                            gap += oj_lo - j_hi
-                        elif j_lo > oj_hi:
-                            gap += j_lo - oj_hi
-                        if gap <= radius:
-                            yield (m, k, gap) if m < k else (k, m, gap)
-                    bucket[k] = None
-                    buckets.append(bucket)
-            covered[k] = buckets
-            heapq.heappush(expiry, (t_hi, k))
+
+def _sweep(boxes: np.ndarray, ids: np.ndarray, radius: int) -> Iterator[np.ndarray]:
+    """The pairs of one kind's ``boxes`` within ``radius``, as rows (a, b, gap) of ``ids``.
+
+    Sorted on its low end along an axis, a box's candidates are the boxes
+    after it whose low end is at most its high end plus the radius: a pair
+    within the radius is at most that far apart on every axis, so it is
+    one box's candidate, from the box that sorts first. Each axis is
+    counted, and the one whose windows hold the fewest candidates is swept.
+    """
+    count = len(boxes)
+
+    def windows(axis: int) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(boxes[:, 2 * axis])
+        ends = np.searchsorted(boxes[order, 2 * axis], boxes[order, 2 * axis + 1] + radius,
+                               "right")
+        return order, ends - np.arange(1, count + 1)
+
+    order, sizes = min(map(windows, range(3)), key=lambda swept: swept[1].sum())
+    lo, hi, ids = boxes[order, 0::2].T.copy(), boxes[order, 1::2].T.copy(), ids[order]
+    reach = np.cumsum(sizes)            # candidates of the boxes up to and with each one
+    start = reach - sizes
+    first = 0
+    while first < count:
+        last = max(first + 1, int(np.searchsorted(reach, start[first] + BLOCK, "right")))
+        src = np.repeat(np.arange(first, last), sizes[first:last])
+        dst = src + 1 + np.arange(start[first], reach[last - 1]) - start[src]
+        gap = sum(np.maximum(0, np.maximum(lo[k, dst] - hi[k, src], lo[k, src] - hi[k, dst]))
+                  for k in range(3))
+        near = gap <= radius
+        a, b = ids[src[near]], ids[dst[near]]
+        yield np.stack((np.minimum(a, b), np.maximum(a, b), gap[near])).astype(np.int32)
+        first = last

@@ -33,6 +33,7 @@ def test_measure_counts_the_stream_of_the_timed_slice(monkeypatch):
     rung = ladder.measure(1)
     assert rung.keys() == ladder.FIELDS
     assert rung["stream_bytes"] == 1_660_585 and rung["layers"] == 361
+    assert (rung["min_separation"], rung["code_distance"]) == (3, 4)
     # the JSON document synth writes for the rung's circuit, and its time
     assert rung["document_bytes"] == 89_465 and rung["document_s"] >= 0
     # the peak before the slice is part of the whole rung's peak

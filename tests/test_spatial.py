@@ -1,12 +1,14 @@
 """The shared span model and the scans on it against the brute-force reference scans."""
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scans as ref
+from tqecsynth import spatial
 from tqecsynth.analysis import lattice_cells_for, min_code_distance, slice_layers
 from tqecsynth.cli import slice_lines
 from tqecsynth.geometry import (
@@ -163,10 +165,10 @@ def test_run_index_holds_one_box_per_run_with_its_defects():
         leg(SegmentKind.PRIMAL, 1, 9), leg(SegmentKind.PRIMAL, 13, 5),
         leg(SegmentKind.DUAL, 2, 4), leg(SegmentKind.PRIMAL, 22, 25),
         leg(SegmentKind.PRIMAL, 14, 20)])))
-    assert index.boxes == [(1, 20, 1, 1, 1, 1), (22, 25, 1, 1, 1, 1), (2, 4, 1, 1, 1, 1)]
+    assert index.boxes.tolist() == [[1, 20, 1, 1, 1, 1], [22, 25, 1, 1, 1, 1], [2, 4, 1, 1, 1, 1]]
     assert index.members == [[0, 1, 4], [3], [2]]
-    assert index.owner == [0, 3, 2]
-    assert sorted(index.pairs_within(RADIUS)) == [(0, 1, 2)]
+    assert index.owner.tolist() == [0, 3, 2]
+    assert sorted(zip(*index.pairs_within(RADIUS))) == [(0, 1, 2)]
 
 
 def shifted(geo: Geometry) -> Geometry:
@@ -207,9 +209,7 @@ def test_min_code_distance_matches_reference_on_shared_lines(geo):
     assert min_code_distance(geo) == ref.min_code_distance(geo)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_geometries(), st.integers(0, 20))
-def test_pairs_within_matches_all_pairs(geo, radius):
+def assert_pairs_match_all_pairs(geo: Geometry, radius: int) -> None:
     segs = geo.segments
     index = SegmentIndex((line, lo, hi, [di])
                          for line, lo, hi, di in segment_spans(geo.defects + geo.connections))
@@ -217,7 +217,43 @@ def test_pairs_within_matches_all_pairs(geo, radius):
         (a, b, ref.segment_gap(segs[a], segs[b]))
         for a in range(len(segs)) for b in range(a + 1, len(segs))
         if segs[a].kind is segs[b].kind and ref.segment_gap(segs[a], segs[b]) <= radius)
-    assert sorted(index.pairs_within(radius)) == want
+    assert sorted(zip(*(column.tolist() for column in index.pairs_within(radius)))) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_geometries(), st.integers(0, 20))
+def test_pairs_within_matches_all_pairs(geo, radius):
+    assert_pairs_match_all_pairs(geo, radius)
+
+
+@st.composite
+def long_box_geometries(draw):
+    """One-segment defects, most of them long along the axes drawn for their kind.
+
+    Each kind draws its long axis, or all three axes, so the sweep meets
+    kinds long along i, j or t and a kind mixing long boxes on every axis;
+    short boxes lie among them.
+    """
+    axes = {kind: draw(st.sampled_from([(0,), (1,), (2,), (0, 1, 2)])) for kind in SegmentKind}
+    defects = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(list(SegmentKind)))
+        axis = draw(st.sampled_from(axes[kind]))
+        lo = [draw(st.integers(0, 60)) for _ in range(3)]
+        hi = list(lo)
+        hi[axis] += draw(st.one_of(st.integers(20, 90), st.integers(1, 3)))
+        defects.append(Defect(kind, (Segment(kind, Coord(*lo), Coord(*hi)),), closed=False))
+    split = draw(st.integers(0, len(defects)))
+    return bare_geometry(defects[:split], defects[split:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_box_geometries(), st.integers(0, 40), st.sampled_from([1, 3, spatial.BLOCK]))
+def test_pairs_within_matches_all_pairs_on_long_boxes(geo, radius, block):
+    # with blocks of one or three candidates most boxes' windows are expanded
+    # in a block of their own, and the pairs must not change
+    with mock.patch.object(spatial, "BLOCK", block):
+        assert_pairs_match_all_pairs(geo, radius)
 
 
 @settings(max_examples=150, deadline=None)

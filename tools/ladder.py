@@ -11,6 +11,7 @@ host. Per rung it records:
 - ``distance_s``: the first read of that result's ``distance``, which
   measures the code distance (``run_pipeline`` leaves it to that read), so
   ``run_pipeline_s + distance_s`` is the whole synthesis with its reports;
+- ``min_separation`` and ``code_distance``: that read's report;
 - ``slice_s``: the whole ``tqecsynth slice SOURCE`` command, pipeline
   included, as the CLI runs it, with its stdout replaced by a sink that
   counts the bytes it is handed and keeps none;
@@ -53,8 +54,9 @@ ADDRESS_SPACE_CAP = 4 * 2**30   # bytes per rung
 RUNG_TIMEOUT_S = 600
 SLICE_MAX_TOFFOLIS = 64
 # What a rung reports; one above SLICE_MAX_TOFFOLIS lacks SLICE_FIELDS.
-FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "document_s", "document_bytes",
-          "slice_s", "pipeline_peak_rss_mb", "peak_rss_mb", "stream_bytes", "layers"}
+FIELDS = {"toffolis", "run_pipeline_s", "distance_s", "min_separation", "code_distance",
+          "document_s", "document_bytes", "slice_s", "pipeline_peak_rss_mb", "peak_rss_mb",
+          "stream_bytes", "layers"}
 SLICE_FIELDS = {"slice_s", "stream_bytes", "layers"}
 
 
@@ -94,7 +96,7 @@ def measure(toffolis: int) -> dict:
     result = pipeline.run_pipeline(source, config)
     run_s = time.perf_counter() - start
     start = time.perf_counter()
-    result.distance  # measured on its first read
+    report = result.distance  # measured on its first read
     distance_s = time.perf_counter() - start
     pipeline_peak_mb = peak_rss_mb()
 
@@ -103,7 +105,8 @@ def measure(toffolis: int) -> dict:
     cli._write_runs(document, document_pieces(result))
     document_s = time.perf_counter() - start
     rung = {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
-            "distance_s": round(distance_s, 3), "document_s": round(document_s, 3),
+            "distance_s": round(distance_s, 3), "min_separation": report.min_separation,
+            "code_distance": report.code_distance, "document_s": round(document_s, 3),
             "document_bytes": document.bytes,
             "pipeline_peak_rss_mb": round(pipeline_peak_mb, 1)}
     if toffolis > SLICE_MAX_TOFFOLIS:
