@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
-from .geometry import CapShape, Coord, Geometry
+from .geometry import CapShape, Coord, Geometry, collector_paused
 from .spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
 
 V = TypeVar("V")
@@ -47,25 +48,27 @@ def code_distance(d_f: int, separation: int) -> int:
     return DistanceReport.from_params(d_f, separation).code_distance
 
 
+@collector_paused()
 def min_code_distance(geometry: Geometry) -> DistanceReport:
     """Measure the closest same-kind defect gap of a geometry.
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only. The sort-and-sweep index
-    (``spatial.SegmentIndex``) holds one box per ``spatial.collinear_runs``
-    run of the segments' ``spatial.segment_spans``, the spans the overlap
-    check and ``_stamps`` read too, so route legs laid over one another are
-    one box. A run's segments lie less than a cell apart, so its defects
-    merge up front. The merge is exact: with integer coordinates a run's
-    lattice points are its segments' points, so the gap from any box to the
-    run is its least gap to the run's segments. One query yields, as
-    arrays, every run pair within ``spatial.RADIUS`` lattice units: the
-    pairs less than a cell apart merge their defects, and the closest of
-    the others in different components gives the separation. If no such
-    pair lies that close, the radius widens until one is found or it
-    reaches the L1 extent of the ``bounding_box``, which no gap exceeds, so
-    the result equals a scan over all segment pairs.
+    connected components only. The segments' ``spatial.segment_spans``,
+    the span arrays the overlap check and ``_stamps`` read too, merge into
+    ``spatial.collinear_runs`` in numpy, and the sort-and-sweep index
+    (``spatial.SegmentIndex``) holds one box per run, so route legs laid
+    over one another are one box. A run's segments lie less than a cell
+    apart, so each span's defect merges with its run's up front. The merge
+    is exact: with integer coordinates a run's lattice points are its
+    segments' points, so the gap from any box to the run is its least gap
+    to the run's segments. One query yields, as arrays, every run pair
+    within ``spatial.RADIUS`` lattice units: the pairs less than a cell
+    apart merge their defects, and the closest of the others in different
+    components gives the separation. If no such pair lies that close, the
+    radius widens until one is found or it reaches the L1 extent of the
+    ``bounding_box``, which no gap exceeds, so the result equals a scan
+    over all segment pairs.
     """
     defects = list(geometry.defects) + list(geometry.connections)
     if not defects:
@@ -80,19 +83,25 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
             k = parent[k]
         return k
 
-    index = SegmentIndex(collinear_runs(segment_spans(defects)))
-    for first, *rest in index.members:
-        for other in rest:
-            parent[find(other)] = find(first)
+    spans = segment_spans(defects)
+    runs, run_of = collinear_runs(spans)
+    index = SegmentIndex(runs)
     owner = index.owner
     a, b, gap = index.pairs_within(RADIUS)
-    for x, y in zip(owner[a[gap <= 1]].tolist(), owner[b[gap <= 1]].tolist()):
+    # each span's defect joins its run's, and each pair less than a cell apart joins
+    left = np.concatenate((owner[run_of], owner[a[gap <= 1]]))
+    right = np.concatenate((spans.defect, owner[b[gap <= 1]]))
+    differ = left != right
+    for x, y in zip(left[differ].tolist(), right[differ].tolist()):
         parent[find(x)] = find(y)
 
-    roots = {(d.kind, find(k)) for k, d in enumerate(defects)}
-    if len(roots) == len({kind for kind, _ in roots}):
-        return DistanceReport.from_params(d_f, None)   # one component per kind
-    root = np.array([find(k) for k in range(len(defects))])[owner]   # of each box
+    root = np.array(parent)
+    while not np.array_equal(root[root], root):     # point each defect at its root
+        root = root[root]
+    # components join same-kind defects only: as many roots as kinds is one component a kind
+    if np.count_nonzero(root == np.arange(len(root))) == np.count_nonzero(np.bincount(spans.kind)):
+        return DistanceReport.from_params(d_f, None)
+    root = root[owner]   # of each box
 
     def closest(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> int | None:
         apart = gap[root[a] != root[b]]
@@ -231,8 +240,8 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     """Every mark as a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``.
 
     A segment's cross-section box reaches one unit past the segment on every
-    axis: each of its ``spatial.segment_spans`` (the spans the code distance
-    and the overlap check read too) widens by one unit before
+    axis: each of its ``spatial.segment_spans`` (the span arrays the code
+    distance and the overlap check read too) widens by one unit before
     ``spatial.collinear_runs`` and each run's cross coordinates after it, so
     legs laid over one another are one stamp per maximal run. The merge is
     exact: segment stamps are all Z and come before every other stamp, so
@@ -244,14 +253,15 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     unmerged).
     """
     Z = SiteBasis.Z
-    stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = []
     spans = segment_spans(geometry.defects + geometry.connections)
-    for (_, axis, u, v), lo, hi, _ in collinear_runs(
-            (line, lo - 1, hi + 1, di) for line, lo, hi, di in spans):
-        box = [u - 1, u + 1, v - 1, v + 1]
-        box[2 * axis:2 * axis] = lo, hi      # the run's span, at its axis
-        i_lo, i_hi, j_lo, j_hi, t_lo, t_hi = box
-        stamps.append((t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, Z))
+    runs, _ = collinear_runs(spans._replace(lo=spans.lo - 1, hi=spans.hi + 1))
+    boxes = runs.boxes()
+    cross = np.arange(3) != runs.axis[:, None]
+    boxes[:, 0::2] -= cross
+    boxes[:, 1::2] += cross
+    i_lo, i_hi, j_lo, j_hi, t_lo, t_hi = boxes.T.tolist()
+    stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = list(
+        zip(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, repeat(Z)))
     for port in geometry.ioports:
         pin_a, pin_b = port.pins
         t, j = pin_a.coord.t, pin_a.coord.j

@@ -28,7 +28,7 @@ from .analysis import (
 from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
 from .decompose import toffoli_sequence
 from .document import FORMATS, JSON_FORMAT, canonical_json, document_pieces, export, reports
-from .geometry import Geometry
+from .geometry import Geometry, collector_paused
 from .icm import to_icm
 from .pipeline import PipelineConfig, PipelineError, SparePolicy, icm_conversion, run_pipeline
 from .scheduling import (
@@ -340,7 +340,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@collector_paused()
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the cyclic garbage collector stays paused until it returns."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

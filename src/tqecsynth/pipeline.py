@@ -15,7 +15,7 @@ from . import analysis
 from .circuit import Circuit, InitBasis, parse_circuit, validate_circuit
 from .decompose import decompose_gates
 from .geometry import (
-    Defect, Geometry, SegmentKind, generate_geometry, validate_parity,
+    Defect, Geometry, SegmentKind, collector_paused, generate_geometry, validate_parity,
 )
 from .icm import IcmConversion, to_icm
 from .matrix import MatrixRep, to_matrix
@@ -115,11 +115,13 @@ def icm_conversion(source: str) -> tuple[Circuit, IcmConversion]:
     return circ, to_icm(decompose_gates(circ))
 
 
+@collector_paused()
 def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineResult:
     """Synthesise a geometry document from circuit source text.
 
     Raises ParseError/PipelineError on bad input and DistillationExhausted
-    when the spare schedule cannot serve every injection.
+    when the spare schedule cannot serve every injection. The cyclic
+    garbage collector is paused throughout (``geometry.collector_paused``).
     """
     config = config or PipelineConfig()
     _, conv = icm_conversion(source)

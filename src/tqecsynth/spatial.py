@@ -1,11 +1,17 @@
 """Segment spans, their collinear runs, and a sort-and-sweep index over boxes.
 
 ``segment_spans`` is the one encoder of segments as spans on lines that the
-code distance, the overlap check and the slicer share; ``collinear_runs``
-merges a line's touching spans, and ``SegmentIndex`` holds one box per span
-or run. A query sorts the boxes of each kind on their low end along one
-axis ("sweep and prune": Cohen, Lin, Manocha & Ponamgi, I-COLLIDE, 1995);
-a box's candidates are the boxes after it whose low end lies within the
+code distance, the overlap check and the slicer share. It reads the
+segments in one Python pass into ``Spans``, parallel numpy arrays, and the
+rest works on whole arrays: ``collinear_runs`` merges a line's touching
+spans with one sort, and ``SegmentIndex`` holds one box per span or run.
+At 256 Toffolis (125 433 segments) the spans, runs and index take about
+0.11 s, where a tuple per span took 0.5 s (0.17 s with the cyclic garbage
+collector paused).
+
+A query sorts the boxes of each kind on their low end along one axis
+("sweep and prune": Cohen, Lin, Manocha & Ponamgi, I-COLLIDE, 1995); a
+box's candidates are the boxes after it whose low end lies within the
 query radius of its high end. The axis with the fewest candidates is
 swept: the CNOT loops' long legs run along j and are few candidates along
 t. Candidates are expanded in blocks of ``BLOCK`` and their L1 gaps
@@ -14,8 +20,9 @@ not depend on the axis swept.
 """
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence, TypeVar
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,92 +32,128 @@ if TYPE_CHECKING:
 RADIUS = 8          # L1 gap, lattice units, of the code-distance neighbour query
 BLOCK = 1 << 12     # candidate pairs expanded at once; small blocks keep the sweep's memory flat
 
-Line = tuple[str, int, int, int]            # kind, axis, and the two other coordinates
-K = TypeVar("K", bound=Hashable)
-T = TypeVar("T")
+
+class Spans(NamedTuple):
+    """Spans on lines, as parallel arrays with one entry per span.
+
+    A span covers ``lo <= hi`` along ``axis`` (0, 1 or 2 along i, j or t)
+    on the line whose other two coordinates are ``(u, v)``, in (i, j, t)
+    order; ``kind`` is the index of its defect's kind in its enum and
+    ``defect`` the index of its defect. A line is keyed by kind too, so
+    spans of different kinds never merge.
+    """
+
+    kind: np.ndarray
+    axis: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    defect: np.ndarray
+
+    def boxes(self) -> np.ndarray:
+        """One row ``(i_lo, i_hi, j_lo, j_hi, t_lo, t_hi)`` per span."""
+        rows = np.arange(len(self.axis))
+        boxes = np.empty((len(rows), 6), dtype=np.int64)
+        cross = _CROSS[self.axis]
+        for x, lo, hi in ((2 * self.axis, self.lo, self.hi), (2 * cross[:, 0], self.u, self.u),
+                          (2 * cross[:, 1], self.v, self.v)):
+            boxes[rows, x] = lo
+            boxes[rows, x + 1] = hi
+        return boxes
 
 
-def collinear_runs(entries: Iterable[tuple[K, int, int, T]]
-                   ) -> Iterator[tuple[K, int, int, list[T]]]:
-    """Merge the spans ``(line, lo, hi, item)`` of each line into maximal runs.
+_CROSS = np.array([[1, 2], [0, 2], [0, 1]])    # the other two axes of each axis
+_ENDS = attrgetter("a.i", "a.j", "a.t", "b.i", "b.j", "b.t")
+
+
+def segment_spans(defects: Sequence[Defect]) -> Spans:
+    """Each segment as a span, in segment order.
+
+    The one span encoder of the distance, overlap and slice scans: one
+    Python pass reads each segment's six end coordinates, and the rest is
+    numpy. ``geometry.defects + geometry.connections`` gives the order of
+    ``geometry.segments``. A segment is axis-aligned and not a point, so
+    exactly one coordinate differs between its ends; ``(u, v)`` are its
+    first end's other two.
+    """
+    segments = list(map(attrgetter("segments"), defects))
+    counts = list(map(len, segments))
+    ends = np.fromiter(chain.from_iterable(map(_ENDS, chain.from_iterable(segments))),
+                       dtype=np.int64, count=6 * sum(counts))
+    a, b = ends.reshape(-1, 2, 3).transpose(1, 0, 2)
+    axis = np.argmax(a != b, axis=1)
+    rows = np.arange(len(axis))
+    cross = _CROSS[axis]
+    along_a, along_b = a[rows, axis], b[rows, axis]
+    codes = {id(kind): code for code, kind in enumerate(type(defects[0].kind))} if defects else {}
+    kinds = [codes[id(defect.kind)] for defect in defects]     # by id: Enum hashes in Python
+    return Spans(np.repeat(np.array(kinds, dtype=np.int64), counts),
+                 axis, a[rows, cross[:, 0]], a[rows, cross[:, 1]],
+                 np.minimum(along_a, along_b), np.maximum(along_a, along_b),
+                 np.repeat(np.arange(len(defects)), counts))
+
+
+def collinear_runs(spans: Spans) -> tuple[Spans, np.ndarray]:
+    """Merge the spans of each line into maximal runs: ``(runs, run_of)``.
 
     Spans of one line, in order of ``lo``, join the run before them while
     ``lo <= run_hi + 1``: they overlap it, share its end or leave a gap of
     one unit, so with integer coordinates the run's points are exactly the
-    union of its spans' points. Each run comes as ``(line, lo, hi, items)``
-    with its spans' items; lines come in first-seen order and the runs of a
-    line in ascending order.
+    union of its spans' points. One ``np.lexsort`` on (kind, axis, u, v,
+    lo) puts each line's spans in order, and a running maximum of ``hi``
+    within each line finds where a run ends. Each run is a span of
+    ``runs`` whose ``defect`` is that of its first span in this order, and
+    ``run_of[k]`` is the run of span ``k``. Lines come in the order of
+    their first span and the runs of a line in ascending order.
     """
-    lines: dict[K, list[tuple[int, int, T]]] = {}
-    for line, lo, hi, item in entries:
-        lines.setdefault(line, []).append((lo, hi, item))
-    for line, spans in lines.items():
-        if len(spans) == 1:     # most lines hold one span
-            lo, hi, item = spans[0]
-            yield line, lo, hi, [item]
-            continue
-        spans.sort(key=itemgetter(0))
-        run_lo, run_hi, item = spans[0]
-        items = [item]
-        for lo, hi, item in spans[1:]:
-            if lo > run_hi + 1:
-                yield line, run_lo, run_hi, items
-                run_lo, run_hi, items = lo, hi, [item]
-            else:
-                items.append(item)
-                if hi > run_hi:
-                    run_hi = hi
-        yield line, run_lo, run_hi, items
-
-
-def segment_spans(defects: Sequence[Defect]) -> Iterator[tuple[Line, int, int, int]]:
-    """Each segment as ``((kind, axis, u, v), lo, hi, defect)``, in segment order.
-
-    The one span encoder of the distance, overlap and slice scans: ``axis``
-    is 0, 1 or 2 along i, j or t, ``(u, v)`` the other two coordinates in
-    (i, j, t) order, ``lo <= hi`` the span and ``defect`` the index in
-    ``defects``; ``geometry.defects + geometry.connections`` gives the
-    order of ``geometry.segments``.
-    """
-    for di, defect in enumerate(defects):
-        kind = defect.kind.value
-        for seg in defect.segments:
-            a, b = seg.a, seg.b
-            if a.i != b.i:
-                line, lo, hi = (kind, 0, a.j, a.t), a.i, b.i
-            elif a.j != b.j:
-                line, lo, hi = (kind, 1, a.i, a.t), a.j, b.j
-            else:
-                line, lo, hi = (kind, 2, a.i, a.j), a.t, b.t
-            yield (line, lo, hi, di) if lo < hi else (line, hi, lo, di)
+    count = len(spans.lo)
+    if not count:
+        return spans, np.zeros(0, dtype=np.int64)
+    order = np.lexsort((spans.lo, spans.v, spans.u, spans.axis, spans.kind))
+    kind, axis, u, v, lo, hi, defect = (column[order] for column in spans)
+    new_line = np.ones(count, dtype=bool)
+    new_line[1:] = ((kind[1:] != kind[:-1]) | (axis[1:] != axis[:-1])
+                    | (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
+    line = np.cumsum(new_line) - 1
+    # one running maximum of hi's rank, each line lifted above the ranks of
+    # the lines before it, so no line's reach carries into the next; ranks,
+    # unlike coordinates, bound the lift at count ** 2
+    by_hi = np.argsort(hi)
+    hi_rank = np.empty(count, dtype=np.int64)
+    hi_rank[by_hi] = np.arange(count)
+    lift = line * count
+    reach = hi[by_hi[np.maximum.accumulate(hi_rank + lift) - lift]]
+    start = new_line.copy()
+    start[1:] |= lo[1:] > reach[:-1] + 1
+    first = np.flatnonzero(start)
+    run_hi = np.maximum.reduceat(hi, first)
+    # lines in order of their first span, each line's runs kept ascending
+    seen = np.minimum.reduceat(order, np.flatnonzero(new_line))
+    by_seen = np.argsort(seen[line[first]], kind="stable")
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_seen] = np.arange(len(first))
+    run_of = np.empty(count, dtype=np.int64)
+    run_of[order] = rank[np.cumsum(start) - 1]
+    pick = first[by_seen]
+    return Spans(kind[pick], axis[pick], u[pick], v[pick], lo[pick], run_hi[by_seen],
+                 defect[pick]), run_of
 
 
 class SegmentIndex:
-    """One box per entry ``(line, lo, hi, members)`` made from ``segment_spans``.
+    """One box per span of a ``Spans`` from ``segment_spans``.
 
-    The code distance indexes their ``collinear_runs``, each with the
-    defects of its segments as members; the overlap check indexes each span
-    alone, its defect the only member. ``boxes`` holds one row
-    ``(i_lo, i_hi, j_lo, j_hi, t_lo, t_hi)`` per entry and ``owner`` each
-    entry's first member.
+    The code distance indexes the ``collinear_runs`` of the segments'
+    spans; the overlap check indexes each span alone. ``boxes`` holds one row
+    ``(i_lo, i_hi, j_lo, j_hi, t_lo, t_hi)`` per span and ``owner`` each
+    span's defect.
     """
 
-    def __init__(self, entries: Iterable[tuple[Line, int, int, list[int]]]) -> None:
-        flat: list[int] = []
-        self.members: list[list[int]] = []     # defect indices of each box
-        by_kind: dict[str, list[int]] = {}
-        for (kind, axis, u, v), lo, hi, members in entries:
-            by_kind.setdefault(kind, []).append(len(self.members))
-            if axis == 0:
-                flat += lo, hi, u, u, v, v
-            elif axis == 1:
-                flat += u, u, lo, hi, v, v
-            else:
-                flat += u, u, v, v, lo, hi
-            self.members.append(members)
-        self.boxes = np.array(flat, dtype=np.int64).reshape(-1, 6)
-        self.owner = np.array([members[0] for members in self.members], dtype=np.int64)
-        self.by_kind = [np.array(kind, dtype=np.int64) for kind in by_kind.values()]
+    def __init__(self, spans: Spans) -> None:
+        self.boxes = spans.boxes()
+        self.owner = spans.defect
+        self.by_kind = [np.flatnonzero(spans.kind == kind)
+                        for kind in np.flatnonzero(np.bincount(spans.kind))]
 
     def pairs_within(self, radius: int) -> np.ndarray:
         """Every same-kind box pair within ``radius``, as rows (a, b, gap) of one array.

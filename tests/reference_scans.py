@@ -20,9 +20,12 @@ those dense rows, and the dict-tree version of the JSON document
 (``reference_document``, encoded by ``document.canonical_json``), and the
 full-scan version of ``scheduling.Region.allocate`` (every occupied
 rectangle tested for each box), and the every-endpoint versions of
-``geometry.validate_parity`` and ``analysis.bounding_box``; the tests compare the indexed,
-templated, one-tensor, trial-batched, run-offset, sparse, byte-writer
-and banded versions with them.
+``geometry.validate_parity`` and ``analysis.bounding_box``, and the
+tuple-at-a-time versions of ``spatial.segment_spans`` and
+``spatial.collinear_runs`` (one ``(line, lo, hi, item)`` tuple per span,
+each line's spans sorted and merged in a Python loop); the tests compare
+the indexed, templated, one-tensor, trial-batched, run-offset, sparse,
+byte-writer, banded and array versions with them.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ import itertools
 import json
 from dataclasses import asdict
 from math import sqrt
+from operator import itemgetter
+from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -55,6 +60,56 @@ from tqecsynth.sim import (
 #: Most outcome strings ``run_branches`` replays; a test that needs more
 #: branches lifts it (at most ``2 ** QUBIT_BUDGET`` can exist).
 EXHAUSTIVE_BRANCH_CAP = 1024
+
+
+K = TypeVar("K", bound=Hashable)
+T = TypeVar("T")
+
+
+def segment_spans(defects: Sequence[Defect]) -> Iterator[tuple[tuple[str, int, int, int], int, int, int]]:
+    """Each segment as ``((kind, axis, u, v), lo, hi, defect)``, in segment order.
+
+    ``kind`` is the defect kind's value, ``axis`` 0, 1 or 2 along i, j or
+    t, ``(u, v)`` the other two coordinates in (i, j, t) order, ``lo <=
+    hi`` the span and ``defect`` the index in ``defects``.
+    """
+    for di, defect in enumerate(defects):
+        kind = defect.kind.value
+        for seg in defect.segments:
+            a, b = seg.a, seg.b
+            if a.i != b.i:
+                line, lo, hi = (kind, 0, a.j, a.t), a.i, b.i
+            elif a.j != b.j:
+                line, lo, hi = (kind, 1, a.i, a.t), a.j, b.j
+            else:
+                line, lo, hi = (kind, 2, a.i, a.j), a.t, b.t
+            yield (line, lo, hi, di) if lo < hi else (line, hi, lo, di)
+
+
+def collinear_runs(entries: Iterable[tuple[K, int, int, T]]
+                   ) -> Iterator[tuple[K, int, int, list[T]]]:
+    """Merge the spans ``(line, lo, hi, item)`` of each line into maximal runs.
+
+    Spans of one line, in order of ``lo`` (ties in input order), join the
+    run before them while ``lo <= run_hi + 1``. Each run comes as ``(line,
+    lo, hi, items)`` with its spans' items in that order; lines come in
+    first-seen order and the runs of a line in ascending order.
+    """
+    lines: dict[K, list[tuple[int, int, T]]] = {}
+    for line, lo, hi, item in entries:
+        lines.setdefault(line, []).append((lo, hi, item))
+    for line, spans in lines.items():
+        spans.sort(key=itemgetter(0))
+        run_lo, run_hi, item = spans[0]
+        items = [item]
+        for lo, hi, item in spans[1:]:
+            if lo > run_hi + 1:
+                yield line, run_lo, run_hi, items
+                run_lo, run_hi, items = lo, hi, [item]
+            else:
+                items.append(item)
+                run_hi = max(run_hi, hi)
+        yield line, run_lo, run_hi, items
 
 
 def segment_gap(a: Segment, b: Segment) -> int:

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,38 @@ from tqecsynth.geometry import (
     Coord, Defect, Geometry, LayoutParams, Segment, SegmentKind, segment_overlaps,
 )
 from tqecsynth.pipeline import PipelineConfig, run_pipeline
-from tqecsynth.spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
+from tqecsynth.spatial import RADIUS, SegmentIndex, Spans, collinear_runs, segment_spans
 
 CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+KINDS = list(SegmentKind)
+
+
+def spans_of(entries) -> Spans:
+    """The reference's span tuples ``((kind value, axis, u, v), lo, hi, defect)`` as ``Spans``."""
+    codes = {kind.value: code for code, kind in enumerate(KINDS)}
+    rows = [(codes[kind], axis, u, v, lo, hi, di) for (kind, axis, u, v), lo, hi, di in entries]
+    return Spans(*np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+
+
+def span_list(spans: Spans) -> list:
+    """``spans`` as the reference's span tuples."""
+    return [((KINDS[kind].value, axis, u, v), lo, hi, di)
+            for kind, axis, u, v, lo, hi, di in zip(*(column.tolist() for column in spans))]
+
+
+def run_list(spans: Spans, items=None) -> list:
+    """``collinear_runs(spans)`` as the reference's run tuples ``(line, lo, hi, items)``.
+
+    A run's items are those of its spans (``items[k]`` for span ``k``, by
+    default its defect) in order of ``lo``, ties in span order.
+    """
+    runs, run_of = collinear_runs(spans)
+    items = spans.defect.tolist() if items is None else items
+    members = [[] for _ in runs.lo]
+    for k in np.lexsort((spans.lo, run_of)).tolist():
+        members[run_of[k]].append(items[k])
+    return [(line, lo, hi, run_items)
+            for (line, lo, hi, _), run_items in zip(span_list(runs), members, strict=True)]
 
 
 def bare_geometry(defects, connections=()) -> Geometry:
@@ -102,7 +132,7 @@ def shared_line_geometries(draw):
     return bare_geometry(defects[:split], defects[split:])
 
 
-LINE = (0, 1, 1)
+LINE = ("primal", 0, 1, 1)
 
 
 @pytest.mark.parametrize("spans,runs", [
@@ -115,19 +145,69 @@ LINE = (0, 1, 1)
 ])
 def test_collinear_runs_merge_spans_within_one_unit(spans, runs):
     entries = [(LINE, lo, hi, k) for k, (lo, hi) in enumerate(spans)]
-    assert list(collinear_runs(entries)) == [(LINE, lo, hi, items) for lo, hi, items in runs]
+    assert run_list(spans_of(entries)) == [(LINE, lo, hi, items) for lo, hi, items in runs]
 
 
 def test_collinear_runs_never_merge_across_lines_or_kinds():
     lines = [("primal", 0, 1, 1), ("dual", 0, 1, 1), ("primal", 0, 1, 3), ("primal", 1, 1, 1)]
     entries = [(line, 0, 4, k) for k, line in enumerate(lines)]
-    assert list(collinear_runs(entries)) == [(line, 0, 4, [k]) for k, line in enumerate(lines)]
+    assert run_list(spans_of(entries)) == [(line, 0, 4, [k]) for k, line in enumerate(lines)]
 
 
 def test_collinear_runs_keep_first_seen_line_order():
-    entries = [((2,), 7, 9, "a"), ((1,), 0, 1, "b"), ((2,), 0, 2, "c"), ((1,), 5, 6, "d")]
-    assert list(collinear_runs(entries)) == [
-        ((2,), 0, 2, ["c"]), ((2,), 7, 9, ["a"]), ((1,), 0, 1, ["b"]), ((1,), 5, 6, ["d"])]
+    two, one = ("primal", 0, 0, 2), ("primal", 0, 0, 1)
+    entries = [(two, 7, 9, 0), (one, 0, 1, 1), (two, 0, 2, 2), (one, 5, 6, 3)]
+    assert run_list(spans_of(entries), "abcd") == [
+        (two, 0, 2, ["c"]), (two, 7, 9, ["a"]), (one, 0, 1, ["b"]), (one, 5, 6, ["d"])]
+
+
+@st.composite
+def line_spans(draw):
+    """Reference span tuples on a few lines of both kinds.
+
+    Besides fresh spans there are duplicates of earlier spans, spans that
+    start 0, 1 or 2 units past an earlier span's end on its line, and
+    spans that start where an earlier span on another line or of the other
+    kind starts.
+    """
+    lines = draw(st.lists(st.tuples(st.sampled_from([kind.value for kind in KINDS]),
+                                    st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+                          min_size=1, max_size=4, unique=True))
+    entries = []
+    for k in range(draw(st.integers(0, 12))):
+        how = draw(st.sampled_from(["fresh", "duplicate", "after", "same lo"])) if entries else "fresh"
+        line, lo, hi, _ = draw(st.sampled_from(entries)) if entries else (None, 0, 0, None)
+        if how == "fresh":
+            line, lo = draw(st.sampled_from(lines)), draw(st.integers(-3, 10))
+        elif how == "after":
+            lo = hi + draw(st.integers(0, 2))
+        elif how == "same lo":
+            line = draw(st.sampled_from(lines))
+        if how != "duplicate":
+            hi = lo + draw(st.integers(1, 4))
+        entries.append((line, lo, hi, k))
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_spans())
+def test_collinear_runs_match_reference(entries):
+    assert run_list(spans_of(entries)) == list(ref.collinear_runs(entries))
+
+
+def test_collinear_runs_hold_for_coordinates_far_apart():
+    # lines lifted apart by the coordinate range would overflow int64 here
+    big = 2 ** 61
+    entries = [(("primal", 0, line, 0), lo, lo + 1, k) for k, (line, lo) in enumerate(
+        [(0, big), (1, -big), (1, 2 - big), (2, big), (2, big + 3), (3, -big), (3, big)])]
+    assert run_list(spans_of(entries)) == list(ref.collinear_runs(entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_geometries(), shared_line_geometries()))
+def test_segment_spans_match_reference(geo):
+    defects = geo.defects + geo.connections
+    assert span_list(segment_spans(defects)) == list(ref.segment_spans(defects))
 
 
 @pytest.mark.parametrize("a,b,span", [
@@ -139,14 +219,14 @@ def test_segment_spans_encode_each_axis(a, b, span):
     seg = Segment(SegmentKind.PRIMAL, Coord(*a), Coord(*b))
     reverse = Segment(SegmentKind.PRIMAL, Coord(*b), Coord(*a))
     defects = [Defect(SegmentKind.PRIMAL, (s,), closed=False) for s in (seg, reverse)]
-    assert list(segment_spans(defects)) == [(*span, 0), (*span, 1)]
+    assert span_list(segment_spans(defects)) == [(*span, 0), (*span, 1)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(small_geometries())
 def test_segment_spans_follow_geometry_segments(geo):
     defects = geo.defects + geo.connections
-    spans = list(segment_spans(defects))
+    spans = span_list(segment_spans(defects))
     owners = [di for di, defect in enumerate(defects) for _ in defect.segments]
     assert [di for *_, di in spans] == owners
     for seg, ((kind, axis, u, v), lo, hi, di) in zip(geo.segments, spans, strict=True):
@@ -161,12 +241,13 @@ def test_run_index_holds_one_box_per_run_with_its_defects():
     def leg(kind, i0, i1):
         return Defect(kind, (Segment(kind, Coord(i0, 1, 1), Coord(i1, 1, 1)),), closed=False)
 
-    index = SegmentIndex(collinear_runs(segment_spans([
+    spans = segment_spans([
         leg(SegmentKind.PRIMAL, 1, 9), leg(SegmentKind.PRIMAL, 13, 5),
         leg(SegmentKind.DUAL, 2, 4), leg(SegmentKind.PRIMAL, 22, 25),
-        leg(SegmentKind.PRIMAL, 14, 20)])))
+        leg(SegmentKind.PRIMAL, 14, 20)])
+    index = SegmentIndex(collinear_runs(spans)[0])
     assert index.boxes.tolist() == [[1, 20, 1, 1, 1, 1], [22, 25, 1, 1, 1, 1], [2, 4, 1, 1, 1, 1]]
-    assert index.members == [[0, 1, 4], [3], [2]]
+    assert [items for *_, items in run_list(spans)] == [[0, 1, 4], [3], [2]]
     assert index.owner.tolist() == [0, 3, 2]
     assert sorted(zip(*index.pairs_within(RADIUS))) == [(0, 1, 2)]
 
@@ -211,8 +292,7 @@ def test_min_code_distance_matches_reference_on_shared_lines(geo):
 
 def assert_pairs_match_all_pairs(geo: Geometry, radius: int) -> None:
     segs = geo.segments
-    index = SegmentIndex((line, lo, hi, [di])
-                         for line, lo, hi, di in segment_spans(geo.defects + geo.connections))
+    index = SegmentIndex(segment_spans(geo.defects + geo.connections))
     want = sorted(
         (a, b, ref.segment_gap(segs[a], segs[b]))
         for a in range(len(segs)) for b in range(a + 1, len(segs))
