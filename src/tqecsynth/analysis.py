@@ -12,14 +12,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
 from .geometry import CapShape, Coord, Geometry, collector_paused
 from .spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
 
-V = TypeVar("V")
 L = TypeVar("L")
 
 
@@ -287,11 +286,42 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     return stamps
 
 
+# The bases in code order: a ``Marks.basis`` entry k stands for ``BASES[k]``.
+BASES = tuple(SiteBasis)
+
+
+class Marks(NamedTuple):
+    """One layer's marked sites in (i, j) order, as equal-length int arrays."""
+
+    i: np.ndarray
+    j: np.ndarray
+    basis: np.ndarray   # indices into BASES
+
+
+MarkedPairs = tuple[tuple[tuple[int, int], SiteBasis], ...]
+
+
+def _shared_pairs(width: int) -> Callable[[Marks], MarkedPairs]:
+    """A ``layer`` function: a layer's marks as the ``((i, j), basis)`` pairs
+    of ``Layer.marked``, on a lattice ``width`` sites wide along j. Each
+    distinct (site, basis) is made into a pair once, and every layer that
+    marks it shares that pair."""
+    pairs: dict[int, tuple[tuple[int, int], SiteBasis]] = {}
+
+    def decode(marks: Marks) -> MarkedPairs:
+        codes = ((marks.i * width + marks.j) * len(BASES) + marks.basis).tolist()
+        for code in set(codes).difference(pairs):
+            site, basis = divmod(code, len(BASES))
+            pairs[code] = (divmod(site, width), BASES[basis])
+        return tuple(map(pairs.__getitem__, codes))
+
+    return decode
+
+
 def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
-                cell: Callable[[int, int, SiteBasis], V],
                 bbox: BBox | None = None, *,
-                layer: Callable[[Iterable[V]], L] = tuple) -> Iterator[L]:
-    """The marked sites of every layer, t = 1 .. 2T - 1, as ``cell(i, j, basis)`` values.
+                layer: Callable[[Marks], L] | None = None) -> Iterator[L]:
+    """``layer`` of the ``Marks`` of every layer, t = 1 .. 2T - 1.
 
     ``lattice_cells`` is the hosting lattice extent (I, J, T) in unit
     cells; it must cover the geometry and stay within ``MAX_LAYER_SITES``
@@ -305,20 +335,12 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
     Every mark is a stamp (``_stamps``): runs of collinear segment
     cross-sections, then port caps, then each injection's pins and its
     vertex. Overlapping route legs are one stamp, so a layer's active
-    fragments hold few sites beyond its marks. A sweep over one sorted
-    event list, two events per stamp, adds a stamp to the active set at its
-    clipped ``t_lo`` and drops it after its ``t_hi``. A layer overlays the
-    ``{site: value}`` fragments of its active stamps in stamp order, so a
-    later stamp overwrites an earlier one on shared sites, and yields
-    ``layer`` of the values in (i, j) order, a tuple by default. ``cell``
-    runs once per distinct (site, basis) and ``layer`` once per overlay. A
-    layer whose active set equals that of one of the last two distinct
-    layers before it (a run of equal layers counts once) yields that
-    layer's value again, and only a new set is overlaid. An injection
-    vertex (one layer) or a cap or pin box (three layers) breaks into a set
-    and then restores it, and the restored set is still one of those two,
-    so a set rarely needs a second overlay. Layers are built one at a time
-    as the returned generator is consumed.
+    stamps hold few sites beyond its marks. See ``_sweep_layers`` for how
+    a layer overlays them; ``layer`` runs once per overlay, and layers
+    equal to it yield its value again. By default it makes the
+    ``((i, j), basis)`` pairs of ``Layer.marked``, one tuple per overlay,
+    each distinct pair made once for all layers. Layers are built one at
+    a time as the returned generator is consumed.
     """
     ci, cj, ct = lattice_cells
     if min(ci, cj, ct) < 1:
@@ -335,42 +357,76 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
     if bbox is not None and (bbox.hi.i > extent[0] or bbox.hi.j > extent[1]
                              or bbox.hi.t > t_max or min(bbox.lo.as_list()) < 0):
         raise AnalysisError("lattice extent smaller than the geometry bounding box")
+    if layer is None:
+        layer = _shared_pairs(extent[1] + 1)
+    return _sweep_layers(_stamps(geometry), (*extent, t_max), layer)
 
-    # Each stamp clipped to the lattice, with its events: (t, 1, k) adds
-    # stamp k at t and (t, 0, k) drops it there, one past its t_hi.
-    stamps: list[tuple[int, int, int, int, SiteBasis]] = []
-    events: list[tuple[int, int, int]] = []
-    for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in _stamps(geometry):
-        box = (max(i_lo, 0), min(i_hi, extent[0]), max(j_lo, 0), min(j_hi, extent[1]), basis)
-        t_lo, t_hi = max(t_lo, 1), min(t_hi, t_max - 1)
-        if t_lo <= t_hi and box[0] <= box[1] and box[2] <= box[3]:
-            events += ((t_lo, 1, len(stamps)), (t_hi + 1, 0, len(stamps)))
-            stamps.append(box)
+
+def _runs(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """The runs ``starts[k], starts[k] + step, ...``, ``lengths[k]`` long, end to end."""
+    ends = np.cumsum(lengths)
+    return (np.arange(0, ends[-1] * step if ends.size else 0, step)
+            + np.repeat(starts - (ends - lengths) * step, lengths))
+
+
+def _sweep_layers(stamps: list[tuple[int, int, int, int, int, int, SiteBasis]],
+                  extent: tuple[int, int, int],
+                  layer: Callable[[Marks], L]) -> Iterator[L]:
+    """``layer`` of the ``Marks`` of each t = 1 .. t_max - 1 on a lattice of
+    sites (0 .. i_max, 0 .. j_max), from ``stamps`` as ``_stamps`` gives them.
+
+    The stamps are clipped to the lattice and held as int arrays. A sweep
+    over one sorted event list, two events per stamp, adds a stamp to the
+    active set at its clipped ``t_lo`` and drops it after its ``t_hi``. A
+    layer whose active set equals that of one of the last two distinct
+    layers before it (a run of equal layers counts once) yields that
+    layer's value again, and only a new set is overlaid. An injection
+    vertex (one layer) or a cap or pin box (three layers) breaks into a set
+    and then restores it, and the restored set is still one of those two,
+    so a set rarely needs a second overlay. An overlay expands its active
+    stamps, latest first, into site keys ``i * width + j``, a run of
+    consecutive keys per stamp row (``np.repeat``), which sort in (i, j)
+    order. Each key carries its stamp's rank in that order in its low bits,
+    so one sort of the packed values puts the latest stamp first among the
+    keys of one site, as a stable argsort of the keys would, without the
+    gather that follows one. The first of each run of equal keys is the
+    site's mark: a later stamp wins over an earlier one on shared sites.
+    """
+    i_max, j_max, t_max = extent
+    width = j_max + 1
+    box = np.array([stamp[:6] for stamp in stamps], dtype=np.int64).reshape(-1, 6)
+    code = {basis: k for k, basis in enumerate(BASES)}
+    basis = np.array([code[stamp[6]] for stamp in stamps], dtype=np.int8)
+    t_lo, t_hi = np.maximum(box[:, 0], 1), np.minimum(box[:, 1], t_max - 1)
+    i_lo, i_hi = np.maximum(box[:, 2], 0), np.minimum(box[:, 3], i_max)
+    j_lo, j_hi = np.maximum(box[:, 4], 0), np.minimum(box[:, 5], j_max)
+    keep = (t_lo <= t_hi) & (i_lo <= i_hi) & (j_lo <= j_hi)
+    t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis = (
+        column[keep] for column in (t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis))
+    rows, cols = i_hi - i_lo + 1, j_hi - j_lo + 1
+    # (t, 1, k) adds stamp k at t and (t, 0, k) drops it there, one past its t_hi
+    events = [(t, 1, k) for k, t in enumerate(t_lo.tolist())]
+    events += [(t, 0, k) for k, t in enumerate((t_hi + 1).tolist())]
     events.sort(reverse=True)
-    return _sweep_layers(stamps, events, t_max, extent[1] + 1, cell, layer)
 
+    def overlay(active: set[int]) -> Marks:
+        latest_first = np.sort(np.fromiter(active, np.intp, len(active)))[::-1]
+        # a site's value is its key shifted past its stamp's rank, 0 for the latest
+        shift = len(active).bit_length()
+        stamp_rows = rows[latest_first]
+        row_rank = np.repeat(np.arange(len(active)), stamp_rows)
+        row_stamp = latest_first[row_rank]
+        row_cols = cols[row_stamp]
+        row_keys = _runs(i_lo[latest_first], stamp_rows) * width + j_lo[row_stamp]
+        values = np.sort(_runs(row_keys << shift | row_rank, row_cols, 1 << shift))
+        keys = values >> shift
+        first = np.empty(keys.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        i, j = np.divmod(keys[first], width)
+        return Marks(i, j, basis[latest_first][values[first] & ((1 << shift) - 1)])
 
-def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
-                  events: list[tuple[int, int, int]], t_max: int, width: int,
-                  cell: Callable[[int, int, SiteBasis], V],
-                  layer: Callable[[Iterable[V]], L]) -> Iterator[L]:
-    # A site (i, j) is keyed i * width + j, so keys sort in (i, j) order.
-    codes: dict[SiteBasis, dict[int, V]] = {basis: {} for basis in SiteBasis}
-
-    def fragment(k: int) -> dict[int, V]:
-        i_lo, i_hi, j_lo, j_hi, basis = stamps[k]
-        known = codes[basis]
-        out = {}
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                key = i * width + j
-                code = known.get(key)
-                if code is None:
-                    code = known[key] = cell(i, j, basis)
-                out[key] = code
-        return out
-
-    active: dict[int, dict[int, V]] = {}
+    active: set[int] = set()
     # The last two distinct layers, latest last, each with the stamps that
     # entered or left since it was active: a layer equals it when none did.
     recent: list[tuple[L, set[int]]] = []
@@ -378,17 +434,14 @@ def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
         while events and events[-1][0] == t:
             _, enters, k = events.pop()
             if enters:
-                active[k] = fragment(k)
+                active.add(k)
             else:
-                del active[k]
+                active.remove(k)
             for _, changed in recent:
                 changed ^= {k}
         hit = next((entry for entry in recent if not entry[1]), None)
         if hit is None:
-            overlay: dict[int, V] = {}
-            for k in sorted(active):
-                overlay.update(active[k])
-            hit = (layer(map(overlay.__getitem__, sorted(overlay))), set())
+            hit = (layer(overlay(active)), set())
         recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
         yield hit[0]
 
@@ -396,12 +449,14 @@ def _sweep_layers(stamps: list[tuple[int, int, int, int, SiteBasis]],
 def slice_layers(geometry: Geometry, lattice_cells: tuple[int, int, int]) -> list[Layer]:
     """Slice a geometry into alternating primal (odd t) and dual (even t) layers.
 
-    The marks of each layer are ``layer_marks``' stamps, as
-    ``((i, j), basis)`` pairs in (i, j) order.
+    The marks of each layer are ``layer_marks``' default ``((i, j), basis)``
+    pairs in (i, j) order, decoded from its arrays once per overlay: equal
+    layers share one ``marked`` tuple, and layers that mark the same site
+    in the same basis share its pair.
     """
     extent = (2 * lattice_cells[0], 2 * lattice_cells[1])
-    marks = layer_marks(geometry, lattice_cells, lambda i, j, basis: ((i, j), basis))
-    return [Layer(t, layer_kind(t), extent, marked) for t, marked in enumerate(marks, 1)]
+    return [Layer(t, layer_kind(t), extent, marked)
+            for t, marked in enumerate(layer_marks(geometry, lattice_cells), 1)]
 
 
 class Op(Enum):

@@ -18,12 +18,12 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
 from .analysis import (
-    AnalysisError, BBox, Op, SiteBasis, hardware_loop, lattice_cells, layer_kind, layer_marks,
+    BASES, AnalysisError, BBox, Marks, Op, hardware_loop, lattice_cells, layer_kind, layer_marks,
 )
 from .circuit import Gate, GateKind, InitBasis, ParseError, circuit as make_circuit
 from .decompose import toffoli_sequence
@@ -219,6 +219,68 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 STREAM_VERSION = 2
 
 
+# Marks per encoded chunk of a layer's payload: however many marks a layer
+# holds, the encoder's scratch arrays stay a few hundred kB.
+CHUNK_MARKS = 1 << 14
+
+
+def _byte_rows(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as the rows of a byte array, each padded with zero bytes."""
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
+class _PieceTable:
+    """The bytes ``fmt % k``, k = 0, 1, ..., as the rows of ``_byte_rows``.
+
+    The table grows, to at least twice its size, when a coordinate past its
+    end is asked for, so it spans at most twice the largest coordinate the
+    marks reach: one past the geometry's bounding box, not the lattice.
+    """
+
+    def __init__(self, fmt: bytes) -> None:
+        self.fmt = fmt
+        self.rows = _byte_rows([fmt % 0])
+
+    def reach(self, top: int) -> np.ndarray:
+        """The table, grown to hold row ``top``."""
+        if top >= len(self.rows):
+            self.rows = _byte_rows([self.fmt % k
+                                    for k in range(max(top + 1, 2 * len(self.rows)))])
+        return self.rows
+
+
+def _payload_encoder() -> Callable[[Marks], tuple[bytes, ...]]:
+    """A ``layer`` function for ``layer_marks``: a layer's marks as the
+    ``json.dumps`` bytes ``[i,j,"basis"]`` joined by commas, in chunks.
+
+    Each mark is gathered from three piece tables, ``[i,``, ``j,"`` and
+    ``basis"],``, into one zero-padded row; a chunk of ``CHUNK_MARKS`` rows
+    goes out as their bytes with the padding dropped, and the last chunk
+    without its final comma.
+    """
+    i_pieces, j_pieces = _PieceTable(b"[%d,"), _PieceTable(b'%d,"')
+    basis_pieces = _byte_rows([b'%s"],' % basis.value.encode("ascii") for basis in BASES])
+
+    def encode(marks: Marks) -> tuple[bytes, ...]:
+        if not marks.i.size:
+            return ()
+        i_rows = i_pieces.reach(int(marks.i[-1]))      # the marks run in (i, j) order
+        j_rows = j_pieces.reach(int(marks.j.max()))
+        chunks = []
+        for k in range(0, marks.i.size, CHUNK_MARKS):
+            part = slice(k, k + CHUNK_MARKS)
+            rows = np.concatenate((i_rows.take(marks.i[part], axis=0),
+                                   j_rows.take(marks.j[part], axis=0),
+                                   basis_pieces.take(marks.basis[part], axis=0)), axis=1)
+            chunks.append(rows.tobytes().translate(None, b"\0"))
+        chunks[-1] = chunks[-1][:-1]
+        return tuple(chunks)
+
+    return encode
+
+
 def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
                 bbox: BBox | None = None) -> Iterator[bytes]:
     """The slice stream of ``geometry`` on a lattice of ``cells``, as byte pieces.
@@ -229,25 +291,22 @@ def slice_lines(geometry: Geometry, cells: tuple[int, int, int],
     Each layer is written in full once, in the ``init`` that brings it up
     (the first instruction that names it), and as ``{"index":n}`` in every
     other one. The lattice is checked against ``bbox`` (see
-    ``layer_marks``), and the stamps set up, before this returns. Every
-    distinct (site, basis) is encoded once, and ``layer_marks`` joins the
-    marks of each distinct layer once, into the payload the layers equal to
-    it share. Instructions are yielded piece by piece, so a payload is never
-    copied into a line; ``cmd_slice`` copies each piece once, into its write
+    ``layer_marks``), and the stamps set up, before this returns.
+    ``layer_marks`` runs ``_payload_encoder`` once per distinct active set,
+    and the layers equal to it share the payload chunks it makes.
+    Instructions are yielded piece by piece, so a payload is never copied
+    into a line; ``cmd_slice`` copies each piece once, into its write
     buffer.
     """
-    names = {basis: basis.value.encode("ascii") for basis in SiteBasis}
-    payloads = layer_marks(geometry, cells,
-                           lambda i, j, basis: b'[%d,%d,"%s"]' % (i, j, names[basis]), bbox,
-                           layer=b",".join)
+    payloads = layer_marks(geometry, cells, bbox, layer=_payload_encoder())
     head = b'{"default_basis":"x","extent":[%d,%d],' % (2 * cells[0], 2 * cells[1])
     layers = ((head + b'"index":%d,"kind":"%s","marked":[' % (
-                  t - 1, layer_kind(t).value.encode("ascii")), payload, b'],"t":%d}' % t)
+                  t - 1, layer_kind(t).value.encode("ascii")), *payload, b'],"t":%d}' % t)
               for t, payload in enumerate(payloads, 1))
     return _instruction_pieces(layers, 2 * cells[2] - 1)
 
 
-def _instruction_pieces(layers: Iterator[tuple[bytes, bytes, bytes]],
+def _instruction_pieces(layers: Iterator[tuple[bytes, ...]],
                         count: int) -> Iterator[bytes]:
     # hardware_loop brings each layer up with one init, which names that
     # layer alone and is the first instruction to name it, and the inits

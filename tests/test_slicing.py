@@ -6,15 +6,18 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference_scans as ref
 from tqecsynth import analysis, cli
 from tqecsynth.analysis import (
-    AnalysisError, BBox, SiteBasis, _stamps, bounding_box, lattice_cells_for, layer_marks,
+    BASES, AnalysisError, BBox, SiteBasis, _stamps, bounding_box, lattice_cells_for, layer_marks,
     slice_layers,
 )
 from tqecsynth.cli import EXIT_OK, EXIT_PARSE, WRITE_BYTES, main, slice_lines
@@ -247,16 +250,12 @@ def test_collinear_segment_stamps_merge_into_runs():
     assert all(layers[t].basis_at(9, 3) is Z for t in range(1, 11))
 
 
-def pairs(i, j, basis):
-    return ((i, j), basis)
-
-
 def test_layer_equal_to_the_one_two_back_is_shared():
     # a one-layer injection vertex between its pins, inside their three-layer Z boxes
     geo = geometry([strand(3, 3, 1, 9)],
                    injections=[injection((6, 5, 5), (5, 5, 5), (7, 5, 5))])
     cells = (6, 6, 6)
-    marks = list(layer_marks(geo, cells, pairs))
+    marks = list(layer_marks(geo, cells))
     assert marks[5] is marks[3] and marks[5] != marks[4]     # t = 6, 4 and 5
     assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
     assert ref.expand_stream(b"".join(slice_lines(geo, cells))) == ref.slice_stream(geo, cells)
@@ -269,7 +268,7 @@ def test_equal_layers_three_apart_are_rebuilt():
         injection((8, 7, 3), (7, 7, 9), (9, 7, 9)),
     ])
     cells = (6, 6, 6)
-    marks = list(layer_marks(geo, cells, pairs))
+    marks = list(layer_marks(geo, cells))
     assert marks[3] == marks[0] and marks[3] is not marks[0]
     assert len({marks[0], marks[1], marks[2]}) == 3
     assert slice_layers(geo, cells) == ref.slice_layers(geo, cells)
@@ -333,36 +332,49 @@ def test_active_stamps_cover_each_layer_at_most_three_times(tmp_path, name):
             change[t_lo] += rows * cols
             change[t_hi + 1] -= rows * cols
     sites = 0
-    for t, marked in enumerate(layer_marks(geo, cells, pairs), 1):
+    for t, marked in enumerate(layer_marks(geo, cells), 1):
         sites += change[t]
         assert sites <= 3 * len(marked), f"t = {t}"
 
 
 @pytest.mark.parametrize("name", ["cnot", "toffoli"])
-def test_overlays_once_per_distinct_active_set(name):
+def test_overlays_once_per_distinct_active_set(name, monkeypatch):
     geo = run_pipeline((CIRCUIT_DIR / f"{name}.tq").read_text(), PipelineConfig()).geometry
     cells = lattice_cells_for(geo)
-    stamps = _stamps(geo)
     active = active_sets(geo, cells)
-    encoded = []
-    marks = list(layer_marks(geo, cells, lambda i, j, basis: encoded.append((i, j, basis))
-                             or ((i, j), basis)))
+    marks = list(layer_marks(geo, cells))
     built = {}
     for stamp_set, marked in zip(active, marks):
         built.setdefault(stamp_set, set()).add(id(marked))
     # every distinct active set is overlaid once, and far fewer than the layers
     assert all(len(ids) == 1 for ids in built.values())
     assert len({id(marked) for marked in marks}) == len(built) < len(marks) // 2
-    # and every distinct (site, basis) is encoded once
-    sites = {(i, j, basis) for _, _, i_lo, i_hi, j_lo, j_hi, basis in stamps
-             for i in range(max(i_lo, 0), min(i_hi, 2 * cells[0]) + 1)
-             for j in range(max(j_lo, 0), min(j_hi, 2 * cells[1]) + 1)}
-    assert len(encoded) == len(set(encoded)) and set(encoded) == sites
+    # and the CLI's payload encoder runs once per distinct active set
+    encoded = []
+    make_encoder = cli._payload_encoder
+
+    def counting_encoder():
+        encode = make_encoder()
+        return lambda overlay: encoded.append(overlay) or encode(overlay)
+
+    monkeypatch.setattr(cli, "_payload_encoder", counting_encoder)
+    stream = b"".join(slice_lines(geo, cells))
+    assert len(encoded) == len(built)
+    assert ref.expand_stream(stream) == ref.slice_stream(geo, cells)
     assert [layer.marked for layer in ref.slice_layers(geo, cells)] == marks
     # the default layer is a tuple, and slice_layers keeps the shared tuples
     assert all(type(marked) is tuple for marked in marks)
     shared = [layer.marked for layer in slice_layers(geo, cells)]
     assert shared == marks and len({id(marked) for marked in shared}) == len(built)
+    # in which each distinct (site, basis) pair is one object
+    pairs = [pair for marked in shared for pair in marked]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs)) < len(pairs)
+
+
+def pairs_of(marks) -> tuple:
+    """``marks`` as the ``((i, j), basis)`` pairs of ``Layer.marked``, each made afresh."""
+    return tuple(zip(zip(marks.i.tolist(), marks.j.tolist()),
+                     map(BASES.__getitem__, marks.basis.tolist())))
 
 
 @pytest.mark.parametrize("name", ["cnot", "toffoli"])
@@ -373,10 +385,10 @@ def test_layer_runs_once_per_distinct_active_set(name):
     built = []
 
     def record(marks):
-        built.append(tuple(marks))
+        built.append(pairs_of(marks))
         return len(built) - 1
 
-    calls = list(layer_marks(geo, cells, pairs, layer=record))
+    calls = list(layer_marks(geo, cells, layer=record))
     # each layer yields the one call made for its active set
     assert len(built) == len(set(active)) == len(set(zip(active, calls)))
     assert [built[k] for k in calls] == [layer.marked for layer in ref.slice_layers(geo, cells)]
@@ -388,13 +400,120 @@ def test_stream_joins_each_distinct_payload_once(name):
     cells = lattice_cells_for(geo)
     pieces = list(slice_lines(geo, cells))
     assert ref.expand_stream(b"".join(pieces)) == ref.slice_stream(geo, cells)
-    # a layer's marks are the only pieces that open with a site record
+    # a layer's payload chunks are the only pieces that open with a site record
     payloads = [piece for piece in pieces if piece.startswith(b"[")]
-    overlays = [marked for marked in layer_marks(geo, cells, pairs) if marked]
-    built = len({id(marked) for marked in overlays})
-    # each layer's payload goes out once, and the layers equal to it share it
-    assert len(payloads) == len(overlays)
-    assert len({id(piece) for piece in payloads}) == built < len(payloads) // 2
+    overlays = [marked for marked in layer_marks(geo, cells) if marked]
+    distinct = list({id(marked): marked for marked in overlays}.values())
+
+    def chunks(marked):
+        return math.ceil(len(marked) / cli.CHUNK_MARKS)
+
+    # each layer's payload goes out once, and the layers equal to it share its chunks
+    assert len(payloads) == sum(map(chunks, overlays))
+    assert len({id(piece) for piece in payloads}) == sum(map(chunks, distinct))
+    assert len(distinct) < len(overlays) // 2
+
+
+def test_payload_chunks_join_to_the_same_stream(monkeypatch):
+    # chunks of 7 marks split every non-trivial layer into several pieces
+    geo = run_pipeline((CIRCUIT_DIR / "toffoli.tq").read_text(), PipelineConfig()).geometry
+    cells = lattice_cells_for(geo)
+    whole = list(slice_lines(geo, cells))
+    monkeypatch.setattr(cli, "CHUNK_MARKS", 7)
+    pieces = list(slice_lines(geo, cells))
+    assert b"".join(pieces) == b"".join(whole)
+    assert len(pieces) > len(whole)
+    # a chunk holds whole marks, each but the last chunk of a layer with its trailing comma
+    chunks = [piece for piece in pieces if piece.startswith(b"[")]
+    assert all(piece.count(b"[") <= 7 for piece in chunks)
+    assert all(piece.endswith((b"],", b"]")) for piece in chunks)
+
+
+def painted(stamps, extent) -> list[tuple]:
+    """Every layer's marks by brute force: each site of each active clipped
+    stamp painted in stamp order, so a later stamp wins."""
+    i_max, j_max, t_max = extent
+    layers = []
+    for t in range(1, t_max):
+        marks = {}
+        for t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis in stamps:
+            if t_lo <= t <= t_hi:
+                for i in range(max(i_lo, 0), min(i_hi, i_max) + 1):
+                    for j in range(max(j_lo, 0), min(j_hi, j_max) + 1):
+                        marks[(i, j)] = basis
+        layers.append(tuple(sorted(marks.items())))
+    return layers
+
+
+def overlay_of_each_layer(stamps, extent) -> list[int]:
+    """The overlay each layer yields by the reuse rule: a layer whose set of
+    active, non-empty clipped stamps is one of the last two distinct sets
+    reuses that set's overlay, and any other set is overlaid anew."""
+    i_max, j_max, t_max = extent
+    kept = [k for k, (t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, _) in enumerate(stamps)
+            if max(i_lo, 0) <= min(i_hi, i_max) and max(j_lo, 0) <= min(j_hi, j_max)]
+    recent, overlays = [], []
+    for t in range(1, t_max):
+        active = frozenset(k for k in kept if stamps[k][0] <= t <= stamps[k][1])
+        hit = next((entry for entry in recent if entry[0] == active), None)
+        if hit is None:
+            hit = (active, len(set(overlays)))
+        recent = [entry for entry in recent if entry is not hit][-1:] + [hit]
+        overlays.append(hit[1])
+    return overlays
+
+
+Z, IO, INJ = SiteBasis.Z, SiteBasis.IO, SiteBasis.INJECTED
+coords = st.integers(-2, 8)
+stamp_sets = st.lists(st.builds(
+    lambda t, dt, i, di, j, dj, basis: (t, t + dt, i, i + di, j, j + dj, basis),
+    st.integers(-1, 7), st.integers(-1, 3), coords, st.integers(-1, 4), coords,
+    st.integers(-1, 4), st.sampled_from(list(SiteBasis))), max_size=8)
+extents = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(2, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stamp_sets, extents)
+# later-wins across bases: an injected vertex and an IO box over a Z box
+@example([(1, 3, 0, 2, 0, 2, Z), (2, 2, 1, 1, 1, 1, INJ), (1, 3, 1, 3, 1, 3, IO)], (4, 4, 4))
+# stamps clipped at every lattice edge, and one wholly outside it
+@example([(-1, 9, -2, 9, 3, 9, Z), (0, 2, 5, 9, -3, 0, IO), (2, 3, 7, 8, 0, 1, Z)], (4, 6, 5))
+# an IO stamp leaves while the Z stamp under it stays
+@example([(1, 5, 0, 2, 0, 2, Z), (2, 3, 0, 2, 0, 2, IO)], (4, 4, 4))
+# no stamps, and layers past the last stamp: empty layers
+@example([], (2, 2, 3))
+@example([(1, 1, 0, 1, 0, 1, Z)], (2, 2, 6))
+# a one-layer vertex breaks into a set and restores it: reuse two distinct sets back
+@example([(1, 6, 0, 1, 0, 1, Z), (2, 2, 3, 3, 3, 3, INJ), (4, 4, 2, 2, 2, 2, INJ)], (4, 4, 6))
+def test_array_sweep_equals_a_brute_force_painter(stamps, extent):
+    built = []
+
+    def record(marks):
+        built.append(pairs_of(marks))
+        return len(built) - 1
+
+    calls = list(analysis._sweep_layers(stamps, extent, record))
+    assert [built[k] for k in calls] == painted(stamps, extent)
+    assert calls == overlay_of_each_layer(stamps, extent)
+
+
+def test_huge_lattice_slices_in_memory_of_the_geometry(tmp_path):
+    # 11 x 80 000 001 = 8.8e8 sites a layer, within MAX_LAYER_SITES: nothing
+    # the slicer allocates may scale with the lattice instead of the geometry
+    path = CIRCUIT_DIR / "p_gate.tq"
+    cells = (5, 40_000_000, 15)
+    out = tmp_path / "layers.jsonl"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rc = main(["slice", str(path), "--cells", *map(str, cells), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert peak < 5 * 2**20, f"peak {peak} B"
+    geo = run_pipeline(path.read_text(), PipelineConfig()).geometry
+    assert ref.expand_stream(out.read_bytes()) == ref.slice_stream(geo, cells)
 
 
 class Recording:
@@ -505,11 +624,11 @@ def test_held_bounding_box_decides_the_cover():
     geo = HAND_BUILT["io-over-z"]
     cells = (6, 6, 6)
     box = bounding_box(geo)
-    assert list(layer_marks(geo, cells, pairs, box)) == list(layer_marks(geo, cells, pairs))
+    assert list(layer_marks(geo, cells, box)) == list(layer_marks(geo, cells))
     # a box past the lattice is refused although the geometry itself fits
     wide = BBox(box.lo, Coord(13, box.hi.j, box.hi.t))
     with pytest.raises(AnalysisError, match="lattice extent smaller than the geometry"):
-        layer_marks(geo, cells, pairs, wide)
+        layer_marks(geo, cells, wide)
     with pytest.raises(AnalysisError, match="lattice extent smaller than the geometry"):
         slice_lines(geo, cells, wide)
 

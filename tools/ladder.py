@@ -19,8 +19,9 @@ host. Per rung it records:
   ``run_pipeline`` and the distance read, before the document and the
   slice;
 - ``document_s`` and ``document_bytes``: writing the JSON document of that
-  result, as ``synth --format json`` writes it, to a sink that counts the
-  bytes it is handed and keeps none, and that byte count;
+  result, as ``synth --format json`` writes it (with Python's cyclic
+  garbage collector paused), to a sink that counts the bytes it is handed
+  and keeps none, and that byte count;
 - ``peak_rss_mb``: the child's peak resident set after all of these, so
   ``peak_rss_mb - pipeline_peak_rss_mb`` is what the document and the
   slice add;
@@ -87,6 +88,7 @@ def measure(toffolis: int) -> dict:
     from tqecsynth import cli, pipeline
     from tqecsynth.analysis import lattice_cells
     from tqecsynth.document import document_pieces
+    from tqecsynth.geometry import collector_paused
     from workloads import toffoli_source
 
     source = toffoli_source(random.Random(1), toffolis, 6)
@@ -102,7 +104,8 @@ def measure(toffolis: int) -> dict:
 
     document = ByteCount()
     start = time.perf_counter()
-    cli._write_runs(document, document_pieces(result))
+    with collector_paused():   # as synth writes it, inside cli.main's pause
+        cli._write_runs(document, document_pieces(result))
     document_s = time.perf_counter() - start
     rung = {"toffolis": toffolis, "run_pipeline_s": round(run_s, 3),
             "distance_s": round(distance_s, 3), "min_separation": report.min_separation,
