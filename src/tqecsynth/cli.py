@@ -224,15 +224,15 @@ STREAM_VERSION = 2
 CHUNK_MARKS = 1 << 14
 
 
-def _byte_rows(texts: list[bytes]) -> np.ndarray:
-    """``texts`` as the rows of a byte array, each padded with zero bytes."""
+def _byte_items(texts: list[bytes]) -> np.ndarray:
+    """``texts`` as the items of a void array, each padded with zero bytes
+    to the longest."""
     width = max(map(len, texts))
-    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts),
-                         np.uint8).reshape(len(texts), width)
+    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), f"V{width}")
 
 
 class _PieceTable:
-    """The bytes ``fmt % k``, k = 0, 1, ..., as the rows of ``_byte_rows``.
+    """The bytes ``fmt % k``, k = 0, 1, ..., as the items of ``_byte_items``.
 
     The table grows, to at least twice its size, when a coordinate past its
     end is asked for, so it spans at most twice the largest coordinate the
@@ -241,40 +241,47 @@ class _PieceTable:
 
     def __init__(self, fmt: bytes) -> None:
         self.fmt = fmt
-        self.rows = _byte_rows([fmt % 0])
+        self.items = _byte_items([fmt % 0])
 
     def reach(self, top: int) -> np.ndarray:
-        """The table, grown to hold row ``top``."""
-        if top >= len(self.rows):
-            self.rows = _byte_rows([self.fmt % k
-                                    for k in range(max(top + 1, 2 * len(self.rows)))])
-        return self.rows
+        """The table, grown to hold item ``top``."""
+        if top >= len(self.items):
+            self.items = _byte_items([self.fmt % k
+                                      for k in range(max(top + 1, 2 * len(self.items)))])
+        return self.items
 
 
 def _payload_encoder() -> Callable[[Marks], tuple[bytes, ...]]:
     """A ``layer`` function for ``layer_marks``: a layer's marks as the
     ``json.dumps`` bytes ``[i,j,"basis"]`` joined by commas, in chunks.
 
-    Each mark is gathered from three piece tables, ``[i,``, ``j,"`` and
-    ``basis"],``, into one zero-padded row; a chunk of ``CHUNK_MARKS`` rows
-    goes out as their bytes with the padding dropped, and the last chunk
-    without its final comma.
+    Each mark is one zero-padded record of a chunk buffer, its fields the
+    pieces ``[i,``, ``j,"`` and ``basis"],``, each gathered as one item from
+    its piece table; a chunk of ``CHUNK_MARKS`` records goes out as their
+    bytes with the padding dropped, and the last chunk without its final
+    comma. The buffer is made again only when a piece table widens.
     """
     i_pieces, j_pieces = _PieceTable(b"[%d,"), _PieceTable(b'%d,"')
-    basis_pieces = _byte_rows([b'%s"],' % basis.value.encode("ascii") for basis in BASES])
+    basis_pieces = _byte_items([b'%s"],' % basis.value.encode("ascii") for basis in BASES])
+    widths, records = (), np.empty(0)
 
     def encode(marks: Marks) -> tuple[bytes, ...]:
+        nonlocal widths, records
         if not marks.i.size:
             return ()
-        i_rows = i_pieces.reach(int(marks.i[-1]))      # the marks run in (i, j) order
-        j_rows = j_pieces.reach(int(marks.j.max()))
+        pieces = (i_pieces.reach(int(marks.i[-1])),     # the marks run in (i, j) order
+                  j_pieces.reach(int(marks.j.max())), basis_pieces)
+        if widths != tuple(piece.itemsize for piece in pieces):
+            widths = tuple(piece.itemsize for piece in pieces)
+            records = np.empty(CHUNK_MARKS, [(name, piece.dtype)
+                                             for name, piece in zip("ijb", pieces)])
         chunks = []
         for k in range(0, marks.i.size, CHUNK_MARKS):
             part = slice(k, k + CHUNK_MARKS)
-            rows = np.concatenate((i_rows.take(marks.i[part], axis=0),
-                                   j_rows.take(marks.j[part], axis=0),
-                                   basis_pieces.take(marks.basis[part], axis=0)), axis=1)
-            chunks.append(rows.tobytes().translate(None, b"\0"))
+            chunk = records[:marks.i[part].size]
+            for name, piece, codes in zip("ijb", pieces, (marks.i, marks.j, marks.basis)):
+                chunk[name] = piece[codes[part]]
+            chunks.append(chunk.tobytes().translate(None, b"\0"))
         chunks[-1] = chunks[-1][:-1]
         return tuple(chunks)
 

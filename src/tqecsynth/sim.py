@@ -14,10 +14,22 @@ every trial, with the Pauli frame and each T block's adaptive bases carried
 as bit arrays over the measured axes. The trailing axis holds T trials, one
 input state each; the branch weights, and so which branches are feasible,
 are per trial, while the frame bits depend on the outcomes alone and
-broadcast over it. ``check_equivalence`` runs each chunk of its random
-inputs through one pass per side; ``branch_outputs`` and ``run_branches``, the per-branch
+broadcast over it. ``check_equivalence`` draws each chunk of its random
+inputs in one ``rng.normal`` call, the stream the per-trial
+``random_product_state`` loop draws, and runs the chunk through one pass
+per side; ``branch_outputs`` and ``run_branches``, the per-branch
 inspection API, are one-trial views of it, and ``to_unitary`` is one batch
 of basis columns through ``simulate_plain``. All are exhaustive.
+
+The pass builds its own C-contiguous tensor and works on it in place. A
+CNOT swaps the two quarters where the control is 1, and a basis change is
+one add and one subtract of the row's halves, on every branch at once
+unless a T block's basis differs between branches. Which branches are
+feasible is read once, from the final state: a measured row is never
+touched again, so for each prefix of outcomes every later step is unitary
+on the other rows and keeps that prefix's weight. Summing the final
+``|state|**2`` over the other rows, then over the measured rows in reverse
+measurement order, gives the weight of every prefix in turn.
 
 Trials go through in chunks of at most ``2**QUBIT_BUDGET // 2**n`` (at least
 one), so a chunk's state tensor never exceeds 4096 amplitudes: a 12-row
@@ -30,14 +42,14 @@ branches each never hold their 2**22 pairs at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi, prod, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import Circuit, GateKind, InitBasis, MeasBasis
 from .icm import (
-    DAGGERED, P_KINDS, V_KINDS, IcmConversion, PauliFrame, select_pattern,
+    DAGGERED, P_KINDS, V_KINDS, IcmConversion, PauliFrame,
 )
 
 QUBIT_BUDGET = 12
@@ -97,10 +109,14 @@ class MeasurementEvent:
     effective: int
 
 
+def _split(array: np.ndarray, axis: int) -> np.ndarray:
+    """``array`` as a (before, 2, after) array around ``axis``, of size 2: a
+    view of a C-contiguous ``array``, a copy of any other."""
+    return array.reshape(prod(array.shape[:axis]), 2, -1)
+
+
 def apply_1q(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(state, axis, 0)
-    moved = np.tensordot(u, moved, axes=([1], [0]))
-    return np.moveaxis(moved, 0, axis)
+    return (u @ _split(state, axis)).reshape(state.shape)
 
 
 def apply_cnot(state: np.ndarray, *qubits: int) -> np.ndarray:
@@ -237,25 +253,53 @@ def to_unitary(circ: Circuit) -> np.ndarray:
     return u
 
 
-def _steps(conv: IcmConversion) -> list[tuple]:
-    """The conversion in execution order.
+class _Measure(NamedTuple):
+    """A measurement step of a conversion.
 
-    A step is ``("cnot", control, target)`` or a measurement ``(row, basis,
-    instance, position)``: each block measures the rows of its first pattern
-    right after its last CNOT, and each measured logical output follows the
-    gates in qubit order, with ``instance`` None.
+    ``is_x`` holds whether ``row`` is measured in X when its block's first
+    effective outcome is 0 and when it is 1: the two differ only for a T
+    block's later measurements. ``first`` marks a block's first measurement,
+    and each measured logical output, as the start of a list of effective
+    outcomes. ``closes`` holds the block's kind and output row on its last
+    measurement, and is None on the others and on a measured logical output.
+    """
+
+    row: int
+    is_x: tuple[bool, bool]
+    first: bool
+    closes: tuple[GateKind, int] | None
+
+
+def _steps(conv: IcmConversion) -> list[tuple[int, int] | _Measure]:
+    """The conversion in execution order: a CNOT's ``(control, target)`` or
+    a :class:`_Measure`.
+
+    Each block measures the rows of its first pattern right after its last
+    CNOT, and each measured logical output follows the gates in qubit order.
     """
     circ, _, outputs = _ends(conv)
     blocks = {max(inst.cnot_slots): inst for inst in conv.instances}
-    steps: list[tuple] = []
+    steps: list[tuple[int, int] | _Measure] = []
     for gi, g in enumerate(circ.gates):
-        steps.append(("cnot", *g.qubits))
+        steps.append(g.qubits)
         inst = blocks.get(gi)
-        if inst is not None:
-            steps.extend((inst.rows[loc], basis, inst, pos) for pos, (loc, basis)
-                         in enumerate(inst.template.measurement_patterns[0]))
-    steps.extend((row, circ.meas[row], None, 0) for row in outputs
-                 if circ.meas[row] is not MeasBasis.OPEN)
+        if inst is None:
+            continue
+        template = inst.template
+        # A T block's correction pattern comes first: the wire's effective Z
+        # outcome, measured in it, selects the basis of each later row, 1
+        # the correction pattern's and 0 the plain one's.
+        if_one, if_zero = template.measurement_patterns[0], template.measurement_patterns[-1]
+        last = len(if_one) - 1
+        for pos, ((loc, one), (_, zero)) in enumerate(zip(if_one, if_zero)):
+            is_x = one is MeasBasis.X
+            steps.append(_Measure(
+                inst.rows[loc], (zero is MeasBasis.X if pos else is_x, is_x), pos == 0,
+                (inst.kind, inst.rows[template.output_qubit]) if pos == last else None))
+    for row in outputs:
+        if circ.meas[row] is not MeasBasis.OPEN:
+            is_x = circ.meas[row] is MeasBasis.X
+            steps.append(_Measure(row, (is_x, is_x), True, None))
     return steps
 
 
@@ -281,7 +325,7 @@ def _byproduct(kind: GateKind, eff):
 
 
 def measurement_count(conv: IcmConversion) -> int:
-    return sum(1 for step in _steps(conv) if step[0] != "cnot")
+    return sum(isinstance(step, _Measure) for step in _steps(conv))
 
 
 def _axis_bits(ndim: int, row: int) -> np.ndarray:
@@ -316,6 +360,61 @@ class _Branches(NamedTuple):
         return np.transpose(bits, order).reshape(-1, 2 ** len(rows))
 
 
+def _cnot(state: np.ndarray, c: int, t: int) -> None:
+    """CNOT from row ``c`` onto row ``t`` of the C-contiguous ``state``, in
+    place: where ``c`` is 1, the halves at ``t`` = 0 and 1 swap."""
+    a, b = sorted((c, t))
+    # rows a and b on axes 1 and 3
+    view = state.reshape(2 ** a, 2, 2 ** (b - a - 1), 2, -1)
+    lo, hi = ((view[:, 1, :, 0], view[:, 1, :, 1]) if c < t
+              else (view[:, 0, :, 1], view[:, 1, :, 1]))
+    kept = hi.copy()
+    hi[...] = lo
+    lo[...] = kept
+
+
+def _hadamard(state: np.ndarray, row: int, where: np.ndarray | None = None) -> None:
+    """H on ``row`` of the C-contiguous ``state``, in place, on the branches
+    where ``where`` is set (on all of them if it is None)."""
+    view = _split(state, row)
+    lo, hi = view[:, 0], view[:, 1]
+    if where is None:
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        view *= _SQRT2_INV
+        return
+    out = np.empty_like(view)
+    np.add(lo, hi, out=out[:, 0])
+    np.subtract(lo, hi, out=out[:, 1])
+    out *= _SQRT2_INV
+    np.copyto(state, out.reshape(state.shape), where=where)
+
+
+def _sum_out(weight: np.ndarray, axis: int) -> np.ndarray:
+    """``weight`` summed over ``axis``, kept with size 1: one add of its halves."""
+    halves = _split(weight, axis)
+    shape = weight.shape
+    return (halves[:, 0] + halves[:, 1]).reshape(shape[:axis] + (1,) + shape[axis + 1:])
+
+
+def _feasible(state: np.ndarray, measured: list[int]) -> np.ndarray:
+    """Which branches of the final ``state`` are feasible, per trial: those
+    where each outcome, in measurement order, keeps at least
+    ``_FEASIBLE_TOL`` of the weight before it. The final state holds the
+    weight of every prefix of outcomes (see the module docstring)."""
+    weight = np.abs(state) ** 2
+    for row in range(state.ndim - 1):
+        if row not in measured:
+            weight = _sum_out(weight, row)
+    feasible = np.ones(weight.shape, dtype=bool)
+    for row in reversed(measured):
+        before = _sum_out(weight, row)
+        feasible &= weight >= _FEASIBLE_TOL * before
+        weight = before
+    return feasible
+
+
 def _deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
     """Every outcome branch of ``conv`` for every trial of ``inputs`` (as for
     :func:`assemble_state`) in one pass over the (2,)*n + (T,) tensor."""
@@ -323,47 +422,47 @@ def _deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
     n = circ.qubit_count
     if n > QUBIT_BUDGET:
         raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
-    state = assemble_state(circ.inits, open_rows, inputs, _conjugate_rows(conv))
+    # assemble_state builds a new tensor, so the pass may write it in place
+    state = np.ascontiguousarray(
+        assemble_state(circ.inits, open_rows, inputs, _conjugate_rows(conv)))
     no_flip = np.zeros((1,) * (n + 1), dtype=np.uint8)
     x, z = [no_flip] * n, [no_flip] * n
-    weight = np.sum(np.abs(state) ** 2, axis=tuple(range(n)), keepdims=True)
-    feasible = np.ones(weight.shape, dtype=bool)
     events: list[tuple[int, np.ndarray, np.ndarray]] = []
-    measured: list[int] = []
     for step in _steps(conv):
-        if step[0] == "cnot":
-            _, c, t = step
-            state = apply_cnot(state, c, t)
-            x[t] = x[t] ^ x[c]
-            z[c] = z[c] ^ z[t]
+        if not isinstance(step, _Measure):
+            c, t = step
+            _cnot(state, c, t)
+            if x[c] is not no_flip:
+                x[t] = x[t] ^ x[c]
+            if z[t] is not no_flip:
+                z[c] = z[c] ^ z[t]
             continue
-        row, basis, inst, pos = step
-        if pos:
-            # a T block's later bases follow its wire's effective Z outcome
-            is_x = np.where(eff[0], *(select_pattern(inst, e)[row] is MeasBasis.X
-                                      for e in (1, 0)))
-        else:
+        row, (x_if_zero, x_if_one), first, closes = step
+        if first:
             eff = []
-            is_x = np.asarray(basis is MeasBasis.X)
-        if is_x.any():
-            state = np.where(is_x, apply_1q(state, H_MATRIX, row), state)
+        if x_if_zero == x_if_one:
+            is_x = np.asarray(x_if_one)
+            flip = z[row] if x_if_one else x[row]
+            if x_if_one:
+                _hadamard(state, row)
+        else:
+            # a T block's later bases follow its wire's effective Z outcome
+            is_x = eff[0] == x_if_one
+            flip = np.where(is_x, z[row], x[row])
+            _hadamard(state, row, is_x)
         # The measured row is never touched again, so its axis is left in
         # place and indexes the raw outcome of every branch at once. A
         # pending X flips Z outcomes, a pending Z flips X outcomes; the
         # effective outcome is the one the ideal (frame-free) circuit saw.
-        eff.append(_axis_bits(n + 1, row) ^ np.where(is_x, z[row], x[row]))
+        eff.append(_axis_bits(n + 1, row) ^ flip)
         events.append((row, is_x, eff[-1]))
         x[row] = z[row] = no_flip
-        measured.append(row)
-        free = tuple(r for r in range(n) if r not in measured)
-        branch_weight = np.sum(np.abs(state) ** 2, axis=free, keepdims=True)
-        feasible = feasible & (branch_weight >= _FEASIBLE_TOL * weight)
-        weight = branch_weight
-        if inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1:
-            fx, fz = _byproduct(inst.kind, eff)
-            x[inst.output_row] = x[inst.output_row] ^ fx
-            z[inst.output_row] = z[inst.output_row] ^ fz
-    return _Branches(state, feasible, events, x, z)
+        if closes is not None:
+            kind, out = closes
+            fx, fz = _byproduct(kind, eff)
+            x[out] = x[out] ^ fx
+            z[out] = z[out] ^ fz
+    return _Branches(state, _feasible(state, [row for row, _, _ in events]), events, x, z)
 
 
 def run_branches(conv: IcmConversion, input_state: np.ndarray | None):
@@ -410,8 +509,15 @@ def _trial_outputs(conv: IcmConversion,
     circ, _, outputs = _ends(conv)
     rows = [r for r in outputs if circ.meas[r] is MeasBasis.OPEN]
     for r in rows:
-        state = np.where(run.z[r] & _axis_bits(n + 1, r), -state, state)
-        state = np.where(run.x[r], np.flip(state, r), state)
+        # Z, then X, where the branch's frame holds them; the row's own
+        # axis is dropped from the bits, which never depend on it
+        cut = (slice(None),) * r
+        lo, hi = state[cut + (0,)], state[cut + (1,)]
+        np.negative(hi, out=hi, where=run.z[r][cut + (0,)].view(bool))
+        flip = run.x[r][cut + (0,)].view(bool)
+        kept = hi.copy()
+        np.copyto(hi, lo, where=flip)
+        np.copyto(lo, kept, where=flip)
     measured = [row for row, _, _ in run.events]
     outputs = np.ascontiguousarray(np.transpose(state, [n] + measured + rows)).reshape(
         state.shape[-1], 2 ** len(measured), 2 ** len(rows))
@@ -438,6 +544,24 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
         v = v / np.linalg.norm(v)
         state = np.multiply.outer(state, v)
     return state
+
+
+def _random_inputs(n: int, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """``trials`` draws of :func:`random_product_state`, one per column:
+    shape (2**n, trials).
+
+    One ``rng.normal`` call draws the per-trial loop's stream: for each
+    trial and qubit, two real parts, then two imaginary parts.
+    """
+    draws = rng.normal(size=(trials, n, 2, 2))
+    re, im = draws[:, :, 0, :, None], draws[:, :, 1, :, None]
+    # each squared norm as np.linalg.norm takes it, one dot product a part
+    square = (re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)[..., 0]
+    v = (re + 1j * im)[..., 0] / np.sqrt(square)
+    state = v[:, 0]
+    for q in range(1, n):
+        state = (state[:, :, None] * v[:, q, None, :]).reshape(trials, -1)
+    return state.T
 
 
 def _outputs(side: Circuit | IcmConversion,
@@ -496,8 +620,7 @@ def check_equivalence(
     for lo in range(0, count, chunk):
         inputs = None
         if n_in:
-            inputs = np.stack([random_product_state(n_in, rng).reshape(-1)
-                               for _ in range(min(chunk, count - lo))], axis=1)
+            inputs = _random_inputs(n_in, min(chunk, count - lo), rng)
         (out_a, ok_a), (out_b, ok_b) = _outputs(a, inputs), _outputs(b, inputs)
         # Score a block of a's branches at a time, so that a block holds at
         # most 2**QUBIT_BUDGET pairs per trial, as large as one state.

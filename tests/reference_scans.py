@@ -9,7 +9,11 @@ line-by-line, absolute-index version of ``document.export_obj`` with a
 strict decoder (``resolve_obj``) that resolves either index form to
 vertex coordinates, the replay version of
 ``sim.run_branches`` (every outcome string run from scratch, one
-measurement collapsed at a time), and the per-trial loop version of
+measurement collapsed at a time), the step-by-step version of
+``sim._deferred`` and ``sim._trial_outputs`` (``deferred`` and
+``trial_outputs``: a new tensor for every CNOT and basis change, T-block
+bases looked up per measurement, feasibility summed at every
+measurement), and the per-trial loop version of
 ``sim.check_equivalence`` (each trial's input drawn, simulated and scored
 on its own), and the row-object version of ``icm.to_icm``
 (every block's ancillas inserted into one row list by search, rows
@@ -53,8 +57,9 @@ from tqecsynth.matrix import CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _ter
 from tqecsynth.pipeline import PipelineResult
 from tqecsynth.scheduling import RNG_ALGORITHM, BoxInstance, Connection, Region
 from tqecsynth.sim import (
-    H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _conjugate_rows, apply_1q,
-    apply_cnot, assemble_state, branch_outputs, random_product_state, simulate_plain,
+    _FEASIBLE_TOL, H_MATRIX, QUBIT_BUDGET, MeasurementEvent, SimResult, _axis_bits,
+    _Branches, _byproduct, _conjugate_rows, _ends, apply_cnot, assemble_state,
+    branch_outputs, random_product_state, simulate_plain,
 )
 
 #: Most outcome strings ``run_branches`` replays; a test that needs more
@@ -590,6 +595,97 @@ def _forced(bits: tuple[int, ...]):
             raise InfeasibleBranch(f"outcome {m} has probability ~0")
         return m
     return next_bit
+
+
+def apply_1q(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """``u`` on ``axis``: the axis moved to the front, contracted, moved back."""
+    moved = np.moveaxis(state, axis, 0)
+    moved = np.tensordot(u, moved, axes=([1], [0]))
+    return np.moveaxis(moved, 0, axis)
+
+
+def deferred_steps(conv: IcmConversion) -> list[tuple]:
+    """The conversion in execution order: ``("cnot", control, target)`` or a
+    measurement ``(row, basis, instance, position)``, ``instance`` None for
+    a measured logical output."""
+    circ, _, outputs = _ends(conv)
+    blocks = {max(inst.cnot_slots): inst for inst in conv.instances}
+    steps: list[tuple] = []
+    for gi, g in enumerate(circ.gates):
+        steps.append(("cnot", *g.qubits))
+        inst = blocks.get(gi)
+        if inst is not None:
+            steps.extend((inst.rows[loc], basis, inst, pos) for pos, (loc, basis)
+                         in enumerate(inst.template.measurement_patterns[0]))
+    steps.extend((row, circ.meas[row], None, 0) for row in outputs
+                 if circ.meas[row] is not MeasBasis.OPEN)
+    return steps
+
+
+def deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
+    """``sim._deferred`` step by step: a copy of the tensor per CNOT, a basis
+    change over the whole tensor chosen by ``np.where``, T-block bases looked
+    up with ``select_pattern``, and feasibility read from the branch weights
+    at every measurement."""
+    circ, open_rows, _ = _ends(conv)
+    n = circ.qubit_count
+    if n > QUBIT_BUDGET:
+        raise ValueError(f"simulation capped at {QUBIT_BUDGET} qubits")
+    state = assemble_state(circ.inits, open_rows, inputs, _conjugate_rows(conv))
+    no_flip = np.zeros((1,) * (n + 1), dtype=np.uint8)
+    x, z = [no_flip] * n, [no_flip] * n
+    weight = np.sum(np.abs(state) ** 2, axis=tuple(range(n)), keepdims=True)
+    feasible = np.ones(weight.shape, dtype=bool)
+    events: list[tuple[int, np.ndarray, np.ndarray]] = []
+    measured: list[int] = []
+    for step in deferred_steps(conv):
+        if step[0] == "cnot":
+            _, c, t = step
+            state = apply_cnot(state, c, t)
+            x[t] = x[t] ^ x[c]
+            z[c] = z[c] ^ z[t]
+            continue
+        row, basis, inst, pos = step
+        if pos:
+            is_x = np.where(eff[0], *(select_pattern(inst, e)[row] is MeasBasis.X
+                                      for e in (1, 0)))
+        else:
+            eff = []
+            is_x = np.asarray(basis is MeasBasis.X)
+        if is_x.any():
+            state = np.where(is_x, apply_1q(state, H_MATRIX, row), state)
+        eff.append(_axis_bits(n + 1, row) ^ np.where(is_x, z[row], x[row]))
+        events.append((row, is_x, eff[-1]))
+        x[row] = z[row] = no_flip
+        measured.append(row)
+        free = tuple(r for r in range(n) if r not in measured)
+        branch_weight = np.sum(np.abs(state) ** 2, axis=free, keepdims=True)
+        feasible = feasible & (branch_weight >= _FEASIBLE_TOL * weight)
+        weight = branch_weight
+        if inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1:
+            fx, fz = _byproduct(inst.kind, eff)
+            x[inst.output_row] = x[inst.output_row] ^ fx
+            z[inst.output_row] = z[inst.output_row] ^ fz
+    return _Branches(state, feasible, events, x, z)
+
+
+def trial_outputs(conv: IcmConversion, inputs: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``sim._trial_outputs`` on :func:`deferred`, the frame applied with
+    ``np.where`` over the whole tensor."""
+    run = deferred(conv, inputs)
+    state = run.state
+    n = state.ndim - 1
+    circ, _, outputs = _ends(conv)
+    rows = [r for r in outputs if circ.meas[r] is MeasBasis.OPEN]
+    for r in rows:
+        state = np.where(run.z[r] & _axis_bits(n + 1, r), -state, state)
+        state = np.where(run.x[r], np.flip(state, r), state)
+    measured = [row for row, _, _ in run.events]
+    outputs = np.ascontiguousarray(np.transpose(state, [n] + measured + rows)).reshape(
+        state.shape[-1], 2 ** len(measured), 2 ** len(rows))
+    feasible = run.by_branch(run.feasible)
+    norm = np.linalg.norm(outputs, axis=2, keepdims=True)
+    return outputs / np.where(feasible[..., None], norm, 1.0), feasible
 
 
 def _measure(state, axis, basis, next_bit):

@@ -635,3 +635,180 @@ def test_relabelled_rows_keep_measured_outputs_in_qubit_order():
     inp = random_product_state(2, np.random.default_rng(4))
     assert len(assert_branch_outputs_match_walk(moved, inp)) == 256
     assert len(assert_walk_matches_replay(moved, inp)) == 256
+
+
+# -- the step loop against the reference kernel --------------------------------
+
+@st.composite
+def conversions(draw):
+    """A conversion of a random gate circuit, some of its inputs fixed and
+    some of its outputs measured, its rows in a drawn order; and inputs for
+    a batch of 1 to 8 trials, random product states or basis states (which
+    leave branches of zero weight)."""
+    gates = draw(gate_circuits(max_qubits=3, max_gates=4))
+    n = gates.qubit_count
+    inits = tuple(draw(st.sampled_from([InitBasis.OPEN, InitBasis.OPEN, InitBasis.ZERO,
+                                        InitBasis.PLUS])) for _ in range(n))
+    meas = tuple(draw(st.sampled_from([MeasBasis.OPEN, MeasBasis.OPEN, MeasBasis.Z,
+                                       MeasBasis.X])) for _ in range(n))
+    circ = Circuit(n, inits, gates.gates, meas)
+    conv = to_icm(decompose_gates(circ))
+    rows = conv.circuit.qubit_count
+    if rows > 10:
+        # keeps each example fast; the 12-row cases below cover the size
+        conv = to_icm(decompose_gates(Circuit(n, inits, (), meas)))
+        rows = conv.circuit.qubit_count
+    if draw(st.booleans()):
+        conv = relabel(conv, draw(st.permutations(range(rows))))
+    k = len(circ.open_inputs())
+    if not k:
+        return conv, None
+    trials = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        inputs = sim._random_inputs(k, trials, np.random.default_rng(draw(st.integers(0, 99))))
+    else:
+        columns = draw(st.lists(st.integers(0, 2 ** k - 1), min_size=trials, max_size=trials))
+        inputs = np.eye(2 ** k, dtype=complex)[:, columns]
+    return conv, inputs
+
+
+def assert_matches_reference_kernel(conv, inputs):
+    """The step loop gives the reference kernel's branches: the same
+    feasible masks exactly, the same bases, outcomes and frame, and output
+    vectors equal up to rounding."""
+    run, want = sim._deferred(conv, inputs), ref.deferred(conv, inputs)
+    np.testing.assert_array_equal(run.by_branch(run.feasible), want.by_branch(want.feasible))
+    assert [row for row, _, _ in run.events] == [row for row, _, _ in want.events]
+    for got_bits, want_bits in zip(run.events, want.events):
+        for got, expected in zip(got_bits[1:], want_bits[1:]):
+            np.testing.assert_array_equal(run.by_branch(got), want.by_branch(expected))
+    for got, expected in zip(run.x + run.z, want.x + want.z):
+        np.testing.assert_array_equal(run.by_branch(got), want.by_branch(expected))
+    outputs, feasible = sim._trial_outputs(conv, inputs)
+    want_outputs, want_feasible = ref.trial_outputs(conv, inputs)
+    np.testing.assert_array_equal(feasible, want_feasible)
+    np.testing.assert_allclose(outputs[feasible], want_outputs[feasible], rtol=0, atol=1e-12)
+    return feasible
+
+
+@settings(max_examples=60, deadline=None)
+@given(conversions())
+def test_step_loop_matches_the_reference_kernel(case):
+    assert_matches_reference_kernel(*case)
+
+
+@pytest.mark.parametrize("source,dead", [
+    ("qubits 1\nmeasure 0 x\nt 0\ntdg 0\n", False),
+    ("qubits 2\nmeasure 0 z\nmeasure 1 x\nt 0\ncnot 0 1\nvdg 1\n", True),
+    ("qubits 2\nt 0\ncnot 0 1\ntdg 1\n", False),
+])
+def test_step_loop_matches_the_reference_kernel_at_size(source, dead):
+    # up to 12 rows and 2**11 branches; a Z-measured output of a basis
+    # input leaves branches of zero weight
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    k = len(circ.open_inputs())
+    for inputs in (sim._random_inputs(k, 2, np.random.default_rng(8)),
+                   np.eye(2 ** k, dtype=complex)[:, [0, 2 ** k - 1]]):
+        feasible = assert_matches_reference_kernel(conv, inputs)
+    assert feasible.all() != dead
+
+
+@pytest.mark.parametrize("weights,want", [
+    # outcome 1 on row 0 keeps 1.01e-11 of the weight, and then outcome 1
+    # on row 1 keeps 1e-2 of that: feasible, though the branch keeps only
+    # 2e-13 of the weight of outcome 1 on row 1
+    ((0.5, 0.5 - 1.01e-11, 1e-13, 1e-11), [True, True, True, True]),
+    # outcome 1 on row 0 keeps 1e-13 of the weight: neither branch under it is feasible
+    ((0.5, 0.5 - 1e-13, 1e-13, 0.0), [True, True, False, False]),
+])
+def test_each_outcome_is_weighed_against_its_prefix(weights, want):
+    # the CNOT maps input |ab> to |a, a^b>; row 0 is measured first
+    circ = parse_circuit("qubits 2\nmeasure 0 z\nmeasure 1 z\ncnot 0 1\n")
+    conv = to_icm(circ)
+    w00, w01, w11, w10 = weights
+    inputs = np.sqrt(np.array([w00, w01, w10, w11], dtype=complex))
+    run = sim._deferred(conv, inputs)
+    assert run.by_branch(run.feasible)[0].tolist() == want
+    assert_matches_reference_kernel(conv, inputs)
+
+
+# -- in-place work stays inside the pass ----------------------------------------
+
+def leaves_arrays_unchanged(fn):
+    """``fn``, checked to leave every array argument as it found it."""
+    def call(*args, **kwargs):
+        before = [(a, a.copy()) for a in args if isinstance(a, np.ndarray)]
+        out = fn(*args, **kwargs)
+        for a, copy in before:
+            np.testing.assert_array_equal(a, copy)
+        return out
+    return call
+
+
+# a conversion of CNOTs alone has no fixed row: its state tensor has the
+# layout of a C-contiguous (2**k, T) input, which a reshape alone could give
+CNOTS_ONLY = "qubits 2\ncnot 0 1\ncnot 1 0\n"
+
+
+@pytest.mark.parametrize("source", [CNOTS_ONLY, "qubits 2\nt 0\ncnot 0 1\nv 1\nmeasure 0 x\n"])
+def test_branch_calls_leave_their_inputs_unchanged(source):
+    circ = parse_circuit(source)
+    conv = to_icm(decompose_gates(circ))
+    k = len(circ.open_inputs())
+    for inputs in (sim._random_inputs(k, 3, np.random.default_rng(2)),
+                   random_product_state(k, np.random.default_rng(3)).reshape(-1)):
+        inputs = np.ascontiguousarray(inputs)
+        leaves_arrays_unchanged(branch_outputs)(conv, inputs)
+        leaves_arrays_unchanged(lambda c, i: list(run_branches(c, i)))(conv, inputs)
+        leaves_arrays_unchanged(sim._trial_outputs)(conv, inputs)
+        leaves_arrays_unchanged(sim.simulate_plain)(parse_circuit(CNOTS_ONLY), inputs)
+
+
+def test_check_and_unitary_leave_their_inputs_unchanged(monkeypatch):
+    # both sides of a check read one array of inputs, and to_unitary hands
+    # views of its basis columns to simulate_plain
+    for name in ("_deferred", "simulate_plain"):
+        monkeypatch.setattr(sim, name, leaves_arrays_unchanged(getattr(sim, name)))
+    circ = parse_circuit("qubits 2\nt 0\ncnot 0 1\nv 1\n")
+    assert check_equivalence(circ, to_icm(decompose_gates(circ)), trials=3) < TOL
+    cnots = parse_circuit(CNOTS_ONLY)
+    assert check_equivalence(cnots, to_icm(cnots), trials=3) < TOL
+    assert check_equivalence(to_icm(cnots), to_icm(cnots), trials=3) < TOL
+    u = to_unitary(circuit(7, [cnot(q, q + 1) for q in range(6)]))
+    assert np.array_equal(np.abs(u), np.abs(u) ** 2)
+
+
+# -- the batched input draw ------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 4, 64])
+def test_batched_draw_matches_the_per_trial_loop(n, trials):
+    # one normal draw per chunk is the loop's stream: up to the last bit of
+    # the normalisation, and the next chunk starts where the loop's would
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        want = np.stack([random_product_state(n, rng).reshape(-1)
+                         for _ in range(2 * trials)], axis=1)
+        batched = np.random.default_rng(seed)
+        got = np.concatenate([sim._random_inputs(n, trials, batched) for _ in range(2)], axis=1)
+        assert got.shape == want.shape == (2 ** n, 2 * trials)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+# check_equivalence of ``qubits 1 / t 0 / tdg 0 / p 0`` against its
+# conversion with the T replaced by a T dagger, as the per-trial draw and
+# the step-by-step kernel gave it: 4 trials, then the sides swapped and 1
+SWAPPED_T = [0.45816686187785693, 0.4435807816159132, 0.46258166812246737,
+             0.47478807622441843, 0.49981153441431936]
+SWAPPED_T_REVERSED = [0.11740089419777355, 0.16029064526035863, 0.06203051725454256,
+                      0.47478807622441843, 0.2219295494759118]
+
+
+def test_wrong_template_scores_as_before():
+    circ = parse_circuit("qubits 1\nt 0\ntdg 0\np 0\n")
+    wrong = to_icm(decompose_gates(parse_circuit("qubits 1\ntdg 0\ntdg 0\np 0\n")))
+    assert wrong.circuit.qubit_count == 12
+    for seed, want, reversed_want in zip(range(5), SWAPPED_T, SWAPPED_T_REVERSED):
+        assert abs(check_equivalence(circ, wrong, trials=4, seed=seed) - want) <= 1e-12
+        assert abs(check_equivalence(wrong, circ, trials=1, seed=seed) - reversed_want) <= 1e-12
