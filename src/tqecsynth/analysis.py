@@ -215,12 +215,6 @@ class Layer:
     extent: tuple[int, int]                 # inclusive max (i, j) coordinates
     marked: tuple[tuple[tuple[int, int], SiteBasis], ...]
 
-    def basis_at(self, i: int, j: int) -> SiteBasis:
-        for (si, sj), basis in self.marked:
-            if (si, sj) == (i, j):
-                return basis
-        return SiteBasis.X
-
 
 # Largest lattice the slicer accepts, checked before anything is allocated:
 # sites per layer, (2I + 1)(2J + 1) for I x J cells, and layers, 2T - 1 for

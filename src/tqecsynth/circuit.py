@@ -106,9 +106,6 @@ class Circuit:
         if len(self.inits) != self.qubit_count or len(self.meas) != self.qubit_count:
             raise ValueError("inits/meas length must equal qubit_count")
 
-    def open_inputs(self) -> tuple[int, ...]:
-        return tuple(q for q, b in enumerate(self.inits) if b is InitBasis.OPEN)
-
 
 def circuit(
     qubit_count: int,

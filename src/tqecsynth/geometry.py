@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import InitBasis, MeasBasis
+from .circuit import Diagnostic, InitBasis, MeasBasis
 from .icm import cnot_spans
 from .matrix import MatrixRep, from_matrix
 from .spatial import SegmentIndex, segment_spans
@@ -280,12 +280,6 @@ class Geometry:
             out.extend(c.segments)
         return tuple(out)
 
-    def primal_defects(self) -> list[Defect]:
-        return [d for d in self.defects if d.kind is SegmentKind.PRIMAL]
-
-    def dual_defects(self) -> list[Defect]:
-        return [d for d in self.defects if d.kind is SegmentKind.DUAL]
-
 
 _INPUT_BASIS = {
     InitBasis.OPEN: PortBasis.OPEN,
@@ -419,15 +413,10 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
     )
 
 
-@dataclass(frozen=True)
-class GeometryDiagnostic:
-    rule: str
-    message: str
-
-
-def validate_parity(geometry: Geometry) -> list[GeometryDiagnostic]:
-    """Parity conformance of every segment endpoint and injection vertex."""
-    out: list[GeometryDiagnostic] = []
+def validate_parity(geometry: Geometry) -> list[Diagnostic]:
+    """Parity conformance of every segment endpoint and injection vertex:
+    one ``circuit.Diagnostic`` (rule and message) per violation."""
+    out: list[Diagnostic] = []
     for seg in geometry.segments:
         a, b = seg.a, seg.b
         ored = a.i | a.j | a.t | b.i | b.j | b.t
@@ -438,16 +427,16 @@ def validate_parity(geometry: Geometry) -> list[GeometryDiagnostic]:
         want = 3 if primal else 0
         for pt in (seg.a, seg.b):
             if pt.odd_count != want:
-                out.append(GeometryDiagnostic(
+                out.append(Diagnostic(
                     "segment-parity",
                     f"{seg.kind.value} endpoint {pt} must have "
                     f"{'all-odd' if want else 'all-even'} coordinates"))
             if min(pt.as_list()) < 0:
-                out.append(GeometryDiagnostic(
+                out.append(Diagnostic(
                     "negative-coordinate", f"endpoint {pt} has a negative coordinate"))
     for inj in geometry.injections:
         if inj.vertex.odd_count != 1:
-            out.append(GeometryDiagnostic(
+            out.append(Diagnostic(
                 "vertex-parity",
                 f"injection vertex {inj.vertex} must have exactly one odd coordinate"))
     return out

@@ -115,14 +115,6 @@ class TemplateInstance:
         return self.template.selective
 
     @property
-    def source_row(self) -> int:
-        return self.rows[0]
-
-    @property
-    def output_row(self) -> int:
-        return self.rows[self.template.output_qubit]
-
-    @property
     def injections(self) -> tuple[tuple[int, InitBasis], ...]:
         return tuple(
             (self.rows[local + 1], init)
@@ -206,17 +198,3 @@ def cnot_spans(circ: Circuit) -> list[tuple[int, int] | None]:
     return [(first[row], last[row]) if row in first else None
             for row in range(circ.qubit_count)]
 
-
-def select_pattern(instance: TemplateInstance, outcome: int) -> dict[int, MeasBasis]:
-    """Measurement map (circuit row -> basis) selected by the wire's Z outcome.
-
-    Outcome 1 means the corrective P is required and selects the correction
-    pattern; outcome 0 selects the plain routing pattern. Only valid for
-    selective (T-type) instances.
-    """
-    if not instance.selective:
-        raise ValueError("select_pattern requires a selective T-type instance")
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be a bit")
-    pattern = instance.template.measurement_patterns[1 - outcome]
-    return {instance.rows[loc]: basis for loc, basis in pattern}

@@ -121,10 +121,6 @@ class BoxInstance:
         lo = getattr(self.origin, axis)
         return lo, lo + 2 * (span - 1)
 
-    @property
-    def face_t(self) -> int:
-        return self.extent("t")[1]
-
 
 @dataclass(frozen=True)
 class FillConfig:
@@ -334,9 +330,7 @@ class Assignment:
 
 @dataclass
 class FailureReport:
-    success_rate: float
     seed: int | None
-    rng: str
     assignments: list[Assignment]
     failed_initial: dict[str, int]
     failed_total: dict[str, int]
@@ -395,8 +389,7 @@ def simulate_failures(
                 assignments.append(Assignment(pair, served))
     if unserved:
         raise DistillationExhausted(unserved)
-    return FailureReport(success_rate, seed, RNG_ALGORITHM, assignments,
-                         failed_initial, failed_total)
+    return FailureReport(seed, assignments, failed_initial, failed_total)
 
 
 def route_pins(box_pin: Pin, circuit_pin: Pin) -> list[Segment]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis
+from tqecsynth.geometry import Defect, Geometry, SegmentKind
 
 # Protocol measurement for injection-initialised rows: |A> rows close in Z
 # (the default T-block pattern), |Y> rows in X (the teleport ancilla basis).
@@ -66,3 +67,8 @@ def winding_ray_cast(polygon: list[tuple[int, int]], point: tuple[int, int]) -> 
             if px < x_cross:
                 inside = not inside
     return inside
+
+
+def defects_of(geometry: Geometry, kind: SegmentKind) -> list[Defect]:
+    """The geometry's defects of one kind, in defect order."""
+    return [d for d in geometry.defects if d.kind is kind]

@@ -49,9 +49,7 @@ from tqecsynth.analysis import (
 from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS
 from tqecsynth import __version__
 from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Pin, Segment
-from tqecsynth.icm import (
-    IcmConversion, PauliFrame, TemplateInstance, select_pattern, template_for,
-)
+from tqecsynth.icm import IcmConversion, PauliFrame, TemplateInstance, template_for
 from tqecsynth.document import DOCUMENT_VERSION, config_digest, reports
 from tqecsynth.matrix import CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _terminal_code
 from tqecsynth.pipeline import PipelineResult
@@ -604,6 +602,21 @@ def apply_1q(state: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(moved, 0, axis)
 
 
+def select_pattern(instance: TemplateInstance, outcome: int) -> dict[int, MeasBasis]:
+    """Measurement map (circuit row -> basis) selected by the wire's Z outcome.
+
+    Outcome 1 means the corrective P is required and selects a selective
+    (T-type) block's correction pattern; outcome 0 selects its plain routing
+    pattern. A block that is not selective has one pattern, which applies
+    under both outcomes.
+    """
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be a bit")
+    patterns = instance.template.measurement_patterns
+    pattern = patterns[1 - outcome] if instance.selective else patterns[0]
+    return {instance.rows[loc]: basis for loc, basis in pattern}
+
+
 def deferred_steps(conv: IcmConversion) -> list[tuple]:
     """The conversion in execution order: ``("cnot", control, target)`` or a
     measurement ``(row, basis, instance, position)``, ``instance`` None for
@@ -664,8 +677,9 @@ def deferred(conv: IcmConversion, inputs: np.ndarray | None) -> _Branches:
         weight = branch_weight
         if inst is not None and pos == len(inst.template.measurement_patterns[0]) - 1:
             fx, fz = _byproduct(inst.kind, eff)
-            x[inst.output_row] = x[inst.output_row] ^ fx
-            z[inst.output_row] = z[inst.output_row] ^ fz
+            out = inst.rows[inst.template.output_qubit]
+            x[out] = x[out] ^ fx
+            z[out] = z[out] ^ fz
     return _Branches(state, feasible, events, x, z)
 
 
@@ -708,7 +722,7 @@ def open_input_rows(side) -> list[int]:
     """The row of each open logical input, in qubit order: a plain
     circuit's qubits, a conversion's input rows from ``qubit_rows``."""
     if isinstance(side, Circuit):
-        return list(side.open_inputs())
+        return [q for q, b in enumerate(side.inits) if b is InitBasis.OPEN]
     return [r for r, _ in side.qubit_rows if side.circuit.inits[r] is InitBasis.OPEN]
 
 
@@ -742,7 +756,7 @@ def simulate_icm(conv: IcmConversion, input_state, next_bit) -> SimResult:
         inst = scripts.get(gi)
         if inst is None:
             continue
-        src, out = inst.source_row, inst.output_row
+        src, out = inst.rows[0], inst.rows[inst.template.output_qubit]
         if inst.kind in (GateKind.P, GateKind.PDG):
             eff = do_measure(src, MeasBasis.Z)
             x[out] ^= eff
@@ -778,7 +792,7 @@ def measurement_count(conv: IcmConversion) -> int:
     fixed = sum(
         1 for r in range(conv.circuit.qubit_count)
         if conv.circuit.meas[r] in (MeasBasis.Z, MeasBasis.X)
-        and not any(r in inst.rows[:5] if inst.selective else r == inst.source_row
+        and not any(r in inst.rows[:5] if inst.selective else r == inst.rows[0]
                     for inst in conv.instances)
     )
     return fixed + sum(5 if inst.selective else 1 for inst in conv.instances)

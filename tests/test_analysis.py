@@ -220,18 +220,18 @@ def test_empty_geometry_slices_all_x():
                                         LayerKind.PRIMAL]
     for layer in layers:
         assert layer.marked == ()
-        assert layer.basis_at(2, 2) is SiteBasis.X
 
 
 def test_defect_line_marks_cross_section_z():
     geo = bare_geometry([strand(SegmentKind.PRIMAL, 3, 3, 1, 9)])
     layers = slice_layers(geo, (3, 3, 6))
     for layer in layers:
+        marks = dict(layer.marked)
         if layer.t <= 10:   # cells reach one unit beyond the end point
-            assert layer.basis_at(3, 3) is SiteBasis.Z
-            assert layer.basis_at(3, 2) is SiteBasis.Z   # cell face site
+            assert marks[3, 3] is SiteBasis.Z
+            assert marks[3, 2] is SiteBasis.Z   # cell face site
         else:
-            assert layer.basis_at(3, 3) is SiteBasis.X
+            assert (3, 3) not in marks
 
 
 def test_braided_pair_matches_rasteriser_oracle():
@@ -278,7 +278,7 @@ def test_injection_vertex_marked():
     layers = slice_layers(geo, lattice_cells_for(geo))
     (inj,) = geo.injections
     layer = next(l for l in layers if l.t == inj.vertex.t)
-    assert layer.basis_at(inj.vertex.i, inj.vertex.j) is SiteBasis.INJECTED
+    assert dict(layer.marked)[inj.vertex.i, inj.vertex.j] is SiteBasis.INJECTED
 
 
 def test_open_ports_stay_unmeasured():
@@ -289,7 +289,7 @@ def test_open_ports_stay_unmeasured():
     port = geo.ioports[0]
     pin = port.pins[0]
     layer = next(l for l in layers if l.t == pin.coord.t)
-    assert layer.basis_at(pin.coord.i, pin.coord.j) is SiteBasis.IO
+    assert dict(layer.marked)[pin.coord.i, pin.coord.j] is SiteBasis.IO
 
 
 # --- execution schedule ----------------------------------------------------

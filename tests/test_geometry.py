@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from pathlib import Path
 
 import reference_scans as ref
-from conftest import icm_circuits, winding_ray_cast
+from conftest import defects_of, icm_circuits, winding_ray_cast
 from tqecsynth import geometry
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
 from tqecsynth.decompose import decompose_gates
@@ -33,8 +33,8 @@ def geometry_for(src: str):
 
 def test_two_cnot_geometry_counts():
     geo = geometry_for("qubits 3\ncnot 0 1\ncnot 2 1\n")
-    assert len(geo.primal_defects()) == 6      # three qubit pairs
-    assert len(geo.dual_defects()) == 2        # one loop per CNOT
+    assert len(defects_of(geo, SegmentKind.PRIMAL)) == 6      # three qubit pairs
+    assert len(defects_of(geo, SegmentKind.DUAL)) == 2        # one loop per CNOT
     inputs = [p for p in geo.ioports if p.role is PortRole.INPUT]
     outputs = [p for p in geo.ioports if p.role is PortRole.OUTPUT]
     assert len(inputs) == 3 and len(outputs) == 3
@@ -43,8 +43,8 @@ def test_two_cnot_geometry_counts():
 
 def test_single_wire_geometry():
     geo = geometry_for("qubits 1\n")
-    assert len(geo.primal_defects()) == 2
-    assert not geo.dual_defects()
+    assert len(defects_of(geo, SegmentKind.PRIMAL)) == 2
+    assert not defects_of(geo, SegmentKind.DUAL)
     assert len(geo.pins) == 4
     for port in geo.ioports:
         a, b = port.pins
@@ -58,8 +58,8 @@ def test_t_gate_geometry_counts():
     assert len(geo.injections) == 2
     states = sorted(i.state.value for i in geo.injections)
     assert states == ["a", "y"]
-    assert len(geo.dual_defects()) == 6
-    assert len(geo.primal_defects()) == 12
+    assert len(defects_of(geo, SegmentKind.DUAL)) == 6
+    assert len(defects_of(geo, SegmentKind.PRIMAL)) == 12
 
 
 def test_injection_pins_share_j_and_t():
@@ -77,7 +77,7 @@ def test_monotone_time_ordering():
     geo = geometry_for("qubits 2\ncnot 0 1\ncnot 1 0\n")
     t_in = PARAMS.t_in
     t_out = PARAMS.t_out(2)
-    for d in geo.dual_defects():
+    for d in defects_of(geo, SegmentKind.DUAL):
         ts = {s.a.t for s in d.segments}
         assert len(ts) == 1
         assert t_in < ts.pop() < t_out
@@ -272,7 +272,7 @@ def test_no_same_kind_overlaps_in_generated_geometry():
 
 def test_single_layer_two_i_values():
     geo = geometry_for("qubits 2\ncnot 0 1\n")
-    i_values = {s.a.i for d in geo.primal_defects() for s in d.segments}
+    i_values = {s.a.i for d in defects_of(geo, SegmentKind.PRIMAL) for s in d.segments}
     assert i_values == {PARAMS.i_inner, PARAMS.i_outer}
 
 
@@ -313,7 +313,7 @@ def test_toffoli_scale_structure():
     assert segment_overlaps(geo) == []
     for col in (0, 17, 54):
         ctrl, tgt = m.cnots[col]
-        loop = [s for d in geo.dual_defects() for s in d.segments
+        loop = [s for d in defects_of(geo, SegmentKind.DUAL) for s in d.segments
                 if s.a.t == PARAMS.braid_t(col)]
         for row in range(m.qubit_count):
             for i in (PARAMS.i_inner, PARAMS.i_outer):
@@ -334,7 +334,7 @@ def test_parity_clean_on_random_geometries(circ):
 def strand_spans(geo) -> dict[tuple[int, int], tuple[int, int]]:
     """(row, i) -> the t-interval of that primal strand."""
     out = {}
-    for defect in geo.primal_defects():
+    for defect in defects_of(geo, SegmentKind.PRIMAL):
         (seg,) = defect.segments
         out[(seg.a.j - PARAMS.j_base) // PARAMS.j_pitch, seg.a.i] = seg.interval("t")
     return out
@@ -366,7 +366,7 @@ def test_live_spans_stay_between_the_faces(t_pitch):
     circ = icm("qubits 3\ninit 1 zero\ninit 2 plus\ncnot 0 1\ncnot 2 1\n"
                "measure 1 z\nmeasure 2 x\n")
     geo = generate_geometry(to_matrix(circ), params)
-    for defect in geo.primal_defects():
+    for defect in defects_of(geo, SegmentKind.PRIMAL):
         lo, hi = defect.segments[0].interval("t")
         assert params.t_in <= lo < hi <= params.t_out(2)
     assert validate_parity(geo) == []
@@ -385,8 +385,8 @@ def test_injected_rows_keep_the_input_face():
 @given(icm_circuits(max_qubits=6, max_cnots=10))
 def test_every_loop_links_exactly_its_two_inner_strands(circ):
     geo = generate_geometry(to_matrix(circ), PARAMS)
-    strands = [(d.segments[0].a, d.segments) for d in geo.primal_defects()]
-    for gate, loop in zip(circ.gates, geo.dual_defects()):
+    strands = [(d.segments[0].a, d.segments) for d in defects_of(geo, SegmentKind.PRIMAL)]
+    for gate, loop in zip(circ.gates, defects_of(geo, SegmentKind.DUAL)):
         linked = {(a.i, a.j): linking_number(loop.segments, segs) for a, segs in strands}
         want = {(PARAMS.i_inner, PARAMS.row_j(row)) for row in gate.qubits}
         assert {key for key, wn in linked.items() if wn} == want
@@ -413,5 +413,5 @@ def test_t_block_wire_row_ends_before_its_other_measured_rows(name):
     assert blocks
     for inst in blocks:
         wire, *others = (inst.rows[loc] for loc, _ in inst.template.measurement_patterns[0])
-        assert wire == inst.source_row and len(others) == 4
+        assert wire == inst.rows[0] and len(others) == 4
         assert all(ends[wire] < ends[row] for row in others)

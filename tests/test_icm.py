@@ -13,7 +13,8 @@ from tqecsynth.circuit import (
     Gate, GateKind, InitBasis, MeasBasis, circuit, cnot, parse_circuit, validate_circuit,
 )
 from tqecsynth.decompose import decompose_gates
-from tqecsynth.icm import cnot_spans, select_pattern, template_for, to_icm
+from tqecsynth.icm import cnot_spans, template_for, to_icm
+from tqecsynth import sim
 
 ROOT = Path(__file__).parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -91,25 +92,31 @@ def test_rejects_undcomposed_gates():
         to_icm(circuit(1, [Gate(GateKind.H, (0,))]))
 
 
-def test_select_pattern_correction_and_plain():
-    conv = to_icm(circuit(1, [Gate(GateKind.T, (0,))]))
-    (inst,) = conv.instances
-    rows = inst.rows
-    with_corr = select_pattern(inst, 1)
-    assert with_corr == {rows[0]: MeasBasis.Z, rows[1]: MeasBasis.Z,
-                         rows[2]: MeasBasis.X, rows[3]: MeasBasis.X,
-                         rows[4]: MeasBasis.Z}
-    plain = select_pattern(inst, 0)
-    assert plain == {rows[0]: MeasBasis.Z, rows[1]: MeasBasis.X,
-                     rows[2]: MeasBasis.Z, rows[3]: MeasBasis.Z,
-                     rows[4]: MeasBasis.X}
-
-
-def test_select_pattern_rejects_non_selective():
-    conv = to_icm(circuit(1, [Gate(GateKind.P, (0,))]))
-    (inst,) = conv.instances
-    with pytest.raises(ValueError):
-        select_pattern(inst, 0)
+@pytest.mark.parametrize("name", [n for n in SOURCES if n not in ("1 toffolis", "16 toffolis")])
+def test_engine_measures_each_block_in_its_selected_pattern(name):
+    # after its last CNOT, each block measures the rows of its patterns in
+    # order, in the basis each pattern gives under the first outcome 0 and 1
+    conv = to_icm(decompose_gates(parse_circuit(SOURCES[name])))
+    block_at = {max(inst.cnot_slots): k for k, inst in enumerate(conv.instances)}
+    measures = [[] for _ in conv.instances]
+    gate, block = -1, None
+    for step in sim._steps(conv):
+        if not isinstance(step, sim._Measure):
+            gate += 1
+            block = block_at.get(gate)
+        elif block is not None:
+            measures[block].append(step)
+            block = None if step.closes else block
+    for inst, steps in zip(conv.instances, measures):
+        plain, corrected = ref.select_pattern(inst, 0), ref.select_pattern(inst, 1)
+        assert [step.row for step in steps] == list(plain) == list(corrected)
+        assert [step.is_x for step in steps] == [
+            (plain[row] is MeasBasis.X, corrected[row] is MeasBasis.X) for row in plain]
+        assert (plain != corrected) == inst.selective
+        if inst.selective:
+            z, x = MeasBasis.Z, MeasBasis.X
+            assert corrected == dict(zip(inst.rows, (z, z, x, x, z)))
+            assert plain == dict(zip(inst.rows, (z, x, z, z, x)))
 
 
 def test_templates_have_single_unmeasured_output():
@@ -128,8 +135,8 @@ def test_monotone_row_growth_per_qubit():
     circ = circuit(1, [Gate(GateKind.P, (0,)), Gate(GateKind.V, (0,)),
                        Gate(GateKind.T, (0,))])
     conv = to_icm(circ)
-    sources = [inst.source_row for inst in conv.instances]
-    outputs = [inst.output_row for inst in conv.instances]
+    sources = [inst.rows[0] for inst in conv.instances]
+    outputs = [inst.rows[inst.template.output_qubit] for inst in conv.instances]
     assert sources[0] < outputs[0] == sources[1] < outputs[1] == sources[2] < outputs[2]
     assert conv.qubit_rows[0] == (sources[0], outputs[2])
 

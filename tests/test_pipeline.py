@@ -32,7 +32,7 @@ def test_boxes_sit_before_circuit_inputs():
     result = run_pipeline("qubits 1\nt 0\n")
     t_in = result.geometry.layout.t_in
     for box in result.geometry.boxes:
-        assert box.face_t < t_in
+        assert box.extent("t")[1] < t_in
         assert box.extent("t")[0] >= 0
 
 

@@ -80,7 +80,7 @@ def test_box_pins_on_circuit_face_share_j():
     (box,) = sched.boxes
     lo, hi = box.output_pins
     assert lo.coord.j == hi.coord.j == 11
-    assert lo.coord.t == hi.coord.t == box.face_t
+    assert lo.coord.t == hi.coord.t == box.extent("t")[1]
     assert lo.coord.i == box.origin.i
     assert hi.coord.i == box.extent("i")[1]
 
@@ -191,7 +191,7 @@ def test_place_boxes_initial_schedule_then_flank_rows():
         (InitBasis.Y, 3), (InitBasis.Y, 2), (InitBasis.A, 2), (InitBasis.A, 1)]
     for row in rows:
         assert all(b.spare and b.state is row.boxes[0].state for b in row.boxes)
-    assert all(b.face_t == layout.t_in - 2 for s in [initial, *rows] for b in s.boxes)
+    assert all(b.extent("t")[1] == layout.t_in - 2 for s in [initial, *rows] for b in s.boxes)
     y_boxes = [b for r in rows[:2] for b in r.boxes]
     a_boxes = [b for r in rows[2:] for b in r.boxes]
     assert min(b.origin.j for b in y_boxes) == 1

@@ -228,13 +228,14 @@ def test_one_layer_stream_is_init_and_measure():
 
 
 def test_later_stamps_win_on_shared_sites():
-    layers = {layer.t: layer for layer in slice_layers(HAND_BUILT["io-over-z"], (6, 6, 6))}
-    assert layers[5].basis_at(3, 3) is SiteBasis.IO
-    assert layers[3].basis_at(3, 3) is SiteBasis.Z
-    layers = {layer.t: layer
-              for layer in slice_layers(HAND_BUILT["injected-over-pin-z"], (6, 6, 6))}
-    assert layers[6].basis_at(6, 3) is SiteBasis.INJECTED
-    assert layers[6].basis_at(4, 3) is SiteBasis.Z   # the second injection's pin box
+    marks = {layer.t: dict(layer.marked)
+             for layer in slice_layers(HAND_BUILT["io-over-z"], (6, 6, 6))}
+    assert marks[5][3, 3] is SiteBasis.IO
+    assert marks[3][3, 3] is SiteBasis.Z
+    marks = {layer.t: dict(layer.marked)
+             for layer in slice_layers(HAND_BUILT["injected-over-pin-z"], (6, 6, 6))}
+    assert marks[6][6, 3] is SiteBasis.INJECTED
+    assert marks[6][4, 3] is SiteBasis.Z   # the second injection's pin box
 
 
 def test_collinear_segment_stamps_merge_into_runs():
@@ -243,11 +244,11 @@ def test_collinear_segment_stamps_merge_into_runs():
     # j spans 0-4, 1-4 and 2-6 overlap and 8-11 lies past a gap; t spans 0-4 and 5-10 touch
     assert _stamps(geo)[:3] == [(4, 6, 2, 4, 0, 6, Z), (4, 6, 2, 4, 8, 11, Z),
                                 (0, 10, 8, 10, 2, 4, Z)]
-    layers = {layer.t: layer for layer in slice_layers(geo, (6, 6, 6))}
-    assert layers[5].basis_at(3, 5) is SiteBasis.IO          # the cap over the merged run
-    assert layers[6].basis_at(3, 10) is SiteBasis.INJECTED   # the vertex over the leg past the gap
-    assert layers[5].basis_at(3, 7) is SiteBasis.X           # the gap stays unmarked
-    assert all(layers[t].basis_at(9, 3) is Z for t in range(1, 11))
+    marks = {layer.t: dict(layer.marked) for layer in slice_layers(geo, (6, 6, 6))}
+    assert marks[5][3, 5] is SiteBasis.IO          # the cap over the merged run
+    assert marks[6][3, 10] is SiteBasis.INJECTED   # the vertex over the leg past the gap
+    assert (3, 7) not in marks[5]                  # the gap stays unmarked
+    assert all(marks[t][9, 3] is Z for t in range(1, 11))
 
 
 def test_layer_equal_to_the_one_two_back_is_shared():
