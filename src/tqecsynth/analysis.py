@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 import numpy as np
 
 from .geometry import CapShape, Coord, Geometry, collector_paused
-from .spatial import RADIUS, SegmentIndex, collinear_runs, segment_spans
+from .spatial import RADIUS, SegmentIndex, collinear_runs
 
 L = TypeVar("L")
 
@@ -53,8 +53,8 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
 
     Touching same-kind defects (connections joined onto qubit strands) act
     as one logical defect; separation is measured between distinct
-    connected components only. The segments' ``spatial.segment_spans``,
-    the span arrays the overlap check and ``_stamps`` read too, merge into
+    connected components only. The segments' spans, ``geometry.spans``,
+    the table the overlap check and ``_stamps`` read too, merge into
     ``spatial.collinear_runs`` in numpy, and the sort-and-sweep index
     (``spatial.SegmentIndex``) holds one box per run, so route legs laid
     over one another are one box. A run's segments lie less than a cell
@@ -69,12 +69,12 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     ``bounding_box``, which no gap exceeds, so the result equals a scan
     over all segment pairs.
     """
-    defects = list(geometry.defects) + list(geometry.connections)
-    if not defects:
+    count = len(geometry.defects) + len(geometry.connections)
+    if not count:
         raise AnalysisError("geometry has no defects")
     d_f = 1   # _stamps and export_obj draw every defect one cell thick
 
-    parent = list(range(len(defects)))
+    parent = list(range(count))
 
     def find(k: int) -> int:
         while parent[k] != k:
@@ -82,7 +82,7 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
             k = parent[k]
         return k
 
-    spans = segment_spans(defects)
+    spans = geometry.spans
     runs, run_of = collinear_runs(spans)
     index = SegmentIndex(runs)
     owner = index.owner
@@ -130,34 +130,17 @@ class BBox:
 
 
 def bounding_box(geometry: Geometry) -> BBox:
-    """Extents over segments, injection vertices, pins, and box regions."""
-    segments = geometry.segments
-    points = [seg.a for seg in segments] + [seg.b for seg in segments]
-    points += [inj.vertex for inj in geometry.injections]
-    points += [pin.coord for pin in geometry.pins]
-    for box in geometry.boxes:
-        (i_lo, i_hi), (j_lo, j_hi), (t_lo, t_hi) = map(box.extent, "ijt")
-        points += Coord(i_lo, j_lo, t_lo), Coord(i_hi, j_hi, t_hi)
-    if not points:
+    """Extents over segments (``geometry.spans``), injection vertices, pins,
+    and box regions, each a row ``(i_lo, i_hi, j_lo, j_hi, t_lo, t_hi)``."""
+    points = [inj.vertex for inj in geometry.injections] + [pin.coord for pin in geometry.pins]
+    rows = [(p.i, p.i, p.j, p.j, p.t, p.t) for p in points]
+    rows += [(*box.extent("i"), *box.extent("j"), *box.extent("t")) for box in geometry.boxes]
+    extents = np.concatenate((geometry.spans.boxes(),
+                              np.array(rows, dtype=np.int64).reshape(-1, 6)))
+    if not len(extents):
         raise AnalysisError("geometry is empty")
-    i_lo = i_hi = points[0].i
-    j_lo = j_hi = points[0].j
-    t_lo = t_hi = points[0].t
-    for p in points:
-        i, j, t = p.i, p.j, p.t
-        if i < i_lo:
-            i_lo = i
-        elif i > i_hi:
-            i_hi = i
-        if j < j_lo:
-            j_lo = j
-        elif j > j_hi:
-            j_hi = j
-        if t < t_lo:
-            t_lo = t
-        elif t > t_hi:
-            t_hi = t
-    return BBox(Coord(i_lo, j_lo, t_lo), Coord(i_hi, j_hi, t_hi))
+    return BBox(Coord(*extents[:, 0::2].min(axis=0).tolist()),
+                Coord(*extents[:, 1::2].max(axis=0).tolist()))
 
 
 @dataclass(frozen=True)
@@ -233,25 +216,20 @@ def _stamps(geometry: Geometry) -> list[tuple[int, int, int, int, int, int, Site
     """Every mark as a stamp ``(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, basis)``.
 
     A segment's cross-section box reaches one unit past the segment on every
-    axis: each of its ``spatial.segment_spans`` (the span arrays the code
-    distance and the overlap check read too) widens by one unit before
-    ``spatial.collinear_runs`` and each run's cross coordinates after it, so
-    legs laid over one another are one stamp per maximal run. The merge is
-    exact: segment stamps are all Z and come before every other stamp, so
-    later-wins never sees it, and a run is active at t exactly when one of
-    its segments is. In the route plane t = t_in, where the legs served by
-    spare boxes share lines, the largest layer's active stamps hold 7 429
-    sites for 4 674 marks on the slice-clifford-t benchmark circuit at seed
-    7 (36 025 unmerged) and 221 910 for 140 265 at 64 Toffolis (6 859 326
-    unmerged).
+    axis: the ``spatial.collinear_runs`` of ``geometry.spans``, the code
+    distance's runs, each widen by one unit on every axis, so legs laid over
+    one another are one stamp per maximal run. The merge is exact: segment
+    stamps are all Z and come before every other stamp, so later-wins never
+    sees it, and a run's stamp covers exactly its segments' boxes at each t.
+    In the route plane t = t_in, where the legs served by spare boxes share
+    lines, the largest layer's active stamps hold 7 429 sites for 4 674
+    marks on the slice-clifford-t benchmark circuit at seed 7 (36 025
+    unmerged) and 221 910 for 140 265 at 64 Toffolis (6 859 326 unmerged).
     """
     Z = SiteBasis.Z
-    spans = segment_spans(geometry.defects + geometry.connections)
-    runs, _ = collinear_runs(spans._replace(lo=spans.lo - 1, hi=spans.hi + 1))
-    boxes = runs.boxes()
-    cross = np.arange(3) != runs.axis[:, None]
-    boxes[:, 0::2] -= cross
-    boxes[:, 1::2] += cross
+    boxes = collinear_runs(geometry.spans)[0].boxes()
+    boxes[:, 0::2] -= 1
+    boxes[:, 1::2] += 1
     i_lo, i_hi, j_lo, j_hi, t_lo, t_hi = boxes.T.tolist()
     stamps: list[tuple[int, int, int, int, int, int, SiteBasis]] = list(
         zip(t_lo, t_hi, i_lo, i_hi, j_lo, j_hi, repeat(Z)))
@@ -345,7 +323,7 @@ def layer_marks(geometry: Geometry, lattice_cells: tuple[int, int, int],
         raise AnalysisError(
             f"lattice of {ci} x {cj} x {ct} cells is too large: at most {MAX_LAYER_SITES} "
             f"sites per layer and {MAX_LAYERS} layers")
-    if bbox is None and (geometry.segments or geometry.pins or geometry.injections
+    if bbox is None and (len(geometry.spans.lo) or geometry.pins or geometry.injections
                          or geometry.boxes):
         bbox = bounding_box(geometry)
     if bbox is not None and (bbox.hi.i > extent[0] or bbox.hi.j > extent[1]

@@ -282,20 +282,18 @@ def export_obj(geometry: Geometry) -> bytes:
     Each cuboid is an ``o`` line naming it (``segment_N_kind`` or
     ``box_N_state``), its eight corners as ``v`` lines and its six faces as
     ``f`` lines in relative indices, the same block for every cuboid.
-    Segments come in ``geometry.segments`` order, then boxes in order. An
-    empty geometry gives a single newline.
+    Segments come in ``geometry.segments`` order, each extent a row of
+    ``geometry.spans.boxes()``, then boxes in order. An empty geometry
+    gives a single newline.
     """
-    extents = []
-    for idx, seg in enumerate(geometry.segments):
-        # A segment runs along one axis, so its lexicographically lower end
-        # is its lowest corner on every axis.
-        lo, hi = (seg.a, seg.b) if seg.a <= seg.b else (seg.b, seg.a)
-        extents.append((b"segment", idx, seg.kind.value, lo.i, lo.j, lo.t, hi.i, hi.j, hi.t))
+    kinds = [kind.value for kind in SegmentKind]    # by a span's kind code
+    extents = [(b"segment", idx, kinds[kind], *box) for idx, (kind, box) in enumerate(
+        zip(geometry.spans.kind.tolist(), geometry.spans.boxes().tolist()))]
     for idx, box in enumerate(geometry.boxes):
-        (x0, x1), (y0, y1), (z0, z1) = (box.extent(ax) for ax in "ijt")
-        extents.append((b"box", idx, box.state.value, x0, y0, z0, x1, y1, z1))
+        extents.append((b"box", idx, box.state.value, *box.extent("i"), *box.extent("j"),
+                        *box.extent("t")))
     out = []
-    for what, idx, kind, x0, y0, z0, x1, y1, z1 in extents:
+    for what, idx, kind, x0, x1, y0, y1, z0, z1 in extents:
         x0, y0, z0, x1, y1, z1 = x0 - 1, y0 - 1, z0 - 1, x1 + 1, y1 + 1, z1 + 1
         out += (_CUBOID % (
             what, idx, kind.encode("ascii"),

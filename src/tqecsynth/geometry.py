@@ -23,6 +23,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -31,7 +32,7 @@ import numpy as np
 from .circuit import Diagnostic, InitBasis, MeasBasis
 from .icm import cnot_spans
 from .matrix import MatrixRep, from_matrix
-from .spatial import SegmentIndex, segment_spans
+from .spatial import SegmentIndex, Spans, segment_spans
 
 if TYPE_CHECKING:
     from .scheduling import BoxInstance
@@ -80,7 +81,7 @@ class SegmentKind(Enum):
     DUAL = "dual"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Coord:
     i: int
     j: int
@@ -280,6 +281,14 @@ class Geometry:
             out.extend(c.segments)
         return tuple(out)
 
+    @cached_property
+    def spans(self) -> Spans:
+        """``spatial.segment_spans`` of the defects then the connections, row k
+        for ``segments[k]``: made on first read, the one encoding every array
+        reader of the segments reads, and kept as long as the geometry, at
+        about 56 B per segment (seven int64 arrays; 7 MB at 256 Toffolis)."""
+        return segment_spans(self.defects + self.connections)
+
 
 _INPUT_BASIS = {
     InitBasis.OPEN: PortBasis.OPEN,
@@ -415,16 +424,17 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
 
 def validate_parity(geometry: Geometry) -> list[Diagnostic]:
     """Parity conformance of every segment endpoint and injection vertex:
-    one ``circuit.Diagnostic`` (rule and message) per violation."""
+    one ``circuit.Diagnostic`` (rule and message) per violation. One mask
+    over ``geometry.spans``, whose ``u, v, lo, hi`` are a segment's six end
+    coordinates, finds the segments to read as objects and report."""
+    spans = geometry.spans
+    coords = np.stack((spans.u, spans.v, spans.lo, spans.hi))
+    primal = spans.kind == 0            # SegmentKind.PRIMAL is the first kind
+    bad = np.flatnonzero(((coords & 1) != primal).any(axis=0) | (coords < 0).any(axis=0))
+    segments = geometry.segments if bad.size else ()
     out: list[Diagnostic] = []
-    for seg in geometry.segments:
-        a, b = seg.a, seg.b
-        ored = a.i | a.j | a.t | b.i | b.j | b.t
-        primal = seg.kind is SegmentKind.PRIMAL
-        # all six coordinates odd (primal) or even (dual), and none negative
-        if ored >= 0 and (a.i & a.j & a.t & b.i & b.j & b.t & 1 if primal else not ored & 1):
-            continue
-        want = 3 if primal else 0
+    for seg in map(segments.__getitem__, bad.tolist()):
+        want = 3 if seg.kind is SegmentKind.PRIMAL else 0
         for pt in (seg.a, seg.b):
             if pt.odd_count != want:
                 out.append(Diagnostic(
@@ -489,16 +499,15 @@ def segment_overlaps(geometry: Geometry) -> list[tuple[Segment, Segment]]:
     """Same-kind segment pairs that touch anywhere except at legal shared joints.
 
     The touching pairs come from one radius-0 query of
-    ``spatial.SegmentIndex`` over one box per span of
-    ``spatial.segment_spans``, the encoder the code distance and the slicer
-    share. Only a pair from one defect is looked at point by point: it is
-    dropped when every lattice point they share is a joint of that defect,
-    so only the defects owning such a pair have their joints collected.
-    Pairs are returned in ``geometry.segments`` order, earlier segment
-    first.
+    ``spatial.SegmentIndex`` over one box per span of ``geometry.spans``,
+    the table the code distance and the slicer read too. Only a pair from
+    one defect is looked at point by point: it is dropped when every
+    lattice point they share is a joint of that defect, so only the
+    defects owning such a pair have their joints collected. Pairs are
+    returned in ``geometry.segments`` order, earlier segment first.
     """
     defects = geometry.defects + geometry.connections
-    index = SegmentIndex(segment_spans(defects))
+    index = SegmentIndex(geometry.spans)
     a, b, _ = index.pairs_within(0)
     order = np.lexsort((b, a))
     a, b = a[order], b[order]

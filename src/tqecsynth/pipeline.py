@@ -134,9 +134,6 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
             spares[state] = config.spares.count(state, needed, config.success_rate)
     layout = box_layout(spares, config.box_dims)
     geometry = generate_geometry(matrix, layout)
-    parity = validate_parity(geometry)
-    if parity:
-        raise PipelineError("; ".join(d.message for d in parity))
 
     schedules: list[Schedule] = []
     failure: FailureReport | None = None
@@ -165,6 +162,10 @@ def run_pipeline(source: str, config: PipelineConfig | None = None) -> PipelineR
         connections=connection_defects,
         pins=geometry.pins + tuple(p for b in boxes for p in b.output_pins),
     )
+    # checked once finished, routes included; its span table serves every reader
+    parity = validate_parity(geometry)
+    if parity:
+        raise PipelineError("; ".join(d.message for d in parity))
 
     bbox = analysis.bounding_box(geometry)
     if min(bbox.lo.as_list()) < 0:

@@ -1,10 +1,12 @@
 """Segment spans, their collinear runs, and a sort-and-sweep index over boxes.
 
-``segment_spans`` is the one encoder of segments as spans on lines that the
-code distance, the overlap check and the slicer share. It reads the
-segments in one Python pass into ``Spans``, parallel numpy arrays, and the
-rest works on whole arrays: ``collinear_runs`` merges a line's touching
-spans with one sort, and ``SegmentIndex`` holds one box per span or run.
+``segment_spans`` is the one encoder of segments as spans on lines. It
+reads the segments in one Python pass into ``Spans``, parallel numpy
+arrays, and ``Geometry.spans`` calls it once per geometry: parity, bounding
+box, code distance, overlap check, slicer and OBJ export all read that one
+table. The rest works on whole arrays: ``collinear_runs`` merges a line's
+touching spans with one sort, the one merge the code distance and the
+slicer share, and ``SegmentIndex`` holds one box per span or run.
 At 256 Toffolis (125 433 segments) the spans, runs and index take about
 0.11 s, where a tuple per span took 0.5 s (0.17 s with the cyclic garbage
 collector paused).
@@ -70,9 +72,9 @@ _ENDS = attrgetter("a.i", "a.j", "a.t", "b.i", "b.j", "b.t")
 def segment_spans(defects: Sequence[Defect]) -> Spans:
     """Each segment as a span, in segment order.
 
-    The one span encoder of the distance, overlap and slice scans: one
-    Python pass reads each segment's six end coordinates, and the rest is
-    numpy. ``geometry.defects + geometry.connections`` gives the order of
+    The one span encoder, read through ``Geometry.spans``: one Python pass
+    reads each segment's six end coordinates, and the rest is numpy.
+    ``geometry.defects + geometry.connections`` gives the order of
     ``geometry.segments``. A segment is axis-aligned and not a point, so
     exactly one coordinate differs between its ends; ``(u, v)`` are its
     first end's other two.
@@ -141,7 +143,7 @@ def collinear_runs(spans: Spans) -> tuple[Spans, np.ndarray]:
 
 
 class SegmentIndex:
-    """One box per span of a ``Spans`` from ``segment_spans``.
+    """One box per span of a ``Spans``.
 
     The code distance indexes the ``collinear_runs`` of the segments'
     spans; the overlap check indexes each span alone. ``boxes`` holds one row

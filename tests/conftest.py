@@ -4,7 +4,9 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis
-from tqecsynth.geometry import Defect, Geometry, SegmentKind
+from tqecsynth.geometry import (
+    Coord, Defect, Geometry, Injection, LayoutParams, Pin, PinRole, Segment, SegmentKind,
+)
 
 # Protocol measurement for injection-initialised rows: |A> rows close in Z
 # (the default T-block pattern), |Y> rows in X (the teleport ancilla basis).
@@ -55,6 +57,34 @@ def gate_circuits(draw, max_qubits: int = 4, max_gates: int = 12):
     inits = tuple(InitBasis.OPEN for _ in range(n))
     meas = tuple(MeasBasis.OPEN for _ in range(n))
     return Circuit(n, inits, tuple(gates), meas)
+
+
+@st.composite
+def parity_geometries(draw, min_defects: int = 1, points: bool = False):
+    """Single-segment defects of either kind, on and off their parity, some below zero.
+
+    With ``points``, pins and injection vertices are drawn too, anywhere
+    in the same range, so they may lie off every segment and widen its box.
+    """
+    coords = st.lists(st.integers(-3, 7), min_size=3, max_size=3)
+    defects = []
+    for _ in range(draw(st.integers(min_defects, 6))):
+        kind = draw(st.sampled_from(list(SegmentKind)))
+        a = draw(coords)
+        b = list(a)
+        b[draw(st.integers(0, 2))] += draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1]))
+        seg = Segment(kind, Coord(*a), Coord(*b))
+        defects.append(Defect(kind, (seg,), closed=False))
+    pins: list[Pin] = []
+    injections: list[Injection] = []
+    if points:
+        pins = [Pin(Coord(*draw(coords)), draw(st.sampled_from(list(SegmentKind))), PinRole.IO)
+                for _ in range(draw(st.integers(0, 3)))]
+        for row in range(draw(st.integers(0, 2))):
+            pin = Pin(Coord(*draw(coords)), SegmentKind.PRIMAL, PinRole.INJECTION, InitBasis.A)
+            injections.append(Injection(Coord(*draw(coords)), InitBasis.A, (pin, pin), row))
+    return Geometry(defects=tuple(defects), pins=tuple(pins), injections=tuple(injections),
+                    ioports=(), layout=LayoutParams())
 
 
 def winding_ray_cast(polygon: list[tuple[int, int]], point: tuple[int, int]) -> bool:

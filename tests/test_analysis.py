@@ -2,9 +2,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import reference_scans as ref
 import tqecsynth.analysis as analysis
+from conftest import parity_geometries
 from tqecsynth.analysis import (
     AnalysisError, DistanceReport, Instruction, Layer, LayerKind, Op, SiteBasis,
     bounding_box, code_distance, execution_schedule, hardware_loop, lattice_cells_for,
@@ -13,7 +15,7 @@ from tqecsynth.analysis import (
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
 from tqecsynth.decompose import decompose_gates
 from tqecsynth.geometry import (
-    Coord, Defect, Geometry, LayoutParams, Segment, SegmentKind,
+    Coord, Defect, Geometry, LayoutParams, Pin, PinRole, Segment, SegmentKind,
     generate_geometry,
 )
 from tqecsynth.icm import to_icm
@@ -164,6 +166,22 @@ def test_bounding_box_segment_and_empty():
 def test_bounding_box_equals_the_all_points_reference(path, rate, seed):
     from tqecsynth.pipeline import PipelineConfig, run_pipeline
     geo = run_pipeline(path.read_text(), PipelineConfig(success_rate=rate, seed=seed)).geometry
+    box = bounding_box(geo)
+    assert (box.lo, box.hi) == ref.bounding_box_of_points(geo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_geometries(min_defects=0, points=True))
+@example(Geometry(defects=(), pins=(Pin(Coord(4, -2, 0), SegmentKind.DUAL, PinRole.IO),
+                                    Pin(Coord(-1, 5, 3), SegmentKind.PRIMAL, PinRole.IO)),
+                  injections=(), ioports=(), layout=LayoutParams()))
+def test_bounding_box_equals_the_all_points_reference_on_drawn_geometries(geo):
+    # the span table's extents and the point rows, on and off their parity,
+    # some below zero, with pins and injection vertices off the segments
+    if not (geo.defects or geo.pins or geo.injections):
+        with pytest.raises(AnalysisError):
+            bounding_box(geo)
+        return
     box = bounding_box(geo)
     assert (box.lo, box.hi) == ref.bounding_box_of_points(geo)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from pathlib import Path
 
 import reference_scans as ref
-from conftest import defects_of, icm_circuits, winding_ray_cast
+from conftest import defects_of, icm_circuits, parity_geometries, winding_ray_cast
 from tqecsynth import geometry
 from tqecsynth.circuit import Circuit, Gate, GateKind, circuit, parse_circuit
 from tqecsynth.decompose import decompose_gates
@@ -202,21 +202,6 @@ def test_validate_parity_flags_bad_primal_endpoint():
     geo = replace(geo, defects=geo.defects + (Defect(SegmentKind.PRIMAL, (bad,), False),))
     diags = validate_parity(geo)
     assert any(d.rule == "segment-parity" for d in diags)
-
-
-@st.composite
-def parity_geometries(draw):
-    """Single-segment defects of either kind, on and off their parity, some below zero."""
-    defects = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(list(SegmentKind)))
-        a = [draw(st.integers(-3, 7)) for _ in range(3)]
-        b = list(a)
-        b[draw(st.integers(0, 2))] += draw(st.integers(1, 6)) * draw(st.sampled_from([-1, 1]))
-        seg = Segment(kind, Coord(*a), Coord(*b))
-        defects.append(geometry.Defect(kind, (seg,), closed=False))
-    return geometry.Geometry(defects=tuple(defects), pins=(), injections=(), ioports=(),
-                             layout=PARAMS)
 
 
 @settings(max_examples=200, deadline=None)

@@ -241,9 +241,10 @@ def test_later_stamps_win_on_shared_sites():
 def test_collinear_segment_stamps_merge_into_runs():
     geo = HAND_BUILT["collinear-runs"]
     Z = SiteBasis.Z
-    # j spans 0-4, 1-4 and 2-6 overlap and 8-11 lies past a gap; t spans 0-4 and 5-10 touch
-    assert _stamps(geo)[:3] == [(4, 6, 2, 4, 0, 6, Z), (4, 6, 2, 4, 8, 11, Z),
-                                (0, 10, 8, 10, 2, 4, Z)]
+    # j spans 1-3, 2-3 and 3-5 overlap into one run and 9-10 lies past a gap;
+    # t spans 1-3 and 6-9 lie 3 units apart, two runs whose widened stamps touch
+    assert _stamps(geo)[:4] == [(4, 6, 2, 4, 0, 6, Z), (4, 6, 2, 4, 8, 11, Z),
+                                (0, 4, 8, 10, 2, 4, Z), (5, 10, 8, 10, 2, 4, Z)]
     marks = {layer.t: dict(layer.marked) for layer in slice_layers(geo, (6, 6, 6))}
     assert marks[5][3, 5] is SiteBasis.IO          # the cap over the merged run
     assert marks[6][3, 10] is SiteBasis.INJECTED   # the vertex over the leg past the gap

@@ -1,5 +1,6 @@
 """The shared span model and the scans on it against the brute-force reference scans."""
 import random
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -9,17 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scans as ref
-from tqecsynth import spatial
-from tqecsynth.analysis import lattice_cells_for, min_code_distance, slice_layers
-from tqecsynth.cli import slice_lines
+from tqecsynth import analysis, geometry, spatial
+from tqecsynth.analysis import (
+    _stamps, bounding_box, lattice_cells_for, min_code_distance, slice_layers,
+)
+from tqecsynth.cli import EXIT_OK, main, slice_lines
+from tqecsynth.document import export_obj
 from tqecsynth.geometry import (
     Coord, Defect, Geometry, LayoutParams, Segment, SegmentKind, segment_overlaps,
+    validate_parity,
 )
-from tqecsynth.pipeline import PipelineConfig, run_pipeline
+from tqecsynth.pipeline import PipelineConfig, SparePolicy, run_pipeline
 from tqecsynth.spatial import RADIUS, SegmentIndex, Spans, collinear_runs, segment_spans
 
-CIRCUITS = sorted((Path(__file__).parent.parent / "circuits").glob("*.tq"))
+ROOT = Path(__file__).parent.parent
+CIRCUITS = sorted((ROOT / "circuits").glob("*.tq"))
 KINDS = list(SegmentKind)
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tools")]
+import ladder  # noqa: E402
+import workloads  # noqa: E402
+
+# The 4-Toffoli rung of tools/ladder.py: its circuit, and its flags as a config.
+LADDER_SOURCE = workloads.toffoli_source(random.Random(1), 4, 6)
+LADDER_CONFIG = PipelineConfig(success_rate=0.9, seed=1,
+                               spares=SparePolicy("binomial", epsilon=1e-6))
 
 
 def spans_of(entries) -> Spans:
@@ -422,3 +436,46 @@ def test_sixteen_toffolis_distance():
         "toffoli {} {} {}\n".format(*rng.sample(range(6), 3)) for _ in range(16))
     rep = run_pipeline(source, PipelineConfig(success_rate=0.9, seed=1)).distance
     assert (rep.min_separation, rep.code_distance) == (3, 4)
+
+
+def encodings(monkeypatch) -> list[int]:
+    """Spy on ``spatial.segment_spans`` under every name a module binds it
+    to; the returned list gets each call's defect count."""
+    calls: list[int] = []
+    encode = spatial.segment_spans
+
+    def spy(defects):
+        calls.append(len(defects))
+        return encode(defects)
+
+    for module in (spatial, geometry, analysis):
+        monkeypatch.setattr(module, "segment_spans", spy, raising=False)
+    return calls
+
+
+def test_one_geometry_is_encoded_once(monkeypatch):
+    calls = encodings(monkeypatch)
+    result = run_pipeline(LADDER_SOURCE, LADDER_CONFIG)
+    geo = result.geometry
+    assert geo.connections
+    assert validate_parity(geo) == []
+    bounding_box(geo)
+    min_code_distance(geo)
+    _stamps(geo)
+    segment_overlaps(geo)
+    export_obj(geo)
+    assert calls == [len(geo.defects) + len(geo.connections)]
+
+
+@pytest.mark.parametrize("command", [
+    ("synth", "--format", "json", "--format", "obj", "--format", "csv"),
+    ("metrics",),
+    ("slice",),
+], ids=lambda command: command[0])
+def test_each_command_encodes_its_geometry_once(tmp_path, monkeypatch, capsysbinary, command):
+    source = tmp_path / "toffolis.tq"
+    source.write_text(LADDER_SOURCE)
+    out = () if command[0] == "metrics" else ("--out", str(tmp_path / "out"))
+    calls = encodings(monkeypatch)
+    assert main([command[0], str(source), *command[1:], *ladder.FLAGS, *out]) == EXIT_OK
+    assert len(calls) == 1
