@@ -69,7 +69,7 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
     ``bounding_box``, which no gap exceeds, so the result equals a scan
     over all segment pairs.
     """
-    count = len(geometry.defects) + len(geometry.connections)
+    count = geometry.table.defect_count + len(geometry.connections)
     if not count:
         raise AnalysisError("geometry has no defects")
     d_f = 1   # _stamps and export_obj draw every defect one cell thick

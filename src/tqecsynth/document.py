@@ -12,17 +12,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict
+from operator import mod
 from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .circuit import InitBasis
 from .geometry import (
-    CapShape, Defect, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole, PortBasis,
-    PortRole, Segment, SegmentKind,
+    KINDS, CapShape, Geometry, Injection, IOPort, LayoutParams, Pin, PinRole, PortBasis,
+    PortRole, Segment, SegmentKind, SegmentTable,
 )
 from .matrix import CONTROL, EMPTY, TARGET, MatrixRep
 from .pipeline import PipelineConfig, PipelineResult
 from .scheduling import RNG_ALGORITHM, BoxInstance, BoxStatus, Connection
+from .spatial import segment_rows
 
 DOCUMENT_VERSION = 2
 
@@ -93,8 +95,26 @@ def _segments(segments: tuple[Segment, ...]) -> bytes:
                      for s in segments)
 
 
-def _defect(d: Defect) -> bytes:
-    return _DEFECT % (_TOKEN[id(d.closed)], _TOKEN[id(d.kind)], _segments(d.segments))
+def _defects(table: SegmentTable) -> Iterator[bytes]:
+    """Each defect of ``table`` as its JSON object, one piece per defect.
+
+    A defect's bytes are one ``%`` of its rows' ends into the template of
+    its kind, closure and segment count, made once per such triple: the
+    segment objects, each kind token in place.
+    """
+    templates: dict[tuple[int, bool, int], bytes] = {}
+    ends = table.ends.ravel().tolist()
+    bounds = table.start.tolist()
+    kinds = table.kind[table.start[:-1]].tolist()
+    for kind, closed, lo, hi in zip(kinds, table.closed.tolist(), bounds, bounds[1:]):
+        key = (kind, closed, hi - lo)
+        template = templates.get(key)
+        if template is None:
+            token = _TOKEN[id(KINDS[kind])]
+            segment = _SEGMENT.replace(b"%s", token)
+            template = templates[key] = _DEFECT % (_TOKEN[id(closed)], token,
+                                                   b",".join([segment] * (hi - lo)))
+        yield template % tuple(ends[6 * lo:6 * hi])
 
 
 def _injection(inj: Injection) -> bytes:
@@ -192,8 +212,10 @@ def document_pieces(result: PipelineResult) -> Iterator[bytes]:
 
     The keys come in sorted order. The repeated objects (boxes, connections,
     defects, injections, ports and pins) are written from sorted-key
-    templates, one piece per object, and the dense ``"matrix"`` key one
-    row at a time, so the document is never held whole. The small objects
+    templates, one piece per object, the defects from the rows of
+    ``geometry.table`` and not from defect objects, and the dense
+    ``"matrix"`` key one row at a time, so the document is never held
+    whole. The small objects
     (``icm``, ``layout``, ``metadata``, ``reports``) go through
     :func:`canonical_json`'s encoder. They are encoded before the first
     piece is yielded, so a report that fails (the code distance is measured
@@ -209,7 +231,7 @@ def document_pieces(result: PipelineResult) -> Iterator[bytes]:
     yield b',"connections":'
     yield from _array(map(_connection, result.connections))
     yield b',"defects":'
-    yield from _array(map(_defect, geo.defects))
+    yield from _array(_defects(geo.table))
     yield b',"icm":' + icm + b',"injections":'
     yield from _array(map(_injection, geo.injections))
     yield b',"ioports":'
@@ -302,12 +324,18 @@ def export_obj(geometry: Geometry) -> bytes:
     return b"".join(out) or b"\n"
 
 
+# One CSV row per segment, by kind code.
+_CSV_ROW = [b"%s,%%d,%%d,%%d,%%d,%%d,%%d\n" % kind.value.encode("ascii") for kind in KINDS]
+
+
 def export_csv(geometry: Geometry) -> bytes:
-    rows = ["kind,i1,j1,t1,i2,j2,t2"]
-    for seg in geometry.segments:
-        rows.append(f"{seg.kind.value},{seg.a.i},{seg.a.j},{seg.a.t},"
-                    f"{seg.b.i},{seg.b.j},{seg.b.t}")
-    return ("\n".join(rows) + "\n").encode("ascii")
+    """A header, then one row ``kind,i1,j1,t1,i2,j2,t2`` per segment in
+    ``geometry.segments`` order: the table's rows, then the routes'."""
+    rows = [b"kind,i1,j1,t1,i2,j2,t2\n"]
+    route_ends, route_kind, _ = segment_rows(geometry.connections)
+    for ends, kind in ((geometry.table.ends, geometry.table.kind), (route_ends, route_kind)):
+        rows += map(mod, map(_CSV_ROW.__getitem__, kind.tolist()), map(tuple, ends.tolist()))
+    return b"".join(rows)
 
 
 def export(result: PipelineResult, fmt: str) -> bytes:

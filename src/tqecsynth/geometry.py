@@ -32,7 +32,7 @@ import numpy as np
 from .circuit import Diagnostic, InitBasis, MeasBasis
 from .icm import cnot_spans
 from .matrix import MatrixRep, from_matrix
-from .spatial import SegmentIndex, Spans, segment_spans
+from .spatial import SegmentIndex, Spans, end_spans, segment_rows, segment_spans
 
 if TYPE_CHECKING:
     from .scheduling import BoxInstance
@@ -43,7 +43,7 @@ def collector_paused() -> Iterator[None]:
     """Pause Python's cyclic garbage collector, as a ``with`` block or a decorator.
 
     Synthesis builds hundreds of thousands of frozen dataclasses (coords,
-    segments, defects, pins) that form no reference cycle, so reference
+    pins, ports, routes) that form no reference cycle, so reference
     counting frees them all, and each collection their allocations trigger
     only walks them again: at 256 Toffolis collections took 1.1 of 3.3 s of
     synthesis, distance read and the JSON and OBJ writers. The collector is enabled again on
@@ -262,32 +262,152 @@ class LayoutParams:
         return mid - (mid % 2)
 
 
-@dataclass(frozen=True)
+# A segment kind's code in tables and spans: its index in SegmentKind.
+KINDS = tuple(SegmentKind)
+
+# What Defect.__post_init__ raises, in the order it checks.
+_DEFECT_FAULTS = ("defect needs at least one segment", "a defect cannot mix segment kinds",
+                  "defect segments must chain end to end",
+                  "closed defect must return to its start")
+
+
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """Defects as arrays: row k of ``ends`` is segment k.
+
+    ``ends[k]`` is ``(a.i, a.j, a.t, b.i, b.j, b.t)`` and ``kind[k]`` the
+    segment's code in ``KINDS``; defect d owns the rows ``start[d]`` up to
+    ``start[d + 1]`` and is closed if ``closed[d]``. ``generate_geometry``
+    writes a table directly, and ``of`` reads one from objects. A table
+    is checked on construction, as whole arrays, for what
+    ``Segment.__post_init__`` and ``Defect.__post_init__`` check of
+    objects, and with their messages.
+    """
+
+    ends: np.ndarray
+    kind: np.ndarray
+    start: np.ndarray
+    closed: np.ndarray
+
+    @classmethod
+    def of(cls, defects: Sequence[Defect]) -> "SegmentTable":
+        """The table of object-built ``defects``."""
+        ends, kind, counts = segment_rows(defects)
+        return cls(ends, kind, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+                   np.array([defect.closed for defect in defects], dtype=bool))
+
+    def __post_init__(self) -> None:
+        """Raise the first fault in defect order, a defect's segments before the defect.
+
+        A defect's faults come in the order its objects check them: a
+        segment that is not axis-aligned or is a point, no segment, mixed
+        kinds, a broken chain, a closed chain that ends off its start.
+        """
+        ends, kind, start = self.ends, self.kind, self.start
+        counts = np.diff(start)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        a, b = ends[:, :3], ends[:, 3:]
+        bent = np.count_nonzero(a != b, axis=1) != 1
+        joint = owner[1:] == owner[:-1]     # rows k and k + 1 of one defect
+        full = counts > 0
+        returns = np.ones(len(counts), dtype=bool)
+        returns[full] = (b[start[1:][full] - 1] == a[start[:-1][full]]).all(axis=1)
+
+        def flagged(owners: np.ndarray) -> np.ndarray:
+            return np.bincount(owners, minlength=len(counts)) > 0
+
+        faults = np.stack((flagged(owner[bent]), ~full,
+                           flagged(owner[1:][joint & (kind[1:] != kind[:-1])]),
+                           flagged(owner[1:][joint & (b[:-1] != a[1:]).any(axis=1)]),
+                           self.closed & ~returns))
+        bad = np.flatnonzero(faults.any(axis=0))
+        if not bad.size:
+            return
+        d = int(bad[0])
+        fault = int(np.argmax(faults[:, d]))
+        if fault == 0:
+            k = int(start[d] + np.argmax(bent[start[d]:start[d + 1]]))
+            raise GeometryError("segment must be axis-aligned and non-degenerate: "
+                                f"{Coord(*a[k].tolist())}->{Coord(*b[k].tolist())}")
+        raise GeometryError(_DEFECT_FAULTS[fault - 1])
+
+    @property
+    def defect_count(self) -> int:
+        return len(self.closed)
+
+    def spans(self) -> Spans:
+        """``spatial.end_spans`` of the rows, each owned by its defect's index."""
+        counts = np.diff(self.start)
+        return end_spans(self.ends, self.kind, np.repeat(np.arange(len(counts)), counts))
+
+    def defects(self) -> tuple[Defect, ...]:
+        """The defects as objects, equal to those the table was made of."""
+        points = [Coord(*p) for p in self.ends.reshape(-1, 3).tolist()]
+        kinds = [KINDS[k] for k in self.kind.tolist()]
+        segments = [Segment(kind, a, b) for kind, a, b in zip(kinds, points[0::2], points[1::2])]
+        bounds = self.start.tolist()
+        return tuple(Defect(kinds[lo], tuple(segments[lo:hi]), closed)
+                     for lo, hi, closed in zip(bounds, bounds[1:], self.closed.tolist()))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Geometry:
-    defects: tuple[Defect, ...]
+    """A geometry: its defects as a ``SegmentTable``, its routes, pins and ports.
+
+    ``Geometry(defects=...)`` reads the table from the objects given, and
+    ``Geometry(table=...)``, as ``generate_geometry`` builds it, takes it
+    as is. ``dataclasses.replace`` hands the table on, so a copy with new
+    pins, ports or routes keeps its rows, and a copy given ``defects``
+    reads them again. ``defects`` and ``segments`` are objects built on
+    first read; every reader on the synthesis path reads the arrays.
+    """
+
+    table: SegmentTable
     pins: tuple[Pin, ...]
     injections: tuple[Injection, ...]
     ioports: tuple[IOPort, ...]
     layout: LayoutParams
-    boxes: tuple["BoxInstance", ...] = ()
-    connections: tuple[Defect, ...] = ()
+    boxes: tuple["BoxInstance", ...]
+    connections: tuple[Defect, ...]
 
-    @property
+    def __init__(self, defects: Sequence[Defect] | None = None, *, pins: tuple[Pin, ...],
+                 injections: tuple[Injection, ...], ioports: tuple[IOPort, ...],
+                 layout: LayoutParams, boxes: tuple["BoxInstance", ...] = (),
+                 connections: tuple[Defect, ...] = (), table: SegmentTable | None = None
+                 ) -> None:
+        if defects is not None:
+            table = SegmentTable.of(defects)
+            self.__dict__["defects"] = tuple(defects)
+        elif table is None:
+            raise TypeError("Geometry needs its defects or their table")
+        for name, value in (("table", table), ("pins", pins), ("injections", injections),
+                            ("ioports", ioports), ("layout", layout), ("boxes", boxes),
+                            ("connections", connections)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def defects(self) -> tuple[Defect, ...]:
+        return self.table.defects()
+
+    @cached_property
     def segments(self) -> tuple[Segment, ...]:
-        out: list[Segment] = []
-        for d in self.defects:
-            out.extend(d.segments)
-        for c in self.connections:
-            out.extend(c.segments)
-        return tuple(out)
+        return tuple(seg for defect in self.defects + self.connections
+                     for seg in defect.segments)
 
     @cached_property
     def spans(self) -> Spans:
-        """``spatial.segment_spans`` of the defects then the connections, row k
-        for ``segments[k]``: made on first read, the one encoding every array
-        reader of the segments reads, and kept as long as the geometry, at
-        about 56 B per segment (seven int64 arrays; 7 MB at 256 Toffolis)."""
-        return segment_spans(self.defects + self.connections)
+        """``spatial.end_spans`` of the table's rows, then of the routes',
+        row k for ``segments[k]``: made on first read, the one encoding
+        every array reader of the segments reads, and kept as long as the
+        geometry. It takes 56 B per segment (seven int64 arrays), besides
+        the table's 59 B per row: 7.0 and 6.2 MB at 256 Toffolis, where
+        the segment objects, if read, take 50 MB."""
+        spans = self.table.spans()
+        if not self.connections:
+            return spans
+        routes = segment_spans(self.connections)
+        routes = routes._replace(defect=routes.defect + self.table.defect_count)
+        return Spans(*map(np.concatenate, zip(spans, routes)))
 
 
 _INPUT_BASIS = {
@@ -307,9 +427,46 @@ _OUTPUT_BASIS = {
 _LIVE_MARGIN = 3
 
 
+# The corners of a CNOT loop, each (i level, row, j offset): the i level
+# indexes (i_inner - 1, i_inner + 1, i_inner + 3), the row is the loop's
+# low (0) or high (1) row, and the corner's j is that row's plus the
+# offset. Rows next to each other take the first four corners of row 0; a
+# loop around rows further apart takes all eight of row 1, bridging over
+# the strands between them.
+_CORNERS = np.array([
+    [(0, 0, -1), (1, 0, -1), (1, 1, 1), (0, 1, 1)] + [(0, 0, 0)] * 4,
+    [(0, 0, -1), (2, 0, -1), (2, 1, 1), (0, 1, 1), (0, 1, -1), (1, 1, -1), (1, 0, 1),
+     (0, 0, 1)],
+])
+
+
+def _loop_ends(control: np.ndarray, target: np.ndarray, column: np.ndarray,
+               params: LayoutParams) -> tuple[np.ndarray, np.ndarray]:
+    """The segment ends of the CNOT loops of ``column``s, in column order,
+    and each loop's corner count: 4 for adjacent rows, 8 otherwise.
+
+    A loop lies in the even t-plane of its column and runs from corner to
+    corner of ``_CORNERS``, back to the first."""
+    lo_row, hi_row = np.minimum(control, target), np.maximum(control, target)
+    far = (hi_row - lo_row > 1).astype(np.int64)
+    sizes = 4 + 4 * far
+    loop = np.repeat(np.arange(len(sizes)), sizes)
+    corner = np.arange(len(loop)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pattern = far[loop]
+    level_i = params.i_inner + np.array([-1, 1, 3])
+    row_j = np.stack((params.row_j(lo_row), params.row_j(hi_row)))[:, loop]
+    ends = np.empty((len(loop), 6), dtype=np.int64)
+    for x, at in ((0, corner), (3, (corner + 1) % sizes[loop])):
+        level, row, offset = _CORNERS[pattern, at].T
+        ends[:, x] = level_i[level]
+        ends[:, x + 1] = np.where(row, row_j[1], row_j[0]) + offset
+        ends[:, x + 2] = params.braid_t(column)[loop]
+    return ends, sizes
+
+
 def cnot_braid_template(control_row: int, target_row: int, column: int,
                         params: LayoutParams) -> list[Segment]:
-    """Closed dual loop for one CNOT column.
+    """Closed dual loop for one CNOT column, as ``generate_geometry`` lays it.
 
     The loop lives in the even t-plane of its column and encircles exactly
     the inner strands of the control and target rows; for non-adjacent rows
@@ -317,25 +474,10 @@ def cnot_braid_template(control_row: int, target_row: int, column: int,
     """
     if control_row == target_row:
         raise GeometryError("CNOT rows must be distinct")
-    t = params.braid_t(column)
-    lo_row, hi_row = sorted((control_row, target_row))
-    j_lo = params.row_j(lo_row)
-    j_hi = params.row_j(hi_row)
-    base = params.i_inner - 1
-    mid = params.i_inner + 1
-    top = params.i_inner + 3
-
-    if hi_row - lo_row == 1:
-        corners = [
-            (base, j_lo - 1), (mid, j_lo - 1), (mid, j_hi + 1), (base, j_hi + 1),
-        ]
-    else:
-        corners = [
-            (base, j_lo - 1), (top, j_lo - 1), (top, j_hi + 1), (base, j_hi + 1),
-            (base, j_hi - 1), (mid, j_hi - 1), (mid, j_lo + 1), (base, j_lo + 1),
-        ]
-    pts = [Coord(i, j, t) for i, j in corners]
-    return [Segment(SegmentKind.DUAL, a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
+    ends, _ = _loop_ends(np.array([control_row]), np.array([target_row]),
+                         np.array([column]), params)
+    return [Segment(SegmentKind.DUAL, Coord(*row[:3]), Coord(*row[3:]))
+            for row in ends.tolist()]
 
 
 def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> Geometry:
@@ -346,6 +488,11 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
     pins of its ports, span the row's live range (see the module docstring),
     and a CNOT loop whose plane lies outside the span of its control or
     target row raises GeometryError.
+
+    The defects are written as a ``SegmentTable`` in numpy, whose numpy
+    calls do not grow with the circuit: the strands from per-row arrays,
+    the loops from per-column arrays and ``_CORNERS``. Pins, ports and
+    injections are objects.
     """
     try:
         circ = from_matrix(matrix)
@@ -354,34 +501,30 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
     params = params or LayoutParams()
     t_in = params.t_in
     t_out = params.t_out(len(circ.gates))
-
-    defects: list[Defect] = []
     pins: list[Pin] = []
     injections: list[Injection] = []
     ports: list[IOPort] = []
-
-    live: list[tuple[int, int]] = []
+    t_lo: list[int] = []
+    t_hi: list[int] = []
     for row, (init, meas, span) in enumerate(zip(circ.inits, circ.meas, cnot_spans(circ))):
         j = params.row_j(row)
-        t_lo, t_hi = t_in, t_out
+        lo, hi = t_in, t_out
         if span is not None:
             if init in (InitBasis.ZERO, InitBasis.PLUS):
-                t_lo = params.braid_t(span[0]) - _LIVE_MARGIN
+                lo = params.braid_t(span[0]) - _LIVE_MARGIN
             if meas is not MeasBasis.OPEN:
                 # a t_pitch of 2 puts t_out 1 unit past the last braid plane
-                t_hi = min(t_out, params.braid_t(span[1]) + _LIVE_MARGIN)
-        live.append((t_lo, t_hi))
-        for i in (params.i_inner, params.i_outer):
-            strand = Segment(SegmentKind.PRIMAL, Coord(i, j, t_lo), Coord(i, j, t_hi))
-            defects.append(Defect(SegmentKind.PRIMAL, (strand,), closed=False))
+                hi = min(t_out, params.braid_t(span[1]) + _LIVE_MARGIN)
+        t_lo.append(lo)
+        t_hi.append(hi)
 
         in_pins = (
-            Pin(Coord(params.i_inner, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
-            Pin(Coord(params.i_outer, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_inner, j, lo), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, lo), SegmentKind.PRIMAL, PinRole.IO),
         )
         out_pins = (
-            Pin(Coord(params.i_inner, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
-            Pin(Coord(params.i_outer, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_inner, j, hi), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, hi), SegmentKind.PRIMAL, PinRole.IO),
         )
 
         if init.is_injection:
@@ -402,19 +545,33 @@ def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> 
                             io_geometry(PortRole.OUTPUT, out_basis)))
         pins.extend(out_pins)
 
-    for col, gate in enumerate(circ.gates):
-        t = params.braid_t(col)
-        for row in gate.qubits:
-            t_lo, t_hi = live[row]
-            if not t_lo < t < t_hi:
-                raise GeometryError(
-                    f"CNOT column {col} at t={t} lies outside the strand of row {row} "
-                    f"(t {t_lo}..{t_hi})")
-        loop = cnot_braid_template(gate.control, gate.target, col, params)
-        defects.append(Defect(SegmentKind.DUAL, tuple(loop), closed=True))
+    live_lo, live_hi = np.array(t_lo, dtype=np.int64), np.array(t_hi, dtype=np.int64)
+    qubits = np.array(matrix.cnots, dtype=np.int64).reshape(-1, 2)   # control, target
+    column = np.arange(len(qubits))
+    plane = params.braid_t(column)[:, None]
+    outside = np.flatnonzero(~((live_lo[qubits] < plane) & (plane < live_hi[qubits])))
+    if outside.size:
+        col, side = divmod(int(outside[0]), 2)
+        row = int(qubits[col, side])
+        raise GeometryError(
+            f"CNOT column {col} at t={int(plane[col, 0])} lies outside the strand of row {row} "
+            f"(t {t_lo[row]}..{t_hi[row]})")
+
+    # two strands a row, inner then outer, then one loop a column
+    rows = len(t_lo)
+    strands = np.empty((2 * rows, 6), dtype=np.int64)
+    strands[:, 0::3] = np.tile([params.i_inner, params.i_outer], rows)[:, None]
+    strands[:, 1::3] = np.repeat(params.row_j(np.arange(rows)), 2)[:, None]
+    strands[:, 2], strands[:, 5] = np.repeat(live_lo, 2), np.repeat(live_hi, 2)
+    loops, sizes = _loop_ends(qubits[:, 0], qubits[:, 1], column, params)
+    table = SegmentTable(
+        np.concatenate((strands, loops)),
+        np.repeat(np.arange(len(KINDS)), (2 * rows, len(loops))),
+        np.concatenate((np.arange(2 * rows), 2 * rows + np.cumsum(np.append(0, sizes)))),
+        np.repeat([False, True], (2 * rows, len(sizes))))
 
     return Geometry(
-        defects=tuple(defects),
+        table=table,
         pins=tuple(pins),
         injections=tuple(injections),
         ioports=tuple(ports),

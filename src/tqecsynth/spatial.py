@@ -1,15 +1,15 @@
 """Segment spans, their collinear runs, and a sort-and-sweep index over boxes.
 
-``segment_spans`` is the one encoder of segments as spans on lines. It
-reads the segments in one Python pass into ``Spans``, parallel numpy
-arrays, and ``Geometry.spans`` calls it once per geometry: parity, bounding
-box, code distance, overlap check, slicer and OBJ export all read that one
-table. The rest works on whole arrays: ``collinear_runs`` merges a line's
+``end_spans`` is the one encoder of segments as spans on lines: it turns
+each segment's end coordinates into ``Spans``, parallel numpy arrays.
+``generate_geometry`` writes those ends as a table at generation, and
+``Geometry.spans`` encodes them once per geometry: parity, bounding box,
+code distance, overlap check, slicer and OBJ export all read that one
+table. Segment objects are read, in one Python pass (``segment_rows``),
+only for object-built geometries and for the routes (``segment_spans``).
+The rest works on whole arrays: ``collinear_runs`` merges a line's
 touching spans with one sort, the one merge the code distance and the
 slicer share, and ``SegmentIndex`` holds one box per span or run.
-At 256 Toffolis (125 433 segments) the spans, runs and index take about
-0.11 s, where a tuple per span took 0.5 s (0.17 s with the cyclic garbage
-collector paused).
 
 A query sorts the boxes of each kind on their low end along one axis
 ("sweep and prune": Cohen, Lin, Manocha & Ponamgi, I-COLLIDE, 1995); a
@@ -69,31 +69,48 @@ _CROSS = np.array([[1, 2], [0, 2], [0, 1]])    # the other two axes of each axis
 _ENDS = attrgetter("a.i", "a.j", "a.t", "b.i", "b.j", "b.t")
 
 
-def segment_spans(defects: Sequence[Defect]) -> Spans:
-    """Each segment as a span, in segment order.
+def segment_rows(defects: Sequence[Defect]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The segments of object-built ``defects`` as ``(ends, kind, counts)``.
 
-    The one span encoder, read through ``Geometry.spans``: one Python pass
-    reads each segment's six end coordinates, and the rest is numpy.
-    ``geometry.defects + geometry.connections`` gives the order of
-    ``geometry.segments``. A segment is axis-aligned and not a point, so
-    exactly one coordinate differs between its ends; ``(u, v)`` are its
-    first end's other two.
+    One Python pass reads each segment's ends into a row ``(a.i, a.j, a.t,
+    b.i, b.j, b.t)`` of ``ends``, in segment order; ``kind[k]`` is the
+    index of row k's defect kind in its enum and ``counts`` each defect's
+    segment count.
     """
     segments = list(map(attrgetter("segments"), defects))
     counts = list(map(len, segments))
     ends = np.fromiter(chain.from_iterable(map(_ENDS, chain.from_iterable(segments))),
-                       dtype=np.int64, count=6 * sum(counts))
-    a, b = ends.reshape(-1, 2, 3).transpose(1, 0, 2)
+                       dtype=np.int64, count=6 * sum(counts)).reshape(-1, 6)
+    codes = {id(kind): code for code, kind in enumerate(type(defects[0].kind))} if defects else {}
+    kinds = [codes[id(defect.kind)] for defect in defects]     # by id: Enum hashes in Python
+    return ends, np.repeat(np.array(kinds, dtype=np.int64), counts), counts
+
+
+def end_spans(ends: np.ndarray, kind: np.ndarray, defect: np.ndarray) -> Spans:
+    """Each segment, a row ``(a.i, a.j, a.t, b.i, b.j, b.t)`` of ``ends``, as a span.
+
+    The one span encoder. A segment is axis-aligned and not a point, so
+    exactly one coordinate differs between its ends; ``(u, v)`` are its
+    first end's other two. ``kind`` and ``defect`` are each segment's.
+    """
+    a, b = ends[:, :3], ends[:, 3:]
     axis = np.argmax(a != b, axis=1)
     rows = np.arange(len(axis))
     cross = _CROSS[axis]
     along_a, along_b = a[rows, axis], b[rows, axis]
-    codes = {id(kind): code for code, kind in enumerate(type(defects[0].kind))} if defects else {}
-    kinds = [codes[id(defect.kind)] for defect in defects]     # by id: Enum hashes in Python
-    return Spans(np.repeat(np.array(kinds, dtype=np.int64), counts),
-                 axis, a[rows, cross[:, 0]], a[rows, cross[:, 1]],
-                 np.minimum(along_a, along_b), np.maximum(along_a, along_b),
-                 np.repeat(np.arange(len(defects)), counts))
+    return Spans(kind, axis, a[rows, cross[:, 0]], a[rows, cross[:, 1]],
+                 np.minimum(along_a, along_b), np.maximum(along_a, along_b), defect)
+
+
+def segment_spans(defects: Sequence[Defect]) -> Spans:
+    """Each segment of object-built ``defects`` as a span, in segment order.
+
+    ``segment_rows`` then ``end_spans``; a segment's defect is its index
+    in ``defects``. ``Geometry.spans`` reads it for the routes: the
+    defects' rows come from the geometry's table.
+    """
+    ends, kind, counts = segment_rows(defects)
+    return end_spans(ends, kind, np.repeat(np.arange(len(counts)), counts))
 
 
 def collinear_runs(spans: Spans) -> tuple[Spans, np.ndarray]:

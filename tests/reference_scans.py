@@ -25,6 +25,9 @@ those dense rows, and the dict-tree version of the JSON document
 full-scan version of ``scheduling.Region.allocate`` (every occupied
 rectangle tested for each box), and the every-endpoint versions of
 ``geometry.validate_parity`` and ``analysis.bounding_box``, and the
+object-at-a-time version of ``geometry.generate_geometry`` (every strand,
+loop corner, segment and defect built as an object, each loop from its
+corner list), and the
 tuple-at-a-time versions of ``spatial.segment_spans`` and
 ``spatial.collinear_runs`` (one ``(line, lo, hi, item)`` tuple per span,
 each line's spans sorted and merged in a Python loop); the tests compare
@@ -48,10 +51,16 @@ from tqecsynth.analysis import (
 )
 from tqecsynth.circuit import Circuit, Gate, GateKind, InitBasis, MeasBasis, NATIVE_KINDS
 from tqecsynth import __version__
-from tqecsynth.geometry import CapShape, Coord, Defect, Geometry, Pin, Segment
+from tqecsynth.geometry import (
+    _INPUT_BASIS, _LIVE_MARGIN, _OUTPUT_BASIS, CapShape, Coord, Defect, Geometry, GeometryError,
+    Injection, IOPort, LayoutParams, Pin, PinRole, PortRole, Segment, SegmentKind, cnot_spans,
+    io_geometry,
+)
 from tqecsynth.icm import IcmConversion, PauliFrame, TemplateInstance, template_for
 from tqecsynth.document import DOCUMENT_VERSION, config_digest, reports
-from tqecsynth.matrix import CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _terminal_code
+from tqecsynth.matrix import (
+    CONTROL, EMPTY, TARGET, _INIT_CODE, MatrixRep, _terminal_code, from_matrix,
+)
 from tqecsynth.pipeline import PipelineResult
 from tqecsynth.scheduling import RNG_ALGORITHM, BoxInstance, Connection, Region
 from tqecsynth.sim import (
@@ -159,6 +168,98 @@ def min_code_distance(geometry: Geometry) -> DistanceReport:
         if separation is None or gap < separation:
             separation = gap
     return DistanceReport.from_params(d_f, separation)
+
+
+def cnot_loop(control_row: int, target_row: int, column: int,
+              params: LayoutParams) -> list[Segment]:
+    """``geometry.cnot_braid_template``, from its corner lists."""
+    t = params.braid_t(column)
+    lo_row, hi_row = sorted((control_row, target_row))
+    j_lo = params.row_j(lo_row)
+    j_hi = params.row_j(hi_row)
+    base = params.i_inner - 1
+    mid = params.i_inner + 1
+    top = params.i_inner + 3
+    if hi_row - lo_row == 1:
+        corners = [
+            (base, j_lo - 1), (mid, j_lo - 1), (mid, j_hi + 1), (base, j_hi + 1),
+        ]
+    else:
+        corners = [
+            (base, j_lo - 1), (top, j_lo - 1), (top, j_hi + 1), (base, j_hi + 1),
+            (base, j_hi - 1), (mid, j_hi - 1), (mid, j_lo + 1), (base, j_lo + 1),
+        ]
+    pts = [Coord(i, j, t) for i, j in corners]
+    return [Segment(SegmentKind.DUAL, a, b) for a, b in zip(pts, pts[1:] + pts[:1])]
+
+
+def generate_geometry(matrix: MatrixRep, params: LayoutParams | None = None) -> Geometry:
+    """``geometry.generate_geometry``, one object at a time: each row's two
+    strands, then each column's loop, built as ``Segment`` and ``Defect``
+    objects and checked by them."""
+    try:
+        circ = from_matrix(matrix)
+    except ValueError as exc:
+        raise GeometryError(str(exc)) from exc
+    params = params or LayoutParams()
+    t_in = params.t_in
+    t_out = params.t_out(len(circ.gates))
+
+    defects: list[Defect] = []
+    pins: list[Pin] = []
+    injections: list[Injection] = []
+    ports: list[IOPort] = []
+
+    live: list[tuple[int, int]] = []
+    for row, (init, meas, span) in enumerate(zip(circ.inits, circ.meas, cnot_spans(circ))):
+        j = params.row_j(row)
+        t_lo, t_hi = t_in, t_out
+        if span is not None:
+            if init in (InitBasis.ZERO, InitBasis.PLUS):
+                t_lo = params.braid_t(span[0]) - _LIVE_MARGIN
+            if meas is not MeasBasis.OPEN:
+                t_hi = min(t_out, params.braid_t(span[1]) + _LIVE_MARGIN)
+        live.append((t_lo, t_hi))
+        for i in (params.i_inner, params.i_outer):
+            strand = Segment(SegmentKind.PRIMAL, Coord(i, j, t_lo), Coord(i, j, t_hi))
+            defects.append(Defect(SegmentKind.PRIMAL, (strand,), closed=False))
+
+        in_pins = (
+            Pin(Coord(params.i_inner, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, t_lo), SegmentKind.PRIMAL, PinRole.IO),
+        )
+        out_pins = (
+            Pin(Coord(params.i_inner, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
+            Pin(Coord(params.i_outer, j, t_hi), SegmentKind.PRIMAL, PinRole.IO),
+        )
+        if init.is_injection:
+            inj_pins = tuple(Pin(p.coord, p.kind, PinRole.INJECTION, init) for p in in_pins)
+            vertex = Coord(params.vertex_i, j, t_in + 1)
+            injections.append(Injection(vertex, init, inj_pins, row))
+            pins.extend(inj_pins)
+        else:
+            basis = _INPUT_BASIS[init]
+            ports.append(IOPort(PortRole.INPUT, basis, in_pins, row,
+                                io_geometry(PortRole.INPUT, basis)))
+            pins.extend(in_pins)
+        out_basis = _OUTPUT_BASIS[meas]
+        ports.append(IOPort(PortRole.OUTPUT, out_basis, out_pins, row,
+                            io_geometry(PortRole.OUTPUT, out_basis)))
+        pins.extend(out_pins)
+
+    for col, gate in enumerate(circ.gates):
+        t = params.braid_t(col)
+        for row in gate.qubits:
+            t_lo, t_hi = live[row]
+            if not t_lo < t < t_hi:
+                raise GeometryError(
+                    f"CNOT column {col} at t={t} lies outside the strand of row {row} "
+                    f"(t {t_lo}..{t_hi})")
+        loop = cnot_loop(gate.control, gate.target, col, params)
+        defects.append(Defect(SegmentKind.DUAL, tuple(loop), closed=True))
+
+    return Geometry(defects=tuple(defects), pins=tuple(pins), injections=tuple(injections),
+                    ioports=tuple(ports), layout=params)
 
 
 def dense_matrix(circ: Circuit) -> np.ndarray:

@@ -439,17 +439,17 @@ def test_sixteen_toffolis_distance():
 
 
 def encodings(monkeypatch) -> list[int]:
-    """Spy on ``spatial.segment_spans`` under every name a module binds it
-    to; the returned list gets each call's defect count."""
+    """Spy on ``spatial.end_spans``, the one span encoder, under every name
+    a module binds it to; the returned list gets each call's row count."""
     calls: list[int] = []
-    encode = spatial.segment_spans
+    encode = spatial.end_spans
 
-    def spy(defects):
-        calls.append(len(defects))
-        return encode(defects)
+    def spy(ends, kind, defect):
+        calls.append(len(ends))
+        return encode(ends, kind, defect)
 
     for module in (spatial, geometry, analysis):
-        monkeypatch.setattr(module, "segment_spans", spy, raising=False)
+        monkeypatch.setattr(module, "end_spans", spy, raising=False)
     return calls
 
 
@@ -464,7 +464,8 @@ def test_one_geometry_is_encoded_once(monkeypatch):
     _stamps(geo)
     segment_overlaps(geo)
     export_obj(geo)
-    assert calls == [len(geo.defects) + len(geo.connections)]
+    # the generated rows, then the routes' rows, each encoded once
+    assert calls == [len(geo.table.ends), sum(len(c.segments) for c in geo.connections)]
 
 
 @pytest.mark.parametrize("command", [
@@ -476,6 +477,7 @@ def test_each_command_encodes_its_geometry_once(tmp_path, monkeypatch, capsysbin
     source = tmp_path / "toffolis.tq"
     source.write_text(LADDER_SOURCE)
     out = () if command[0] == "metrics" else ("--out", str(tmp_path / "out"))
+    segments = len(run_pipeline(LADDER_SOURCE, LADDER_CONFIG).geometry.segments)
     calls = encodings(monkeypatch)
     assert main([command[0], str(source), *command[1:], *ladder.FLAGS, *out]) == EXIT_OK
-    assert len(calls) == 1
+    assert len(calls) == 2 and sum(calls) == segments

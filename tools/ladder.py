@@ -24,7 +24,8 @@ host. Per rung it records:
   and keeps none, and that byte count;
 - ``peak_rss_mb``: the child's peak resident set after all of these, so
   ``peak_rss_mb - pipeline_peak_rss_mb`` is what the document and the
-  slice add;
+  slice add; the rung's own result is dropped before the slice, which
+  holds one pipeline result, as ``tqecsynth slice`` does;
 - ``stream_bytes`` and ``layers``: the size of that slice stream, as the
   sink counted it, and its layer count.
 
@@ -115,6 +116,10 @@ def measure(toffolis: int) -> dict:
     if toffolis > SLICE_MAX_TOFFOLIS:
         return rung | {"peak_rss_mb": round(peak_rss_mb(), 1)}
 
+    # the slice runs its own pipeline, as `tqecsynth slice` does: this
+    # result is dropped first, so the peak counts one pipeline result
+    layers = 2 * lattice_cells(result.bbox)[2] - 1
+    del result, report
     sink = ByteCount()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"toffoli{toffolis}.tq"
@@ -127,8 +132,7 @@ def measure(toffolis: int) -> dict:
         raise RuntimeError(f"tqecsynth slice exited {code}")
 
     return rung | {"slice_s": round(slice_s, 3), "peak_rss_mb": round(peak_rss_mb(), 1),
-                   "stream_bytes": sink.bytes,
-                   "layers": 2 * lattice_cells(result.bbox)[2] - 1}
+                   "stream_bytes": sink.bytes, "layers": layers}
 
 
 def run_rung(toffolis: int) -> dict:
